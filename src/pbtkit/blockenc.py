@@ -46,6 +46,23 @@ from .twisted import (
 
 ROW_TOL = 1e-10
 SIGN_TOL = 1e-9
+BATCH_GUARD_BYTES = 2**31  # largest column batch post_selected_block allocates
+
+
+class BatchTooLarge(MemoryError):
+    """A column batch would exceed ``BATCH_GUARD_BYTES``."""
+
+
+def guard_batch(dims: tuple[int, ...], columns: int) -> None:
+    """Raise BatchTooLarge, before anything is allocated, when a complex batch
+    of ``columns`` states over registers of these dimensions exceeds the
+    guard."""
+    need = prod(dims) * columns * 16
+    if need > BATCH_GUARD_BYTES:
+        raise BatchTooLarge(
+            f"a batch of {columns} columns over {prod(dims)} amplitudes needs "
+            f"{need / 2**30:.1f} GiB, above the {BATCH_GUARD_BYTES / 2**30:.0f} GiB guard"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +515,7 @@ class BlockEncoding:
             else np.ones(sys_dim, dtype=bool)
         )
         cols_in = np.flatnonzero(mask)
+        guard_batch(self.layout.dims, len(cols_in))
         batch = np.zeros(self.layout.dims + (len(cols_in),), dtype=complex)
         sys_axes = [self.layout.axis(nm) for nm in self.systems]
         anc_zero = tuple(0 for _ in self.ancillas)

@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 import numpy as np
 
+from .blockenc import BatchTooLarge
 from .partitions import dim_specht, dim_weyl, enumerate_partitions
 from .twisted import block_dimension, gram_spectrum
 
@@ -24,10 +26,17 @@ def _fmt(x: float) -> str:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(text)]
+    except ValueError:
+        values = []
+    if not values:
+        _usage_error(f"expected an integer or a range lo..hi with lo <= hi, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -67,10 +76,12 @@ def cmd_fidelity(args) -> int:
     from .pbt import entanglement_fidelity, pgm_dense
 
     d = args.d
-    _check_dims(max(_parse_range(args.n)), d)
+    ns = _parse_range(args.n)
+    for n in ns:
+        _check_dims(n, d)
     lines = ["n,d,fidelity"]
     values = {}
-    for n in _parse_range(args.n):
+    for n in ns:
         f = entanglement_fidelity(n, d, pgm_dense(n, d))
         values[n] = f
         lines.append(f"{n},{d},{_fmt(f)}")
@@ -114,7 +125,7 @@ def cmd_simulate(args) -> int:
     report = run(spec)
     payload = json.loads(report.to_json())
     if args.shots:
-        payload["histogram"] = sample(spec, args.shots)
+        payload["histogram"] = sample(spec, args.shots, report)
     _emit(args, json.dumps(payload, indent=2))
     return 0
 
@@ -199,8 +210,15 @@ def _emit(args, text: str) -> None:
 
 
 def _check_dims(n: int, d: int) -> None:
-    if n < 2 or d < 1:
-        raise SystemExit(2)
+    if n < 2:
+        _usage_error(f"--n must be at least 2, got {n}")
+    if d < 1:
+        _usage_error(f"--d must be at least 1, got {d}")
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +290,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         raise
+    except BatchTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -271,7 +271,7 @@ def build_pipeline(
         start_projector=start,
         end_projector=end,
     )
-    v_amp = amplified_V(nai.v_op, pl)
+    v_amp = amplified_V(nai.v_op, pl, layout)
     slack = 1.0 / (nai.scale * np.sqrt(n - 1)) - 1.0 / pl.inflated_total
     eps = float(np.sqrt(n - 1) * delta / nai.scale + max(slack, 0.0))
     return Pipeline(
@@ -373,8 +373,7 @@ def _run_amplified(spec: ProtocolRun) -> ProtocolReport:
     phi = maximally_entangled(d)
     for weight, branch in branches:
         vec = initial_state(pipe, branch if with_ref else branch[:, None].ravel())
-        out = pipe.v_amp.apply(vec, layout)
-        good = out * pipe.plan.end_projector.reshape(layout.dims).astype(float)
+        good = _post_select(pipe, pipe.v_amp.apply(vec, layout))
         anc_weight += weight * float(np.vdot(good, good).real)
         for i in range(1, n):
             sel = _select_outcome(layout, good, i)
@@ -409,6 +408,23 @@ def _run_amplified(spec: ProtocolRun) -> ProtocolReport:
     )
 
 
+def _post_select(pipe: Pipeline, out: np.ndarray) -> np.ndarray:
+    """The amplified output with the block-encoding ancillas projected onto
+    zero, the event the amplification boosts."""
+    return out * pipe.plan.end_projector.reshape(pipe.layout.dims).astype(float)
+
+
+def outcome_probabilities(pipe: Pipeline, out: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of an amplified output, conditioned on the
+    ancillas returning to zero."""
+    good = _post_select(pipe, out)
+    weights = [
+        np.vdot(sel, sel).real
+        for sel in (_select_outcome(pipe.layout, good, i) for i in range(1, pipe.n))
+    ]
+    return np.array(weights) / np.vdot(good, good).real
+
+
 def _select_outcome(layout: Layout, arr: np.ndarray, i: int) -> np.ndarray:
     idx: list = [slice(None)] * arr.ndim
     idx[layout.axis("I")] = i - 1
@@ -427,12 +443,14 @@ def _receiver_state(pipe: Pipeline, layout: Layout, sel: np.ndarray, i: int) -> 
     return rest @ rest.conj().T
 
 
-def sample(spec: ProtocolRun, shots: int) -> dict:
+def sample(spec: ProtocolRun, shots: int, report: ProtocolReport | None = None) -> dict:
     """Multinomial outcome histogram with a chi-square statistic against the
-    engine's exact probabilities."""
+    engine's exact probabilities, taken from ``report`` when the protocol has
+    already been run for ``spec``."""
     if shots < 1:
         raise ValueError("shots must be positive")
-    report = run(spec)
+    if report is None:
+        report = run(spec)
     p = np.array(report.probabilities)
     p = p / p.sum()
     rng = np.random.default_rng(spec.seed)

@@ -174,11 +174,11 @@ def test_criterion_7_block_encoding_ledger():
 
 
 @pytest.mark.slow
-def test_criterion_8_naimark_amplification():
+def test_criterion_8_naimark_amplification(honest_end_to_end):
     from pbtkit.amplify import end_to_end
 
     for variant in ("compressed", "honest"):
-        res = end_to_end(3, 2, variant)
+        res = end_to_end(3, 2, variant) if variant == "compressed" else honest_end_to_end
         _report(
             f"8a [{variant}] sub-normalized dilation residual <= epsilon",
             res.w_residual,

@@ -62,7 +62,7 @@ def test_plan_rejects_subunit_scale():
 def test_amplified_m1_is_identity_wrap():
     lay, v, mask = one_qubit_setup(np.eye(2), 1.0)
     p = plan(1.0, 1, mask, mask)
-    assert amplified_V(v, p) is v
+    assert amplified_V(v, p, lay) is v
 
 
 def test_amplified_exact_case():
@@ -71,7 +71,7 @@ def test_amplified_exact_case():
     lay, v, mask = one_qubit_setup(w, 2.0)
     p = plan(2.0, 1, mask, mask)
     assert p.m == 3
-    mat = to_matrix(amplified_V(v, p), lay)
+    mat = to_matrix(amplified_V(v, p, lay), lay)
     assert np.abs(mat[np.ix_([0, 1], [0, 1])] - w).max() < 1e-12
     assert np.abs(mat @ mat.conj().T - np.eye(4)).max() < 1e-12
 
@@ -87,7 +87,7 @@ def test_amplified_error_growth_bounded():
         mask = np.zeros(4, bool)
         mask[:2] = True
         p = plan(2.0, 1, mask, mask)
-        mat = to_matrix(amplified_V(v, p), lay)
+        mat = to_matrix(amplified_V(v, p, lay), lay)
         block = mat[np.ix_([0, 1], [0, 1])]
         base = np.abs(2 * v_mat[:2, :2] / 2 - w / 2).max()  # encoding error / scale
         eps_in = np.linalg.norm(2 * v_mat[:2, :2] - w, 2) / 2
@@ -131,8 +131,8 @@ def test_end_to_end_compressed():
 
 
 @pytest.mark.slow
-def test_end_to_end_honest():
-    res = end_to_end(3, 2, "honest")
+def test_end_to_end_honest(honest_end_to_end):
+    res = honest_end_to_end
     assert res.m > 50 and res.m % 2 == 1
     assert res.w_residual <= res.epsilon + 1e-9
     assert res.amplified_residual <= res.amplified_bound

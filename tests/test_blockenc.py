@@ -318,3 +318,11 @@ def test_naimark_W_reference():
     assert np.abs(w @ w.conj().T - np.eye(2 * 8)).max() < 1e-10
     for i, k in enumerate(kraus):
         assert np.abs(w[i * 8 : (i + 1) * 8, :8] - k).max() < 1e-10
+
+
+def test_batch_guard_raises_before_allocating():
+    from pbtkit.blockenc import BATCH_GUARD_BYTES, BatchTooLarge, guard_batch
+
+    with pytest.raises(BatchTooLarge, match="1024.0 GiB"):
+        guard_batch((2**20, 2**12), 16)  # 1 TiB: would fail if it were allocated
+    guard_batch((BATCH_GUARD_BYTES // 16,), 1)  # exactly at the guard passes

@@ -150,3 +150,49 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["irreps"])  # missing required flags
     assert exc.value.code == 2
+
+
+def test_cli_simulate_runs_protocol_once(monkeypatch, capsys):
+    from pbtkit import simulate
+
+    calls = []
+    real_run = simulate.run
+
+    def counting_run(spec):
+        calls.append(spec)
+        return real_run(spec)
+
+    monkeypatch.setattr(simulate, "run", counting_run)
+    argv = ["simulate", "--n", "3", "--d", "2", "--shots", "1000", "--seed", "7"]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    histogram = json.loads(capsys.readouterr().out)["histogram"]
+    reference = simulate.sample(calls[0], 1000)
+    assert histogram["counts"] == reference["counts"]
+
+
+def test_cli_fidelity_rejects_every_n_in_range(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fidelity", "--d", "2", "--n", "1..3"])
+    assert exc.value.code == 2
+    assert "--n must be at least 2, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["5..3", "a..3", "2.5"])
+def test_cli_fidelity_rejects_malformed_range(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fidelity", "--d", "2", "--n", text])
+    assert exc.value.code == 2
+    assert "range lo..hi" in capsys.readouterr().err
+
+
+def test_cli_bad_dims_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["irreps", "--n", "3", "--d", "0"])
+    assert exc.value.code == 2
+    assert "--d must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_cli_encode_too_large_is_usage_error(capsys):
+    assert cli.main(["encode", "--n", "5", "--d", "2", "--i", "1"]) == 2
+    assert "GiB" in capsys.readouterr().err
