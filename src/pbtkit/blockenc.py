@@ -34,7 +34,7 @@ from .registers import (
     controlled_not_gate,
     to_matrix,
 )
-from .schur import SchurTransform, build_schur, submatrix_U_nu_alpha
+from .schur import DENSE_GUARD_BYTES, SchurTransform, build_schur, submatrix_U_nu_alpha
 from .symrep import embed_perm, tableau_index
 from .twisted import (
     TwistedSchur,
@@ -46,7 +46,7 @@ from .twisted import (
 
 ROW_TOL = 1e-10
 SIGN_TOL = 1e-9
-BATCH_GUARD_BYTES = 2**31  # largest column batch post_selected_block allocates
+BATCH_GUARD_BYTES = DENSE_GUARD_BYTES  # largest column batch post_selected_block allocates
 
 
 class BatchTooLarge(MemoryError):

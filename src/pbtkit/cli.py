@@ -16,6 +16,7 @@ import numpy as np
 
 from .blockenc import BatchTooLarge
 from .partitions import dim_specht, dim_weyl, enumerate_partitions
+from .schur import DenseTooLarge
 from .twisted import block_dimension, gram_spectrum
 
 FLOAT_FMT = "{:.17g}"
@@ -290,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         raise
-    except BatchTooLarge as exc:
+    except (BatchTooLarge, DenseTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:

@@ -1,34 +1,49 @@
 """Dense Schur transform on m qudits whose symmetric-group action is exactly
 Young's orthogonal form.
 
-The transform is built from matrix-unit symmetrizers
-``E_{ij} = (dim/m!) sum_sigma yor(sigma)_{ij} V(sigma)``: an orthonormal basis
-of range(E_11) supplies the multiplicity labels and ``E_{j1}`` maps it across
-the irrep.  By construction ``U V(sigma) U+`` is exactly block diagonal with
-blocks ``I_m  (x)  yor(lambda, sigma)``, which is the property every formula
-downstream relies on.
+The rows are the Young (Gelfand-Tsetlin) basis of Okounkov and Vershik.  For
+each diagram the copies of its first last-letter tableau T1 span the joint
+eigenspace of the Jucys-Murphy elements ``X_k = sum_{j<k} V((j k))`` at the
+contents of T1; an orthonormal basis of that eigenspace supplies the
+multiplicity labels.  Every other tableau s is reached from one already built,
+t, by an adjacent transposition s_k, and Young's orthogonal form
+``V(s_k) u_t = u_t / a + sqrt(1 - 1/a^2) u_s`` gives u_s.  So
+``U V(sigma) U+`` is block diagonal with blocks ``I_m  (x)  yor(lambda,
+sigma)`` by construction, which is the property every formula downstream
+relies on, and the build never runs over the m! group elements.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
 
-from .partitions import Partition, add_box, dim_specht, dim_weyl, enumerate_partitions
+from .partitions import (
+    Partition,
+    add_box,
+    dim_specht,
+    dim_weyl,
+    enumerate_partitions,
+    remove_box,
+)
 from .symrep import (
     Perm,
     StandardTableau,
+    adjacent_swap,
     standard_tableaux,
+    transposition,
     yor,
 )
 
-DENSE_GUARD = 2**20
+DENSE_GUARD_BYTES = 2**31  # largest dense complex matrix built in one piece
 _RANK_TOL = 1e-9
 _SIGN_TOL = 1e-9
+
+
+class DenseTooLarge(ValueError):
+    """A dense d^m x d^m complex matrix would exceed ``DENSE_GUARD_BYTES``."""
 
 
 @dataclass(frozen=True)
@@ -163,6 +178,43 @@ def _fix_signs(cols: np.ndarray) -> np.ndarray:
     return out
 
 
+def guard_dense(m: int, d: int) -> None:
+    """Raise DenseTooLarge, before anything is allocated, when a dense complex
+    d^m x d^m matrix exceeds the guard."""
+    need = 16 * d ** (2 * m)
+    if need > DENSE_GUARD_BYTES:
+        raise DenseTooLarge(
+            f"a dense {d}^{m} x {d}^{m} complex matrix needs {need / 2**30:.1f} GiB, "
+            f"above the {DENSE_GUARD_BYTES / 2**30:.0f} GiB guard"
+        )
+
+
+def _jucys_murphy_eigenspace(m: int, d: int, contents: tuple[int, ...]) -> np.ndarray:
+    """Orthonormal columns spanning the joint eigenspace on which each
+    X_k = sum_{j<k} V((j k)) has eigenvalue ``contents[k]``.
+
+    Permutations keep the number of each digit, so every weight space is
+    searched on its own.  In it each X_k is restricted to the eigenspace of
+    the ones before it and diagonalized there; the X_k commute, so the
+    restriction is exact.
+    """
+    dim = d**m
+    counts = (_digit_table(m, d)[:, :, None] == np.arange(d)).sum(axis=1)
+    weight = np.unique(counts, axis=0, return_inverse=True)[1].ravel()
+    found = []
+    for w in range(weight.max() + 1):
+        members = np.flatnonzero(weight == w)
+        basis = np.zeros((dim, members.size))
+        basis[members, np.arange(members.size)] = 1.0
+        for k in range(1, m):
+            x_basis = sum(basis[_perm_source_index(m, d, transposition(j, k, m))] for j in range(k))
+            evals, evecs = np.linalg.eigh(basis.T @ x_basis)
+            # eigenvalues of X_k are integers, so 1/2 separates them
+            basis = basis @ evecs[:, np.abs(evals - contents[k]) < 0.5]
+        found.append(basis)
+    return np.concatenate(found, axis=1)
+
+
 @lru_cache(maxsize=None)
 def build_schur(m: int, d: int, gauge_seed: int = 0) -> SchurTransform:
     """Construct the m-qudit Schur transform as a dense unitary.
@@ -172,47 +224,47 @@ def build_schur(m: int, d: int, gauge_seed: int = 0) -> SchurTransform:
     """
     if m < 0 or d < 1:
         raise ValueError("need m >= 0 and d >= 1")
-    if d**m > DENSE_GUARD:
-        raise ValueError(f"d^m = {d**m} exceeds the dense-size guard {DENSE_GUARD}")
+    guard_dense(m, d)
     dim = d**m
     if m == 0:
         mat = np.eye(1, dtype=complex)
         index = ((Partition(), 1, StandardTableau(Partition(), ())),)
         return SchurTransform(m, d, mat, index, gauge_seed)
 
-    perms = list(itertools.permutations(range(m)))
-    sources = {p: _perm_source_index(m, d, p) for p in perms}
     rng = np.random.default_rng(gauge_seed) if gauge_seed else None
-
     rows = np.zeros((dim, dim))
     index: list[tuple[Partition, int, StandardTableau]] = []
     cursor = 0
     for lam in enumerate_partitions(m, d):
-        d_lam = dim_specht(lam)
         m_lam = dim_weyl(lam, d)
         tabs = standard_tableaux(lam)
-        # E_{j1} for all j in one sweep over the group
-        units = np.zeros((d_lam, dim, dim))
-        cols = np.arange(dim)
-        for p in perms:
-            w = yor(lam, p).matrix[:, 0] * (d_lam / factorial(m))
-            src = sources[p]
-            for j in range(d_lam):
-                if w[j] != 0.0:
-                    units[j, cols, src] += w[j]
-        mult_basis = _orthonormal_columns(units[0], m_lam, rng)
-        for r in range(m_lam):
-            v = mult_basis[:, r]
-            for j in range(d_lam):
-                w = units[j] @ v
-                nrm = np.linalg.norm(w)
-                if abs(nrm - 1.0) > 1e-8:
-                    raise ArithmeticError(
-                        f"symmetrizer row norm {nrm} != 1 for {lam}, copy {r + 1}"
-                    )
-                rows[cursor] = w / nrm
-                index.append((lam, r + 1, tabs[j]))
-                cursor += 1
+        eigen = _jucys_murphy_eigenspace(m, d, tabs[0].contents())
+        if eigen.shape[1] != m_lam:
+            raise ArithmeticError(
+                f"Jucys-Murphy eigenspace of {lam} has dimension {eigen.shape[1]}, "
+                f"expected {m_lam}"
+            )
+        copies = {tabs[0].growth: _orthonormal_columns(eigen @ eigen.T, m_lam, rng)}
+        # breadth-first over the tableau graph, edges by Young's orthogonal form
+        queue = [tabs[0]]
+        for tab in queue:
+            u = copies[tab.growth]
+            for k in range(1, m):
+                ax, swapped = adjacent_swap(tab, k)
+                if swapped is None or swapped.growth in copies:
+                    continue
+                moved = u[_perm_source_index(m, d, transposition(k - 1, k, m))]
+                copies[swapped.growth] = (moved - u / ax) / np.sqrt(1.0 - 1.0 / ax**2)
+                queue.append(swapped)
+        block = np.stack([copies[tab.growth] for tab in tabs])  # (tableau, amplitude, copy)
+        norms = np.linalg.norm(block, axis=1)
+        worst = np.abs(norms - 1.0).max()
+        if worst > 1e-8:
+            raise ArithmeticError(f"Young-basis row norm off by {worst:.2e} for {lam}")
+        size = m_lam * len(tabs)
+        rows[cursor : cursor + size] = (block / norms[:, None, :]).transpose(2, 0, 1).reshape(size, dim)
+        index.extend((lam, r + 1, tab) for r in range(m_lam) for tab in tabs)
+        cursor += size
     if cursor != dim:
         raise ArithmeticError(f"assembled {cursor} rows, expected {dim}")
     mat = rows.astype(complex)
@@ -248,17 +300,11 @@ def submatrix_U_nu_alpha(
 ) -> np.ndarray:
     """Rows of copy ``r_nu`` of irrep ``nu`` whose tableau path passes through
     ``alpha``; shape (dim alpha) x d^m."""
-    if alpha not in remove_shapes(nu):
+    if alpha not in remove_box(nu):
         raise ValueError(f"{alpha} is not a one-box removal of {nu}")
     tabs = [tab for tab in standard_tableaux(nu) if tab.restricted_shape() == alpha]
     rows = [t.row_position(nu, r_nu, tab) for tab in tabs]
     return np.array(t.matrix[rows])
-
-
-def remove_shapes(nu: Partition) -> tuple[Partition, ...]:
-    from .partitions import remove_box
-
-    return remove_box(nu)
 
 
 def submatrix_U_alpha(

@@ -1,10 +1,8 @@
-"""Binary matrix files and the on-disk transform cache.
+"""Binary matrix files.
 
 Matrix files are little-endian: a fixed header (magic, version, rows, cols)
 followed by interleaved (re, im) float64 pairs, with a JSON sidecar holding
-row labels and a payload checksum.  Round-trips are bit-exact.  The cache
-keys entries by module, dimensions and a construction-version hash; a version
-mismatch is a miss, never a silent reuse.
+row labels and a payload checksum.  Round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -13,14 +11,12 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"PBTM"
 FORMAT_VERSION = 1
-CONSTRUCTION_VERSION = "pbtkit-build-1"
 
 _HEADER = struct.Struct("<4sIQQ")
 
@@ -65,59 +61,8 @@ def load_matrix(path: str | os.PathLike) -> tuple[np.ndarray, dict]:
     return mat, meta
 
 
-def cache_dir() -> Path:
-    return Path(os.environ.get("PBT_CACHE_DIR", ".cache"))
-
-
-@dataclass(frozen=True)
-class CacheEntry:
-    module: str
-    n: int
-    d: int
-    extra: str = ""
-
-    def filename(self) -> str:
-        tag = hashlib.sha256(
-            f"{self.module}|{self.n}|{self.d}|{self.extra}|{CONSTRUCTION_VERSION}".encode()
-        ).hexdigest()[:16]
-        return f"{self.module}_n{self.n}_d{self.d}_{tag}.mat"
-
-
-def cache_save(entry: CacheEntry, matrix: np.ndarray, labels: list | None = None) -> Path:
-    base = cache_dir()
-    base.mkdir(parents=True, exist_ok=True)
-    path = base / entry.filename()
-    save_matrix(path, matrix, labels)
-    return path
-
-
-def cache_load(entry: CacheEntry) -> tuple[np.ndarray, dict] | None:
-    """None on miss; the version hash in the filename makes stale entries
-    unreachable rather than silently reused."""
-    path = cache_dir() / entry.filename()
-    if not path.exists():
-        return None
-    try:
-        return load_matrix(path)
-    except ValueError:
-        return None
-
-
 def schur_labels(index) -> list:
     return [
         {"diagram": list(lam.rows), "copy": r, "path": list(tab.growth)}
         for lam, r, tab in index
     ]
-
-
-def cached_schur_matrix(m: int, d: int, gauge_seed: int = 0) -> np.ndarray:
-    """The m-qudit Schur transform, loaded from disk when available."""
-    from .schur import build_schur
-
-    entry = CacheEntry("schur", m, d, extra=f"gauge{gauge_seed}")
-    hit = cache_load(entry)
-    if hit is not None:
-        return hit[0]
-    t = build_schur(m, d, gauge_seed)
-    cache_save(entry, t.matrix, schur_labels(t.index))
-    return np.array(t.matrix)

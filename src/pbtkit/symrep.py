@@ -92,6 +92,10 @@ class StandardTableau:
             fill[r] += 1
         return tuple(pos)
 
+    def contents(self) -> tuple[int, ...]:
+        """Content (column - row) of each letter's box."""
+        return tuple(c - r for r, c in self.positions())
+
     def restricted_shape(self) -> Partition:
         """Shape after deleting the box holding the largest letter."""
         return self.shape.with_box_removed(self.growth[-1])
@@ -163,6 +167,24 @@ class IrrepMatrix:
 # Young's orthogonal form
 
 
+def adjacent_swap(tab: StandardTableau, k: int) -> tuple[int, StandardTableau | None]:
+    """Axial distance ``a`` = content(k+1) - content(k) of letters k, k+1
+    (1-based) in ``tab``, and the tableau with those letters exchanged.
+
+    The swapped tableau is None when the letters share a row (a = 1) or a
+    column (a = -1).  Young's orthogonal form is
+    ``s_k e_t = e_t / a + sqrt(1 - 1/a^2) e_swapped``.
+    """
+    pos = tab.positions()
+    (r1, c1), (r2, c2) = pos[k - 1], pos[k]
+    ax = (c2 - r2) - (c1 - r1)
+    if r1 == r2 or c1 == c2:
+        return ax, None
+    growth = list(tab.growth)
+    growth[k - 1], growth[k] = growth[k], growth[k - 1]
+    return ax, StandardTableau(tab.shape, tuple(growth))
+
+
 def yor_adjacent(lam: Partition, k: int) -> IrrepMatrix:
     """Matrix of the adjacent transposition (k, k+1), 1 <= k <= n-1 (letters)."""
     m = lam.n
@@ -173,19 +195,10 @@ def yor_adjacent(lam: Partition, k: int) -> IrrepMatrix:
     dim = len(tabs)
     mat = np.zeros((dim, dim))
     for t, tab in enumerate(tabs):
-        pos = tab.positions()
-        (r1, c1), (r2, c2) = pos[k - 1], pos[k]
-        if r1 == r2:
-            mat[t, t] = 1.0
-        elif c1 == c2:
-            mat[t, t] = -1.0
-        else:
-            ax = (c2 - r2) - (c1 - r1)
-            growth = list(tab.growth)
-            growth[k - 1], growth[k] = growth[k], growth[k - 1]
-            s = idx[tuple(growth)]
-            mat[t, t] = 1.0 / ax
-            mat[t, s] = np.sqrt(1.0 - 1.0 / ax**2)
+        ax, swapped = adjacent_swap(tab, k)
+        mat[t, t] = 1.0 / ax
+        if swapped is not None:
+            mat[t, idx[swapped.growth]] = np.sqrt(1.0 - 1.0 / ax**2)
     mat.flags.writeable = False
     return IrrepMatrix(lam, transposition(k - 1, k, m), mat)
 

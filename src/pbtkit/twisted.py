@@ -241,14 +241,15 @@ def _factored_block(n: int, d: int, alpha: Partition, r: int, gauge_seed: int = 
     total = np.zeros((block_dimension(alpha, d), d**n), dtype=complex)
     for k in range(1, n):
         pk = port_cycle(k, n)
-        vk = permutation_operator(n - 1, d, pk).dense()
-        vlk = permutation_operator(n, d, embed_perm(pk, n)).dense()
+        # A @ V(sigma) gathers the columns of A by the inverse of sigma's source index
+        u_alpha_k = u_alpha[:, np.argsort(permutation_operator(n - 1, d, pk).source_index())]
         inner = np.zeros_like(total[:, : d_alpha])
         for nu in box.children:
             u_nu = submatrix_U_nu_alpha(sch1, nu, alpha)
             c = np.sqrt(dim_specht(nu) / lambda_eigenvalue(n, d, alpha, nu))
-            inner = inner + c * (u_alpha @ vk @ u_nu.conj().T)
-        total = total + inner @ phi @ vlk
+            inner = inner + c * (u_alpha_k @ u_nu.conj().T)
+        src_lk = permutation_operator(n, d, embed_perm(pk, n)).source_index()
+        total = total + (inner @ phi)[:, np.argsort(src_lk)]
     return total / np.sqrt((n - 1) * d_alpha)
 
 

@@ -1,3 +1,6 @@
+import itertools
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -12,13 +15,26 @@ from pbtkit.schur import (
     submatrix_U_alpha,
     submatrix_U_nu_alpha,
 )
-from pbtkit.symrep import compose, identity_perm, standard_tableaux, transposition
+from pbtkit.symrep import compose, identity_perm, standard_tableaux, transposition, yor
 
 RNG = np.random.default_rng(11)
 
 
 def random_perm(m):
     return tuple(RNG.permutation(m))
+
+
+def matrix_units(m, d, lam):
+    """Oracle: E_ST = (d_lam / m!) sum over all of S(m) of yor(lam, sigma)_ST V(sigma),
+    shape (d_lam, d_lam, d^m, d^m)."""
+    dim = d**m
+    d_lam = dim_specht(lam)
+    units = np.zeros((d_lam, d_lam, dim, dim))
+    rows = np.arange(dim)
+    for p in itertools.permutations(range(m)):
+        src = permutation_operator(m, d, p).source_index()
+        units[:, :, rows, src] += yor(lam, p).matrix[:, :, None]
+    return units * (d_lam / factorial(m))
 
 
 def random_unitary(d):
@@ -92,6 +108,39 @@ def test_covariance(m, d):
     for _ in range(20):
         worst = max(worst, covariance_residual(t, random_perm(m)))
     assert worst < 1e-10
+
+
+@pytest.mark.parametrize("m,d", [(m, d) for d in (2, 3) for m in range(2, 6)])
+def test_rows_match_symmetrizer_oracle(m, d):
+    # sum_r u_{r,S}^+ u_{r,T} is the matrix unit E_ST whatever the multiplicity gauge
+    for seed in (0, 3):
+        t = build_schur(m, d, gauge_seed=seed)
+        for lam in enumerate_partitions(m, d):
+            rows = np.stack([t.block_rows(lam, r) for r in range(1, dim_weyl(lam, d) + 1)])
+            units = np.einsum("rsi,rtj->stij", rows.conj(), rows)
+            assert np.abs(units - matrix_units(m, d, lam)).max() < 1e-12
+
+
+@pytest.mark.parametrize("m,d", [(6, 2), (9, 2), (4, 3)])
+def test_rows_are_jucys_murphy_eigenvectors(m, d):
+    t = build_schur(m, d)
+    contents = np.array([tab.contents() for _, _, tab in t.index])
+    for k in range(1, m):
+        # X_k = sum_{j<k} V((j k)) applied to every row
+        moved = sum(
+            t.matrix[:, permutation_operator(m, d, transposition(j, k, m)).source_index()]
+            for j in range(k)
+        )
+        assert np.abs(moved - contents[:, k, None] * t.matrix).max() < 1e-12
+
+
+def test_covariance_beyond_group_enumeration():
+    # S(9) has 362880 elements; the build never visits them
+    m, d = 9, 2
+    t = build_schur(m, d)
+    perms = [transposition(k - 1, k, m) for k in range(1, m)]
+    perms += [random_perm(m) for _ in range(5)]
+    assert max(covariance_residual(t, p) for p in perms) <= 1e-12
 
 
 def test_unitarity():

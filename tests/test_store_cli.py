@@ -1,16 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pbtkit import cli
-from pbtkit.store import (
-    CacheEntry,
-    cache_load,
-    cache_save,
-    load_matrix,
-    save_matrix,
-)
+from pbtkit.store import load_matrix, save_matrix
 
 RNG = np.random.default_rng(31)
 
@@ -35,30 +30,6 @@ def test_matrix_file_rejects_corruption(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
         load_matrix(path)
-
-
-def test_cache_roundtrip_and_version_keying(tmp_path, monkeypatch):
-    monkeypatch.setenv("PBT_CACHE_DIR", str(tmp_path))
-    entry = CacheEntry("test", 3, 2, extra="x")
-    assert cache_load(entry) is None
-    mat = RNG.standard_normal((4, 4)) + 0j
-    cache_save(entry, mat)
-    hit = cache_load(entry)
-    assert hit is not None
-    assert hit[0].tobytes() == mat.astype(complex).tobytes()
-    other = CacheEntry("test", 3, 2, extra="y")
-    assert cache_load(other) is None
-
-
-def test_cached_schur(tmp_path, monkeypatch):
-    monkeypatch.setenv("PBT_CACHE_DIR", str(tmp_path))
-    from pbtkit.store import cached_schur_matrix
-
-    first = cached_schur_matrix(3, 2)
-    files = list(tmp_path.glob("schur_*.mat"))
-    assert len(files) == 1
-    second = cached_schur_matrix(3, 2)
-    assert first.tobytes() == second.tobytes()
 
 
 def test_cli_irreps(capsys):
@@ -93,6 +64,11 @@ def test_cli_fidelity_monotone(capsys):
 
 def test_cli_verify_pass(capsys):
     assert cli.main(["verify", "--suite", "gram", "--n", "2..4", "--d", "2"]) == 0
+    assert "pass" in capsys.readouterr().out
+
+
+def test_cli_verify_schur_to_n9(capsys):
+    assert cli.main(["verify", "--suite", "schur", "--n", "2..9", "--d", "2"]) == 0
     assert "pass" in capsys.readouterr().out
 
 
@@ -196,3 +172,17 @@ def test_cli_bad_dims_message(capsys):
 def test_cli_encode_too_large_is_usage_error(capsys):
     assert cli.main(["encode", "--n", "5", "--d", "2", "--i", "1"]) == 2
     assert "GiB" in capsys.readouterr().err
+
+
+def test_cli_export_schur_too_large_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "schur.mat"
+    tracemalloc.start()
+    try:
+        code = cli.main(["export", "schur", "--n", "14", "--d", "2", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "4.0 GiB" in capsys.readouterr().err
+    assert peak < 2**20  # the 4 GiB matrix was never allocated
+    assert not path.exists()
