@@ -137,77 +137,13 @@ class EndToEndResult:
     ancilla_zero_weight: float
 
 
-def _system_columns(pipe) -> np.ndarray:
-    """Batch of initial basis columns: outcome and ancilla registers at zero,
-    the physical system running over its basis."""
-    layout = pipe.layout
-    keep = np.flatnonzero(pipe.system_mask)
-    batch = np.zeros(layout.dims + (len(keep),), dtype=complex)
-    sys_names = ("r2", "al", "ka", "qm", "qn")
-    sys_dims = tuple(layout.dim(nm) for nm in sys_names)
-    for b, flat in enumerate(keep):
-        pos = dict(zip(sys_names, np.unravel_index(flat, sys_dims)))
-        idx = tuple(pos.get(nm, 0) for nm in layout.names) + (b,)
-        batch[idx] = 1.0
-    return batch
-
-
-def _w_columns(pipe, kraus: list[np.ndarray]) -> np.ndarray:
-    """Columns of the dense dilation embedded in the protocol layout."""
-    layout = pipe.layout
-    keep = np.flatnonzero(pipe.system_mask)
-    dim_h = len(keep)
-    out = np.zeros((layout.size, dim_h), dtype=complex)
-    sys_names = ("r2", "al", "ka", "qm", "qn")
-    strides = _flat_strides(layout)
-    i_axis = layout.axis(pipe.naimark.outcome_register)
-    sys_flat_offset = [
-        sum(p * strides[layout.axis(nm)] for p, nm in zip(np.unravel_index(f, tuple(layout.dim(nm) for nm in sys_names)), sys_names))
-        for f in keep
-    ]
-    for i, k in enumerate(kraus):
-        base = (i) * strides[i_axis]
-        for col in range(dim_h):
-            amps = k[:, col]
-            for row, amp in enumerate(amps):
-                if amp != 0.0:
-                    out[base + sys_flat_offset[row], col] += amp
-    return out
-
-
-def _flat_strides(layout: Layout) -> list[int]:
-    strides = [1] * len(layout.dims)
-    for a in range(len(layout.dims) - 2, -1, -1):
-        strides[a] = strides[a + 1] * layout.dims[a + 1]
-    return strides
-
-
-def dilation_residuals(pipe, kraus: list[np.ndarray]) -> tuple[float, float]:
-    """Spectral-norm residuals of the sub-normalized and amplified dilations
-    against the dense reference, computed column by column."""
-    layout = pipe.layout
-    n_ports = pipe.plan.ports
-    cols_in = _system_columns(pipe)
-    w_cols = _w_columns(pipe, kraus)
-    end = pipe.plan.end_projector.reshape(layout.dims + (1,)).astype(float)
-
-    out_v = pipe.naimark.v_op.apply(cols_in, layout) * end
-    flat_v = out_v.reshape(layout.size, -1)
-    sub = w_cols / (pipe.naimark.scale * np.sqrt(n_ports))
-    w_res = float(np.linalg.svd(sub - flat_v, compute_uv=False)[0])
-
-    out_a = pipe.v_amp.apply(cols_in, layout) * end
-    flat_a = out_a.reshape(layout.size, -1)
-    amp_res = float(np.linalg.svd(w_cols - flat_a, compute_uv=False)[0])
-    return w_res, amp_res
-
-
 def end_to_end(
     n: int, d: int, variant: str = "compressed", mode: str = "tight"
 ) -> EndToEndResult:
     """Drive the full pipeline at (n, d) and compare against the dense
     dilation: operator residuals, protocol-state trace distance, outcome
     probabilities and ancilla cleanliness."""
+    from .blockenc import SYSTEM
     from .pbt import kraus_from_twisted
     from .simulate import (
         ProtocolRun,
@@ -221,33 +157,35 @@ def end_to_end(
     tw = build_twisted(n, d)
     kraus = [kraus_from_twisted(n, d, tw, i) for i in range(1, n)]
 
-    bare = build_pipeline(n, d, variant, mode, with_bob=False, with_ref=False, tw=tw)
-    w_res, amp_res = dilation_residuals(bare, kraus)
-
-    pipe = build_pipeline(n, d, variant, mode, with_bob=True, with_ref=True, tw=tw)
+    pipe = build_pipeline(n, d, variant, mode, tw=tw)
     layout = pipe.layout
     psi0 = initial_state(pipe, maximally_entangled(d))
     v_out = pipe.v_amp.apply(psi0, layout)
 
-    # reference: the dense dilation applied to the same initial state
-    w_out = np.zeros_like(psi0)
-    i_axis = layout.axis("I")
-    zero_slice = [slice(None)] * psi0.ndim
-    zero_slice[i_axis] = slice(0, 1)
-    start = psi0[tuple(zero_slice)]
-    from .registers import Gate
-
-    sys_names = ("r2", "al", "ka", "qm", "qn")
+    # reference: the dense dilation applied to the same initial state, K_i on
+    # the physical system rows of outcome i; the ancillas lead the run, so at
+    # ancilla zero its flat rows are the system's
+    anc_sys = pipe.naimark.ancillas + SYSTEM
     keep = np.flatnonzero(pipe.system_mask)
-    total = int(np.prod([layout.dim(nm) for nm in sys_names]))
+    start = layout.block(psi0, anc_sys)[0, keep]
+    w_out = np.zeros_like(psi0)
     for i, k in enumerate(kraus):
-        padded = np.zeros((total, total), dtype=complex)
-        padded[np.ix_(keep, keep)] = k
-        gate = Gate(sys_names, padded)
-        moved = gate.apply(start, layout)
-        sl = [slice(None)] * psi0.ndim
-        sl[i_axis] = slice(i, i + 1)
-        w_out[tuple(sl)] = moved
+        layout.block(w_out, anc_sys)[i, keep] = k @ start
+
+    # psi0 is maximally entangled between the physical system and (B..., R),
+    # so sqrt(d^n) times the (B..., R) axes of an output are the outputs on
+    # the system basis columns: the operator residuals come from the same runs
+    receivers = layout.names[layout.axis(SYSTEM[-1]) + 1 :]
+    end = pipe.plan.end_projector.reshape(layout.dims).astype(float)
+
+    def columns(state: np.ndarray) -> np.ndarray:
+        return layout.block(state, receivers)[:, :, 0] * np.sqrt(d**n)
+
+    w_cols = columns(w_out)
+    sub = w_cols / (pipe.naimark.scale * np.sqrt(pipe.plan.ports))
+    v_cols = columns(pipe.naimark.v_op.apply(psi0, layout) * end)
+    w_res = float(np.linalg.svd(sub - v_cols, compute_uv=False)[0])
+    amp_res = float(np.linalg.svd(w_cols - columns(v_out * end), compute_uv=False)[0])
 
     discrepancy = _reduced_trace_distance(pipe, w_out, v_out)
 
@@ -276,47 +214,34 @@ def end_to_end(
     )
 
 
-def _anc_axes(pipe) -> list[int]:
-    layout = pipe.layout
-    keep = {"I", "r2", "al", "ka", "qm", "qn", "R"}
-    return [
-        layout.axis(nm)
-        for nm in layout.names
-        if nm not in keep and not nm.startswith("B")
-    ]
+def _ancilla_rows(pipe, state: np.ndarray) -> np.ndarray:
+    """The state as an (ancilla x everything else) matrix."""
+    blk = pipe.layout.block(state, pipe.naimark.ancillas)
+    return blk.transpose(1, 0, 2).reshape(blk.shape[1], -1)
 
 
 def _reduced_trace_distance(pipe, w: np.ndarray, v: np.ndarray) -> float:
     """Trace distance between the two protocol states after tracing out the
-    block-encoding ancillas (the registers the protocol discards)."""
-    axes = _anc_axes(pipe)
-    rest = [a for a in range(w.ndim) if a not in axes]
+    block-encoding ancillas (the registers the protocol discards).
 
-    def reduced(state: np.ndarray) -> np.ndarray:
-        moved = np.transpose(state, axes + rest)
-        mat = moved.reshape(int(np.prod([state.shape[a] for a in axes])), -1)
-        return mat.T @ mat.conj()
-
-    diff = reduced(w) - reduced(v)
+    Each reduced state is X X^dagger for its (kept x ancilla) amplitude
+    matrix X.  When the kept amplitudes outnumber the ancilla columns of both
+    states, (X_w, X_v) is first replaced by the column blocks of the R factor
+    of [X_w, X_v], which leaves the nonzero spectrum of the difference as it
+    is and never forms a kept x kept matrix."""
+    x_w, x_v = (_ancilla_rows(pipe, state).T for state in (w, v))
+    k = x_w.shape[1]
+    if x_w.shape[0] > 2 * k:
+        r = np.linalg.qr(np.hstack([x_w, x_v]), mode="r")
+        x_w, x_v = r[:, :k], r[:, k:]
+    diff = x_w @ x_w.conj().T - x_v @ x_v.conj().T
     evals = np.linalg.eigvalsh(diff)
     return float(np.abs(evals).sum())
 
 
 def _ancilla_cleanliness(pipe, state: np.ndarray) -> tuple[float, float]:
     """Purity of the reduced ancilla state and its weight on all-zero."""
-    layout = pipe.layout
-    anc = [
-        nm
-        for nm in layout.names
-        if nm not in {"I", "r2", "al", "ka", "qm", "qn"}
-        and not nm.startswith("B")
-        and nm != "R"
-    ]
-    axes = [layout.axis(nm) for nm in anc]
-    perm = axes + [a for a in range(state.ndim) if a not in axes]
-    moved = np.transpose(state, perm)
-    adim = int(np.prod([layout.dim(nm) for nm in anc]))
-    mat = moved.reshape(adim, -1)
+    mat = _ancilla_rows(pipe, state)
     sv = np.linalg.svd(mat, compute_uv=False)
     probs = sv**2 / (sv**2).sum()
     purity = float((probs**2).sum())

@@ -47,6 +47,8 @@ from .twisted import (
 ROW_TOL = 1e-10
 SIGN_TOL = 1e-9
 BATCH_GUARD_BYTES = DENSE_GUARD_BYTES  # largest column batch post_selected_block allocates
+# the system registers, contiguous and in this order in every layout built here
+SYSTEM = ("r2", "al", "ka", "qm", "qn")
 
 
 class BatchTooLarge(MemoryError):
@@ -196,13 +198,8 @@ class EncodingSpaces:
         return self.parts2.index(alpha)
 
     def system_registers(self) -> list[Register]:
-        return [
-            Register("r2", self.n_r2),
-            Register("al", self.n_al),
-            Register("ka", self.n_ka),
-            Register("qm", self.d),
-            Register("qn", self.d),
-        ]
+        dims = (self.n_r2, self.n_al, self.n_ka, self.d, self.d)
+        return [Register(nm, dim) for nm, dim in zip(SYSTEM, dims)]
 
     def system_mask(self) -> np.ndarray:
         """True at system basis states embedding the physical n qudits."""
@@ -243,22 +240,20 @@ def encoding_spaces(n: int, d: int, mode: str = "tight", gauge_seed: int = 0) ->
     reuse = mode == "padded" and (d & (d - 1)) == 0
     anc_dim = sizes["n_rnu"] * sizes["n_nu"]
     a13 = anc_dim**2 // d**2 if reuse else 0
-    reg1 = _register_schur(
-        build_schur(n - 1, d, gauge_seed),
-        sizes["n_rnu"],
-        sizes["n_nu"],
-        sizes["n_al"],
-        sizes["n_ka"],
-        parts1,
-        parts2,
-    )
-    reg2 = _register_schur_2(
-        build_schur(n - 2, d, gauge_seed),
-        sizes["n_r2"],
-        sizes["n_al"],
-        sizes["n_ka"],
-        parts2,
-    )
+    n_nu, n_al, n_ka = sizes["n_nu"], sizes["n_al"], sizes["n_ka"]
+
+    def label1(lam: Partition, r: int, tab) -> int:
+        # (r, nu, xi, j) registers, xi the diagram left by removing n-1
+        xi = tab.restricted_shape()
+        j = tableau_index(xi)[tab.growth[:-1]]
+        return (((r - 1) * n_nu + parts1.index(lam)) * n_al + parts2.index(xi)) * n_ka + j
+
+    def label2(lam: Partition, r: int, tab) -> int:
+        # (r, alpha, k_alpha) registers
+        return ((r - 1) * n_al + parts2.index(lam)) * n_ka + tableau_index(lam)[tab.growth]
+
+    reg1 = _register_schur(build_schur(n - 1, d, gauge_seed), anc_dim * n_al * n_ka, label1)
+    reg2 = _register_schur(build_schur(n - 2, d, gauge_seed), sizes["n_r2"] * n_al * n_ka, label2)
     return EncodingSpaces(
         n=n,
         d=d,
@@ -274,51 +269,20 @@ def encoding_spaces(n: int, d: int, mode: str = "tight", gauge_seed: int = 0) ->
     )
 
 
-def _register_schur(
-    sch: SchurTransform,
-    n_rnu: int,
-    n_nu: int,
-    n_al: int,
-    n_ka: int,
-    parts1: tuple[Partition, ...],
-    parts2: tuple[Partition, ...],
-) -> np.ndarray:
-    """Schur transform as a unitary on the label registers (r, nu, xi, j).
+def _register_schur(sch: SchurTransform, total: int, label) -> np.ndarray:
+    """Schur transform as a unitary on label registers of dimension ``total``.
 
     Columns: the first d^(m) flat indices are the qudit basis, the rest are
-    pad columns.  Rows: valid labels sit at their register positions; the
-    completion pairs invalid labels with pad columns one to one, in order,
-    which keeps conjugated permutations block diagonal over label sectors.
+    pad columns.  Rows: the row of label (lam, r, tab) sits at flat index
+    ``label(lam, r, tab)``; the completion pairs invalid labels with pad
+    columns one to one, in order, which keeps conjugated permutations block
+    diagonal over label sectors.
     """
     dim_q = sch.matrix.shape[0]
-    total = n_rnu * n_nu * n_al * n_ka
     out = np.zeros((total, total), dtype=complex)
     valid = np.zeros(total, dtype=bool)
     for pos, (lam, r, tab) in enumerate(sch.index):
-        xi = tab.restricted_shape()
-        j = tableau_index(xi)[tab.growth[:-1]]
-        flat = (((r - 1) * n_nu + parts1.index(lam)) * n_al + parts2.index(xi)) * n_ka + j
-        out[flat, :dim_q] = sch.matrix[pos]
-        valid[flat] = True
-    _complete_identity(out, valid, dim_q)
-    return out
-
-
-def _register_schur_2(
-    sch: SchurTransform,
-    n_r2: int,
-    n_al: int,
-    n_ka: int,
-    parts2: tuple[Partition, ...],
-) -> np.ndarray:
-    """(n-2)-qudit Schur transform on the (r, alpha, k_alpha) registers."""
-    dim_q = sch.matrix.shape[0]
-    total = n_r2 * n_al * n_ka
-    out = np.zeros((total, total), dtype=complex)
-    valid = np.zeros(total, dtype=bool)
-    for pos, (lam, r, tab) in enumerate(sch.index):
-        j = tableau_index(lam)[tab.growth]
-        flat = ((r - 1) * n_al + parts2.index(lam)) * n_ka + j
+        flat = label(lam, r, tab)
         out[flat, :dim_q] = sch.matrix[pos]
         valid[flat] = True
     _complete_identity(out, valid, dim_q)
@@ -516,24 +480,10 @@ class BlockEncoding:
         )
         cols_in = np.flatnonzero(mask)
         guard_batch(self.layout.dims, len(cols_in))
-        batch = np.zeros(self.layout.dims + (len(cols_in),), dtype=complex)
-        sys_axes = [self.layout.axis(nm) for nm in self.systems]
-        anc_zero = tuple(0 for _ in self.ancillas)
-        sys_dims = [self.layout.dim(nm) for nm in self.systems]
-        for b, flat in enumerate(cols_in):
-            idx = list(np.unravel_index(flat, sys_dims))
-            pos = [0] * len(self.layout.dims)
-            for ax, v in zip(sys_axes, idx):
-                pos[ax] = v
-            batch[tuple(pos) + (b,)] = 1.0
+        batch = self.layout.embed(self.systems, np.eye(sys_dim, dtype=complex)[:, cols_in])
         out = self.unitary.apply(batch, self.layout)
-        # project ancillas onto zero, flatten system axes
-        anc_axes = [self.layout.axis(nm) for nm in self.ancillas]
-        slicer: list = [slice(None)] * out.ndim
-        for ax in anc_axes:
-            slicer[ax] = 0
-        rows = out[tuple(slicer)]
-        rows = rows.reshape(sys_dim, len(cols_in))
+        # ancillas at zero
+        rows = self.layout.block(out, self.systems)[0, :, : len(cols_in)]
         return self.scale * rows[cols_in, :]
 
     def verify(self, tol: float | None = None) -> float:
@@ -772,7 +722,7 @@ def encode_Phi(n: int, d: int, mode: str = "tight", gauge_seed: int = 0) -> Bloc
     return BlockEncoding(
         layout=layout,
         ancillas=("A2",),
-        systems=tuple(r.name for r in spaces.system_registers()),
+        systems=SYSTEM,
         unitary=Composite(ops),
         scale=float(np.sqrt(d)),
         error_bound=0.0,
@@ -803,7 +753,7 @@ def _vl_gate(spaces: EncodingSpaces, k: int) -> Gate:
     idx[mask] = mask[src]
     mat = np.zeros((total, total), dtype=complex)
     mat[np.arange(total), idx] = 1.0
-    return Gate(("r2", "al", "ka", "qm", "qn"), mat)
+    return Gate(SYSTEM, mat)
 
 
 @dataclass(eq=False)
@@ -944,7 +894,8 @@ def encode_kraus(
     spaces = encoding_spaces(n, d, mode, gauge_seed)
     coeff = build_PL_PR(n, d, x, "C", mode, gauge_seed)
     coeffp = build_PL_PR(n, d, xp, "Cprime", mode, gauge_seed)
-    layout = Layout(_kraus_registers(spaces))
+    ancillas = _kraus_ancillas(spaces)
+    layout = Layout(ancillas + spaces.system_registers())
     u_l, u_r, _ = branch_mixers(n, d, x, xp)
     u_k = port_mixer(spaces)
 
@@ -972,14 +923,10 @@ def encode_kraus(
 
     target = kraus_from_twisted(n, d, tw, i)
     mask = spaces.system_mask()
-    anc_names = tuple(
-        r.name for r in _kraus_registers(spaces) if r.name not in
-        {"r2", "al", "ka", "qm", "qn"}
-    )
     return BlockEncoding(
         layout=layout,
-        ancillas=anc_names,
-        systems=("r2", "al", "ka", "qm", "qn"),
+        ancillas=tuple(r.name for r in ancillas),
+        systems=SYSTEM,
         unitary=Composite(ops),
         scale=float(scale),
         error_bound=0.0,
@@ -989,7 +936,7 @@ def encode_kraus(
     )
 
 
-def _kraus_registers(spaces: EncodingSpaces) -> list[Register]:
+def _kraus_ancillas(spaces: EncodingSpaces) -> list[Register]:
     regs = [
         Register("A4", 4),
         Register("kl", spaces.n_k),
@@ -1006,7 +953,7 @@ def _kraus_registers(spaces: EncodingSpaces) -> list[Register]:
     regs.append(Register("acopyl", spaces.n_al))
     regs.append(Register("acopyr", spaces.n_al))
     regs.append(Register("A2", 2))
-    return regs + spaces.system_registers()
+    return regs
 
 
 def kraus_ledger(
@@ -1027,11 +974,7 @@ def kraus_ledger(
     central = 4 * spaces.n_al**2 * (
         spaces.a13_dim if spaces.reuse_qudits else spaces.anc_dim**2
     )
-    full_anc = prod(
-        r.dim
-        for r in _kraus_registers(spaces)
-        if r.name not in {"r2", "al", "ka", "qm", "qn"}
-    )
+    full_anc = prod(r.dim for r in _kraus_ancillas(spaces))
     alpha = (n - 1) ** 2 * d * x**4 + (n - 1) ** 1.5 * d * xp**2 + (n - 1) ** -0.5
     # the + qubits["n_al"] terms account for the diagram-copy registers; they
     # vanish whenever a single diagram exists (in particular at n = 3)
@@ -1115,6 +1058,7 @@ class NaimarkDilation:
 
     layout: Layout
     outcome_register: str
+    ancillas: tuple[str, ...]  # the encodings' ancillas, contiguous after the outcome register
     u0: np.ndarray
     uc_op: Op
     v_op: Op
@@ -1143,6 +1087,7 @@ def naimark_Uc(n: int, d: int, encodings: list[BlockEncoding]) -> NaimarkDilatio
     return NaimarkDilation(
         layout=layout,
         outcome_register="I",
+        ancillas=base.ancillas,
         u0=u0,
         uc_op=uc,
         v_op=v,

@@ -289,8 +289,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        raise
     except (BatchTooLarge, DenseTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

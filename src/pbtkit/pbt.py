@@ -35,7 +35,6 @@ def rho_i_tensor(n: int, d: int, i: int) -> np.ndarray:
     phi = maximally_entangled(d)
     pair = np.outer(phi, phi.conj())
     rest = np.eye(d ** (n - 2)) / d ** (n - 2)
-    op = np.kron(np.kron(rest, pair[: d ** 2, : d ** 2]), np.eye(1))
     # pair currently sits on qudits (n-1, n); permute qudit n-1 into slot i
     move = permutation_dense(n, d, embed_perm(transposition(i - 1, n - 2, n - 1), n))
     return move @ np.kron(rest, pair) @ move.conj().T
@@ -218,8 +217,6 @@ def entanglement_fidelity(n: int, d: int, povm: Povm, cross_check: bool = True) 
         choi = 0.0
         for a in range(d):
             for b in range(d):
-                unit = np.zeros((d, d), dtype=complex)
-                unit[a, b] = 1.0
                 out = chan[:, a * d + b].reshape(d, d)
                 choi += out[a, b]
         ancilla_form = float(np.real(choi)) / d**2

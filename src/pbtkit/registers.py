@@ -62,11 +62,25 @@ class Layout:
         vec[tuple(assignment.get(r.name, 0) for r in self.registers)] = 1.0
         return vec
 
-    def extend(self, registers: list[Register]) -> "Layout":
-        return Layout(list(self.registers) + list(registers))
+    def block(self, arr: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
+        """A layout-shaped array (trailing batch axes allowed) reshaped to
+        (before, block, after): the registers ``names``, contiguous and in
+        layout order, flattened into the middle axis, the registers before
+        them into the first, and those after them, batch included, into the
+        last.  Index 0 of the first axis, and ``[:k]`` of the last for a batch
+        of k, put every other register at 0.  A view of a C-contiguous array;
+        raises ValueError when ``names`` are not contiguous."""
+        first = self._axis[names[0]]
+        if [self._axis[nm] for nm in names] != list(range(first, first + len(names))):
+            raise ValueError(f"registers {names} are not contiguous in the layout")
+        return arr.reshape(prod(arr.shape[:first]), prod(self.dims[first : first + len(names)]), -1)
 
-    def subset(self, names: list[str]) -> "Layout":
-        return Layout([r for r in self.registers if r.name in set(names)])
+    def embed(self, names: tuple[str, ...], cols: np.ndarray) -> np.ndarray:
+        """Layout-shaped batch of the (block dim x k) columns ``cols`` on the
+        contiguous registers ``names``, every other register at 0."""
+        out = np.zeros(self.dims + cols.shape[1:], dtype=cols.dtype)
+        self.block(out, names)[0, :, : cols.shape[1]] = cols
+        return out
 
 
 class Op:
@@ -148,10 +162,6 @@ class Composite(Op):
 
     def adjoint(self) -> "Composite":
         return Composite(tuple(op.adjoint() for op in reversed(self.ops)))
-
-
-def identity_op() -> Composite:
-    return Composite(())
 
 
 def controlled_not_gate(flag_dim: int, cond_dims: list[int]) -> np.ndarray:

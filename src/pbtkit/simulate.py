@@ -19,6 +19,7 @@ import numpy as np
 
 from .amplify import AmplificationPlan, amplified_V, plan
 from .blockenc import (
+    SYSTEM,
     BlockEncoding,
     NaimarkDilation,
     encode_kraus,
@@ -195,12 +196,12 @@ def compressed_encodings(
         padded[np.ix_(keep, keep)] = k
         dil = unitary_dilation(padded, float(np.sqrt(d)))
         layout = Layout([Register("danc", 2), Register("kl", spaces.n_k)] + sys_regs)
-        unit = Gate(("danc",) + tuple(r.name for r in sys_regs), dil)
+        unit = Gate(("danc",) + SYSTEM, dil)
         encs.append(
             BlockEncoding(
                 layout=layout,
                 ancillas=("danc", "kl"),
-                systems=tuple(r.name for r in sys_regs),
+                systems=SYSTEM,
                 unitary=unit,
                 scale=float(np.sqrt(d)),
                 error_bound=0.0,
@@ -226,9 +227,6 @@ class Pipeline:
     epsilon: float
     with_ref: bool
     system_mask: np.ndarray
-
-    def port_names(self) -> list[str]:
-        return [f"B{j}" for j in range(1, self.n)]
 
 
 def build_pipeline(
@@ -258,13 +256,8 @@ def build_pipeline(
         regs.append(Register("R", d))
     layout = Layout(regs)
     spaces = encoding_spaces(n, d, mode)
-    anc_names = [
-        r.name
-        for r in nai.layout.registers
-        if r.name not in {"I", "r2", "al", "ka", "qm", "qn"}
-    ]
-    start = _layout_mask(layout, anc_names, i_zero=True, sys_mask=spaces.system_mask())
-    end = _layout_mask(layout, anc_names, i_zero=False, sys_mask=None)
+    start = _layout_mask(layout, ("I",) + nai.ancillas, spaces.system_mask())
+    end = _layout_mask(layout, nai.ancillas)
     pl = plan(
         nai.scale * np.sqrt(n - 1),
         ports=n - 1,
@@ -289,36 +282,16 @@ def build_pipeline(
 
 
 def _layout_mask(
-    layout: Layout,
-    anc_names: list[str],
-    i_zero: bool,
-    sys_mask: np.ndarray | None,
+    layout: Layout, pinned: tuple[str, ...], sys_mask: np.ndarray | None = None
 ) -> np.ndarray:
-    """Boolean mask over the flat layout: ancillas pinned to zero, the
-    outcome register optionally pinned, the system restricted to its physical
-    embedding when a mask is given, everything else free."""
-    sys_regs = ("r2", "al", "ka", "qm", "qn")
-    factors: list[np.ndarray] = []
-    for reg in layout.registers:
-        if reg.name in sys_regs:
-            if reg.name == "r2":
-                dim = prod(layout.dim(nm) for nm in sys_regs)
-                f = np.ones(dim, bool) if sys_mask is None else sys_mask
-            else:
-                continue
-        elif reg.name == "I" and i_zero:
-            f = np.zeros(reg.dim, bool)
-            f[0] = True
-        elif reg.name in anc_names:
-            f = np.zeros(reg.dim, bool)
-            f[0] = True
-        else:
-            f = np.ones(reg.dim, bool)
-        factors.append(f)
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
+    """Boolean mask over the flat layout: the contiguous registers ``pinned``
+    at zero, the system restricted to its physical embedding when a mask is
+    given, everything else free."""
+    mask = np.ones(layout.dims, bool)
+    layout.block(mask, pinned)[:, 1:] = False
+    if sys_mask is not None:
+        layout.block(mask, SYSTEM)[:, ~sys_mask] = False
+    return mask.ravel()
 
 
 def initial_state(pipe: Pipeline, branch: np.ndarray) -> np.ndarray:
@@ -327,34 +300,14 @@ def initial_state(pipe: Pipeline, branch: np.ndarray) -> np.ndarray:
     branch is a two-qudit vector)."""
     n, d = pipe.n, pipe.d
     layout = pipe.layout
-    vec = layout.zeros()
-    dim_ports = d ** (n - 1)
-    entangled = branch.size == d * d
-    norm = 1.0 / np.sqrt(dim_ports)
-    sys_keep = np.flatnonzero(pipe.system_mask)
-    dims = layout.dims
-    idx_names = layout.names
-    for a in range(dim_ports):
-        digits = np.unravel_index(a, (d,) * (n - 1))
-        sys_flat_head = 0
-        for t in range(n - 2):
-            sys_flat_head = sys_flat_head * d + digits[t]
-        for k in range(d):  # input-qudit value
-            amp_vec = branch.reshape(d, -1)[k]  # reference part or scalar
-            sys_flat = sys_keep[(sys_flat_head * d + digits[n - 2]) * d + k]
-            assign = dict.fromkeys(idx_names, 0)
-            pos = list(np.unravel_index(sys_flat, tuple(layout.dim(nm) for nm in ("r2", "al", "ka", "qm", "qn"))))
-            for nm, v in zip(("r2", "al", "ka", "qm", "qn"), pos):
-                assign[nm] = v
-            for j in range(1, n):
-                assign[f"B{j}"] = digits[j - 1]
-            if entangled:
-                for r in range(d):
-                    assign["R"] = r
-                    vec[tuple(assign[nm] for nm in idx_names)] = norm * amp_vec[r]
-            else:
-                vec[tuple(assign[nm] for nm in idx_names)] = norm * amp_vec[0]
-    return vec
+    pairs = np.eye(d ** (n - 1)) / np.sqrt(d ** (n - 1))
+    # physical (ports, input) against (receivers, reference)
+    phys = np.einsum("ab,kr->akbr", pairs, branch.reshape(d, -1)).reshape(d**n, -1)
+    cols = np.zeros((pipe.system_mask.size, phys.shape[1]), dtype=complex)
+    cols[pipe.system_mask] = phys
+    # the system block runs on through the receivers and the reference
+    tail = layout.names[layout.axis(SYSTEM[0]) :]
+    return layout.embed(tail, cols.reshape(-1, 1))[..., 0]
 
 
 def _run_amplified(spec: ProtocolRun) -> ProtocolReport:

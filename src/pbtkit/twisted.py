@@ -93,8 +93,7 @@ def psi_vectors(n: int, d: int, alpha: Partition, r: int = 1, gauge_seed: int = 
     basis state (alpha, r, k_alpha) on the first n-2 qudits tensored with the
     maximally entangled pair on qudits n-1, n.
     """
-    box = _validate_block_args(n, d, alpha)
-    del box
+    _validate_block_args(n, d, alpha)
     sch = build_schur(n - 2, d, gauge_seed)
     d_alpha = dim_specht(alpha)
     if not 1 <= r <= dim_weyl(alpha, d):
@@ -263,6 +262,34 @@ def _alpha_row_blocks(n: int, d: int, alpha: Partition, i: int) -> dict[Partitio
     return {nu: prir_rows(nu, pk, alpha) for nu in add_box(alpha, d).children}
 
 
+def _weighted_blocks(
+    n: int, d: int, alpha: Partition, i: int, weight: dict[Partition, float]
+) -> np.ndarray:
+    """Block matrix over the child diagrams of alpha whose (om, nu) block is
+    sqrt(d_om d_nu) sqrt(w_om w_nu) / ((n-1) d_alpha) R_om^T R_nu, with R the
+    alpha rows of yor(., (i, n-1)): the port-i measurement operator at unit
+    weights, the partially transposed two-cycle (i n) at w = lambda."""
+    d_alpha = dim_specht(alpha)
+    rows = _alpha_row_blocks(n, d, alpha, i)
+    dim = block_dimension(alpha, d)
+    out = np.zeros((dim, dim))
+    oa = 0
+    for om in rows:
+        ob = oa + dim_specht(om)
+        na = 0
+        for nu in rows:
+            nb = na + dim_specht(nu)
+            c = (
+                np.sqrt(dim_specht(nu) * dim_specht(om))
+                * np.sqrt(weight[om] * weight[nu])
+                / ((n - 1) * d_alpha)
+            )
+            out[oa:ob, na:nb] = c * (rows[om].T @ rows[nu])
+            na = nb
+        oa = ob
+    return out
+
+
 def mf_pi(n: int, d: int, alpha: Partition, i: int, check: bool = True) -> np.ndarray:
     """Matrix of the normalized measurement operator for port ``i`` in the f
     basis of block alpha: a (pseudo)projector with eigenvalues in
@@ -270,22 +297,9 @@ def mf_pi(n: int, d: int, alpha: Partition, i: int, check: bool = True) -> np.nd
     box = _validate_block_args(n, d, alpha)
     if not 1 <= i <= n - 1:
         raise ValueError(f"port index i = {i} out of range")
-    d_alpha = dim_specht(alpha)
-    rows = _alpha_row_blocks(n, d, alpha, i)
-    dim = block_dimension(alpha, d)
-    out = np.zeros((dim, dim))
-    oa = 0
-    for om in box.children:
-        ob = oa + dim_specht(om)
-        na = 0
-        for nu in box.children:
-            nb = na + dim_specht(nu)
-            c = np.sqrt(dim_specht(nu) * dim_specht(om)) / ((n - 1) * d_alpha)
-            out[oa:ob, na:nb] = c * (rows[om].T @ rows[nu])
-            na = nb
-        oa = ob
+    out = _weighted_blocks(n, d, alpha, i, dict.fromkeys(box.children, 1.0))
     if check:
-        scale = 1.0 - box.theta_dim() / ((n - 1) * d_alpha)
+        scale = 1.0 - box.theta_dim() / ((n - 1) * dim_specht(alpha))
         if np.abs(out @ out - scale * out).max() > PSEUDO_TOL:
             raise ArithmeticError(
                 f"pseudoprojector identity violated at n={n}, d={d}, "
@@ -326,7 +340,6 @@ def mf_generator(
     box = _validate_block_args(n, d, alpha)
     if len(sigma) != n:
         raise ValueError("sigma must be a permutation of n points")
-    d_alpha = dim_specht(alpha)
     dim = block_dimension(alpha, d)
     if sigma[n - 1] == n - 1:
         sub = tuple(sigma[: n - 1])
@@ -342,25 +355,8 @@ def mf_generator(
             "permutations moving the last qudit are only supported in "
             "partially transposed form on the generators (i n)"
         )
-    i = _two_cycle_port(sigma, n)
     lam = {nu: lambda_eigenvalue(n, d, alpha, nu) for nu in box.children}
-    rows = _alpha_row_blocks(n, d, alpha, i)
-    out = np.zeros((dim, dim))
-    oa = 0
-    for om in box.children:
-        ob = oa + dim_specht(om)
-        na = 0
-        for nu in box.children:
-            nb = na + dim_specht(nu)
-            c = (
-                np.sqrt(dim_specht(nu) * dim_specht(om))
-                * np.sqrt(lam[om] * lam[nu])
-                / ((n - 1) * d_alpha)
-            )
-            out[oa:ob, na:nb] = c * (rows[om].T @ rows[nu])
-            na = nb
-        oa = ob
-    return out
+    return _weighted_blocks(n, d, alpha, _two_cycle_port(sigma, n), lam)
 
 
 def _two_cycle_port(sigma: Perm, n: int) -> int:

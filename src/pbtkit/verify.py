@@ -17,8 +17,6 @@ from .twisted import (
     psi_vectors,
 )
 
-Suite = "callable[[list[int], list[int], int], tuple[bool, float, str]]"
-
 
 def _suite_gram(ns, ds, seed):
     worst = 0.0

@@ -139,3 +139,95 @@ def test_end_to_end_honest(honest_end_to_end):
     assert res.discrepancy <= 2 * res.m * res.epsilon + 1e-9
     assert res.probability_error < 1e-4
     assert res.ancilla_zero_weight > 0.999
+
+
+def test_end_to_end_builds_one_pipeline_and_amplifies_once(monkeypatch):
+    import pbtkit.simulate as simulate
+    from pbtkit.registers import Op
+
+    calls = {"build_pipeline": 0, "v_amp.apply": 0}
+    build = simulate.build_pipeline
+
+    class Counted(Op):
+        def __init__(self, op):
+            self.op = op
+
+        def apply(self, arr, layout):
+            calls["v_amp.apply"] += 1
+            return self.op.apply(arr, layout)
+
+    def counted_build(*args, **kwargs):
+        calls["build_pipeline"] += 1
+        pipe = build(*args, **kwargs)
+        pipe.v_amp = Counted(pipe.v_amp)
+        return pipe
+
+    monkeypatch.setattr(simulate, "build_pipeline", counted_build)
+    end_to_end(3, 2, "compressed")
+    assert calls == {"build_pipeline": 1, "v_amp.apply": 1}
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 3)])
+def test_end_to_end_residuals_match_system_column_batch(n, d):
+    # oracle: the dilation and the amplified product applied to every physical
+    # system column on the bare layout, against the dense dilation's columns
+    from pbtkit.pbt import kraus_from_twisted
+    from pbtkit.simulate import build_pipeline
+    from pbtkit.twisted import build_twisted
+
+    tw = build_twisted(n, d)
+    kraus = [kraus_from_twisted(n, d, tw, i) for i in range(1, n)]
+    pipe = build_pipeline(n, d, "compressed", with_bob=False, with_ref=False, tw=tw)
+    layout = pipe.layout
+    keep = np.flatnonzero(pipe.system_mask)
+    sys_names = ("r2", "al", "ka", "qm", "qn")
+    sys_dims = tuple(layout.dim(nm) for nm in sys_names)
+    cols_in = np.zeros(layout.dims + (len(keep),), dtype=complex)
+    w_cols = np.zeros(layout.dims + (len(keep),), dtype=complex)
+    for row, flat in enumerate(keep):
+        pos = dict(zip(sys_names, np.unravel_index(flat, sys_dims)))
+        cols_in[tuple(pos.get(nm, 0) for nm in layout.names) + (row,)] = 1.0
+        for i, k in enumerate(kraus):
+            pos["I"] = i
+            w_cols[tuple(pos.get(nm, 0) for nm in layout.names)] = k[row]
+    end = pipe.plan.end_projector.reshape(layout.dims + (1,))
+
+    def spectral(a):
+        return np.linalg.svd(a.reshape(layout.size, -1), compute_uv=False)[0]
+
+    sub = w_cols / (pipe.naimark.scale * np.sqrt(n - 1))
+    w_res = spectral(sub - pipe.naimark.v_op.apply(cols_in, layout) * end)
+    amp_res = spectral(w_cols - pipe.v_amp.apply(cols_in, layout) * end)
+
+    res = end_to_end(n, d, "compressed")
+    assert abs(res.w_residual - w_res) < 1e-12
+    assert abs(res.amplified_residual - amp_res) < 1e-12
+    if (n, d) == (4, 3):
+        assert amp_res > 1e-3  # a residual the comparison can tell apart
+
+
+@pytest.mark.parametrize("variant", ["compressed", "honest"])
+def test_reduced_trace_distance_matches_dense_reduced_states(variant):
+    # compressed: more kept amplitudes than ancilla columns (R-factor route);
+    # honest: the other way round (kept x kept route)
+    from pbtkit.amplify import _reduced_trace_distance
+    from pbtkit.simulate import build_pipeline
+
+    pipe = build_pipeline(3, 2, variant, with_bob=False, with_ref=False)
+    layout = pipe.layout
+    w, v = (
+        RNG.standard_normal(layout.dims) + 1j * RNG.standard_normal(layout.dims)
+        for _ in range(2)
+    )
+    kept = {"I", "r2", "al", "ka", "qm", "qn"}
+    axes = [layout.axis(nm) for nm in layout.names if nm not in kept]
+    rest = [layout.axis(nm) for nm in layout.names if nm in kept]
+
+    def reduced(state):
+        moved = state.transpose(axes + rest)
+        mat = moved.reshape(int(np.prod(moved.shape[: len(axes)])), -1)
+        return mat.T @ mat.conj()
+
+    expected = np.abs(np.linalg.eigvalsh(reduced(w) - reduced(v))).sum()
+    got = _reduced_trace_distance(pipe, w, v)
+    assert abs(got - expected) < 1e-10 * expected

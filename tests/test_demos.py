@@ -1,0 +1,29 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+# demo 05 runs the honest 99-phase amplification schedule and is left out
+DEMOS = [
+    "01_irreps_and_gram.py",
+    "02_schur_transform.py",
+    "03_twisted_basis.py",
+    "04_teleportation.py",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -114,3 +114,20 @@ def test_report_schema():
 def test_unknown_engine_rejected():
     with pytest.raises(ValueError):
         run(ProtocolRun(3, 2, engine="nonsense"))
+
+
+def test_amplification_projectors_pin_ancillas_outcome_and_system():
+    from pbtkit.simulate import build_pipeline
+
+    pipe = build_pipeline(4, 3, "compressed")
+    layout = pipe.layout
+    pos = dict(zip(layout.names, np.indices(layout.dims).reshape(len(layout.dims), -1)))
+    sys_names = ("r2", "al", "ka", "qm", "qn")
+    sys_flat = np.ravel_multi_index(
+        [pos[nm] for nm in sys_names], [layout.dim(nm) for nm in sys_names]
+    )
+    anc_zero = (pos["danc"] == 0) & (pos["kl"] == 0)
+    physical = pipe.system_mask[sys_flat]
+    assert not physical.all()
+    assert np.array_equal(pipe.plan.end_projector, anc_zero)
+    assert np.array_equal(pipe.plan.start_projector, anc_zero & (pos["I"] == 0) & physical)
