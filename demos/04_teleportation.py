@@ -8,14 +8,18 @@ fidelity climbs toward one as ports are added.
 
 import numpy as np
 
-from pbtkit import channel_apply, entanglement_fidelity, pgm_dense
+from pbtkit import channel_apply, entanglement_fidelity, pgm_dense, pgm_fidelity
 from pbtkit.simulate import ProtocolRun, run, sample
 
+# the closed form sums over Young diagrams alpha of n-2 boxes:
+#   F = d^-(n+1) sum_alpha ( sum_{mu = alpha + box} sqrt(d_mu m_mu) )^2
 print("entanglement fidelity of the teleportation channel, d = 2:")
-print(f"{'ports':>6} {'fidelity':>12}")
+print(f"{'ports':>6} {'closed form':>12} {'dense POVM':>12}")
 for n in range(2, 7):
     f = entanglement_fidelity(n, 2, pgm_dense(n, 2))
-    print(f"{n - 1:>6} {f:>12.8f}")
+    print(f"{n - 1:>6} {pgm_fidelity(n, 2):>12.8f} {f:>12.8f}")
+for n in (11, 31, 61):
+    print(f"{n - 1:>6} {pgm_fidelity(n, 2):>12.8f} {'not built':>12}")
 
 n, d = 4, 2
 povm = pgm_dense(n, d)

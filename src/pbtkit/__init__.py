@@ -42,13 +42,13 @@ from .twisted import (
     z_matrix,
 )
 from .pbt import (
-    Channel,
     Povm,
     channel_apply,
     entanglement_fidelity,
     kraus_from_twisted,
-    pgm_channel,
     pgm_dense,
+    pgm_fidelity,
+    pgm_probabilities,
     principal_sqrt,
     rho_i_dense,
 )

@@ -965,84 +965,30 @@ def kraus_ledger(
     central ancilla pair stored in the two freed qudit registers.
     """
     spaces = encoding_spaces(n, d, mode, gauge_seed)
-    qubits = spaces.ledger_logs() if mode == "padded" else None
-
-    def q(expr: int | None) -> int | None:
-        return expr if mode == "padded" else None
-
     anc = spaces.anc_dim * spaces.n_al  # includes the diagram-copy register
     central = 4 * spaces.n_al**2 * (
         spaces.a13_dim if spaces.reuse_qudits else spaces.anc_dim**2
     )
     full_anc = prod(r.dim for r in _kraus_ancillas(spaces))
     alpha = (n - 1) ** 2 * d * x**4 + (n - 1) ** 1.5 * d * xp**2 + (n - 1) ** -0.5
-    # the + qubits["n_al"] terms account for the diagram-copy registers; they
-    # vanish whenever a single diagram exists (in particular at n = 3)
-    rows = [
-        LedgerRow(
-            "O(alpha,k,i)",
-            x**2,
-            q(qubits["n_rnu"] + qubits["n_nu"] + qubits["n_al"]) if qubits else None,
-            anc,
-            0.0,
-        ),
-        LedgerRow(
-            "O_cen(i,kl,kr)",
-            x**4,
-            q(2 * (qubits["n_rnu"] + qubits["n_nu"] + qubits["n_al"]))
-            if qubits
-            else None,
-            anc**2,
-            0.0,
-        ),
-        LedgerRow("Phi", float(np.sqrt(d)), q(1) if qubits else None, 2, 0.0),
-        LedgerRow(
-            "O_cen_tilde(i,kl,kr)",
-            x**4,
-            q(
-                2 * qubits["n_rnu"]
-                + 2 * qubits["n_nu"]
-                + 2 * qubits["n_al"]
-                - 2 * qubits["d"]
-                + 2
-            )
-            if qubits
-            else None,
-            central,
-            0.0,
-        ),
-        LedgerRow(
-            "summand(i,kl,kr)",
-            d * x**4,
-            q(
-                2 * qubits["n_rnu"]
-                + 2 * qubits["n_nu"]
-                + 2 * qubits["n_al"]
-                - 2 * qubits["d"]
-                + 4
-            )
-            if qubits
-            else None,
-            4 * central,
-            0.0,
-        ),
-        LedgerRow(
-            "sqrtPi(i)",
-            float(alpha),
-            q(
-                2 * qubits["n_rnu"]
-                + 2 * qubits["n_nu"]
-                + 2 * qubits["n_al"]
-                - 2 * qubits["d"]
-                + 2 * qubits["ports"]
-                + 6
-            )
-            if qubits
-            else None,
-            full_anc,
-            0.0,
-        ),
+    # name, scale, padded-mode qubits as coefficients on (n_rnu, n_nu, n_al, d,
+    # ports) plus a constant, ancilla dimension; the n_al terms account for the
+    # diagram-copy registers and vanish whenever a single diagram exists
+    table = [
+        ("O(alpha,k,i)", x**2, (1, 1, 1, 0, 0), 0, anc),
+        ("O_cen(i,kl,kr)", x**4, (2, 2, 2, 0, 0), 0, anc**2),
+        ("Phi", float(np.sqrt(d)), (0, 0, 0, 0, 0), 1, 2),
+        ("O_cen_tilde(i,kl,kr)", x**4, (2, 2, 2, -2, 0), 2, central),
+        ("summand(i,kl,kr)", d * x**4, (2, 2, 2, -2, 0), 4, 4 * central),
+        ("sqrtPi(i)", float(alpha), (2, 2, 2, -2, 2), 6, full_anc),
     ]
+    logs = spaces.ledger_logs() if mode == "padded" else None
+    rows = []
+    for name, scale, coeffs, const, dim in table:
+        qubits = None
+        if logs is not None:
+            qubits = const + sum(c * q for c, q in zip(coeffs, logs.values()))
+        rows.append(LedgerRow(name, scale, qubits, dim, 0.0))
     return rows
 
 

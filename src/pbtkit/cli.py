@@ -16,7 +16,7 @@ import numpy as np
 
 from .blockenc import BatchTooLarge
 from .partitions import dim_specht, dim_weyl, enumerate_partitions
-from .schur import DenseTooLarge
+from .schur import DenseTooLarge, guard_dense
 from .twisted import block_dimension, gram_spectrum
 
 FLOAT_FMT = "{:.17g}"
@@ -74,7 +74,7 @@ def cmd_irreps(args) -> int:
 
 
 def cmd_fidelity(args) -> int:
-    from .pbt import entanglement_fidelity, pgm_dense
+    from .pbt import pgm_fidelity
 
     d = args.d
     ns = _parse_range(args.n)
@@ -83,7 +83,7 @@ def cmd_fidelity(args) -> int:
     lines = ["n,d,fidelity"]
     values = {}
     for n in ns:
-        f = entanglement_fidelity(n, d, pgm_dense(n, d))
+        f = pgm_fidelity(n, d)
         values[n] = f
         lines.append(f"{n},{d},{_fmt(f)}")
     if args.format == "json":
@@ -105,6 +105,9 @@ def cmd_verify(args) -> int:
         return 2
     ns = _parse_range(args.n)
     ds = _parse_range(args.d)
+    for n in ns:
+        for d in ds:
+            _check_dims(n, d, 3 if args.suite == "encode" else 2)
     ok, residual, detail = suites[args.suite](ns, ds, args.seed)
     status = "pass" if ok else "FAIL"
     print(f"{args.suite}: {status}  max residual {_fmt(residual)}  {detail}")
@@ -114,7 +117,9 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     from .simulate import ProtocolRun, run, sample
 
-    _check_dims(args.n, args.d)
+    _check_dims(args.n, args.d, 3 if args.engine == "amplified-V" else 2)
+    if args.shots < 0:
+        _usage_error(f"--shots must be nonnegative, got {args.shots}")
     spec = ProtocolRun(
         n=args.n,
         d=args.d,
@@ -135,7 +140,9 @@ def cmd_encode(args) -> int:
     from .blockenc import encode_kraus, kraus_ledger
     from .twisted import build_twisted
 
-    _check_dims(args.n, args.d)
+    _check_dims(args.n, args.d, 3)
+    if not 1 <= args.i <= args.n - 1:
+        _usage_error(f"--i must be a port in 1..{args.n - 1}, got {args.i}")
     x = args.x if args.x is not None else float(np.sqrt(args.d))
     xp = args.xp if args.xp is not None else float(np.sqrt(args.d))
     tw = build_twisted(args.n, args.d)
@@ -169,6 +176,9 @@ def cmd_export(args) -> int:
     from .store import save_matrix, schur_labels
 
     _check_dims(args.n, args.d)
+    if args.object in ("kraus", "povm"):
+        # the n-1 operators, their concatenation, and what builds them
+        guard_dense(args.n, args.d, 2 * args.n)
     if args.object == "schur":
         from .schur import build_schur
 
@@ -210,9 +220,9 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _check_dims(n: int, d: int) -> None:
-    if n < 2:
-        _usage_error(f"--n must be at least 2, got {n}")
+def _check_dims(n: int, d: int, min_n: int = 2) -> None:
+    if n < min_n:
+        _usage_error(f"--n must be at least {min_n}, got {n}")
     if d < 1:
         _usage_error(f"--d must be at least 1, got {d}")
 

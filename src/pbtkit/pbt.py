@@ -1,19 +1,21 @@
 """Port-based teleportation with the pretty good measurement.
 
-Dense brute-force constructions of the POVM, the channel and the
-entanglement fidelity live here, alongside the reconstruction of the Kraus
-operators from the irrep-block data; the two routes must agree and the tests
-enforce it.
+The entanglement fidelity and the outcome probabilities have closed forms,
+and those are the main path.  Dense brute-force constructions of the POVM,
+the channel and the entanglement fidelity stay as the dense-W engine and as
+the oracle the closed forms and the Kraus operators rebuilt from the
+irrep-block data are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 
-
-from .schur import partial_transpose_last, permutation_dense
+from .partitions import add_box, dim_specht, dim_weyl, enumerate_partitions
+from .schur import guard_dense, partial_transpose_last, permutation_dense
 from .symrep import embed_perm, transposition
 from .twisted import TwistedSchur, maximally_entangled, mf_sqrt_pi
 
@@ -83,9 +85,8 @@ def pgm_dense(n: int, d: int) -> Povm:
     orthogonal complement is spread uniformly over the outcomes so the
     operators sum to the identity.
     """
-    rho = rho_dense(n, d)
-    rinv = _pinv_sqrt(rho)
-    tilde = [rinv @ rho_i_dense(n, d, i) @ rinv for i in range(1, n)]
+    guard_dense(n, d, 2 * n)  # the n-1 support parts, the n-1 operators, rho and its root
+    tilde = pgm_tilde_dense(n, d)
     delta = (np.eye(d**n) - sum(tilde)) / (n - 1)
     ops = tuple(t + delta for t in tilde)
     povm = Povm(n, d, ops)
@@ -93,25 +94,32 @@ def pgm_dense(n: int, d: int) -> Povm:
     return povm
 
 
-@dataclass(frozen=True, eq=False)
-class Channel:
-    """Teleportation channel induced by a measurement family: measure the
-    ports jointly with the input, keep the matching receiver port, relabel
-    it as the output.  Trace preserving on density inputs."""
+def pgm_fidelity(n: int, d: int) -> float:
+    """Entanglement fidelity of PGM teleportation over n-1 ports, in closed
+    form (Studzinski, Strelchuk, Mozrzymas & Horodecki, arXiv:1612.09260):
 
-    n: int
-    d: int
-    povm: Povm
+        F = d^-(n+1) sum_{alpha |- n-2} ( sum_{mu = alpha + box} sqrt(d_mu m_mu) )^2
 
-    def apply(self, eta: np.ndarray) -> np.ndarray:
-        return channel_apply(self.n, self.d, self.povm, eta)
+    over diagrams of at most d rows.  Each term under the root is an exact
+    integer quotient, so it stays a correctly rounded float however large
+    d_mu m_mu grows.
+    """
+    if n < 2 or d < 1:
+        raise ValueError("need n >= 2 and d >= 1")
+    scale = d ** (n + 1)
+    return sum(
+        sum(sqrt(dim_specht(mu) * dim_weyl(mu, d) / scale) for mu in add_box(alpha, d).children)
+        ** 2
+        for alpha in enumerate_partitions(n - 2, d)
+    )
 
-    def matrix(self) -> np.ndarray:
-        return apply_channel_matrix(self.n, self.d, self.povm)
 
-
-def pgm_channel(n: int, d: int) -> Channel:
-    return Channel(n, d, pgm_dense(n, d))
+def pgm_probabilities(n: int) -> np.ndarray:
+    """Outcome probabilities of PGM teleportation for any input: exactly
+    1/(n-1) each.  The port states, and so the measurement, are permuted
+    among themselves by the port permutations, which leave the resource
+    state with any input unchanged."""
+    return np.full(n - 1, 1.0 / (n - 1))
 
 
 def pgm_tilde_dense(n: int, d: int) -> list[np.ndarray]:
@@ -143,8 +151,6 @@ def kraus_from_twisted(n: int, d: int, tw: TwistedSchur, i: int) -> np.ndarray:
 def sqrt_tilde_norm(n: int, d: int, i: int) -> float:
     """Spectral norm of the support part of the Kraus operator, from the
     irrep blocks alone."""
-    from .partitions import enumerate_partitions
-
     worst = 0.0
     for alpha in enumerate_partitions(n - 2, d):
         m = mf_sqrt_pi(n, d, alpha, i)
@@ -201,27 +207,10 @@ def apply_channel_matrix(n: int, d: int, povm: Povm) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def entanglement_fidelity(n: int, d: int, povm: Povm, cross_check: bool = True) -> float:
-    """How well the channel preserves entanglement with a reference.
-
-    Computed as (1/d^2) sum_i tr(Pi_i rho_i'); with ``cross_check`` the
-    ancilla form (overlap of the Choi state with the maximally entangled
-    state) is evaluated as well and must agree to 1e-10.
-    """
+def entanglement_fidelity(n: int, d: int, povm: Povm) -> float:
+    """How well the channel of a dense measurement preserves entanglement
+    with a reference, in the direct form (1/d^2) sum_i tr(Pi_i rho_i)."""
     direct = 0.0
     for i, op in enumerate(povm.operators, start=1):
         direct += float(np.real(np.trace(op @ rho_i_dense(n, d, i))))
-    direct /= d**2
-    if cross_check:
-        chan = apply_channel_matrix(n, d, povm)
-        choi = 0.0
-        for a in range(d):
-            for b in range(d):
-                out = chan[:, a * d + b].reshape(d, d)
-                choi += out[a, b]
-        ancilla_form = float(np.real(choi)) / d**2
-        if abs(ancilla_form - direct) > 1e-10:
-            raise ArithmeticError(
-                f"fidelity forms disagree: {ancilla_form} vs {direct}"
-            )
-    return direct
+    return direct / d**2

@@ -43,7 +43,7 @@ _SIGN_TOL = 1e-9
 
 
 class DenseTooLarge(ValueError):
-    """A dense d^m x d^m complex matrix would exceed ``DENSE_GUARD_BYTES``."""
+    """Dense d^m x d^m complex matrices would exceed ``DENSE_GUARD_BYTES``."""
 
 
 @dataclass(frozen=True)
@@ -178,14 +178,14 @@ def _fix_signs(cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def guard_dense(m: int, d: int) -> None:
-    """Raise DenseTooLarge, before anything is allocated, when a dense complex
-    d^m x d^m matrix exceeds the guard."""
-    need = 16 * d ** (2 * m)
+def guard_dense(m: int, d: int, count: int = 1) -> None:
+    """Raise DenseTooLarge, before anything is allocated, when ``count`` dense
+    complex d^m x d^m matrices held at once exceed the guard."""
+    need = 16 * count * d ** (2 * m)
     if need > DENSE_GUARD_BYTES:
         raise DenseTooLarge(
-            f"a dense {d}^{m} x {d}^{m} complex matrix needs {need / 2**30:.1f} GiB, "
-            f"above the {DENSE_GUARD_BYTES / 2**30:.0f} GiB guard"
+            f"{count} dense {d}^{m} x {d}^{m} complex matrices held at once need "
+            f"{need / 2**30:.1f} GiB, above the {DENSE_GUARD_BYTES / 2**30:.0f} GiB guard"
         )
 
 

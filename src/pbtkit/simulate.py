@@ -27,8 +27,8 @@ from .blockenc import (
     naimark_Uc,
     unitary_dilation,
 )
-from .pbt import Povm, _port_resource_state, pgm_dense
-from .schur import permutation_dense
+from .pbt import Povm, _port_resource_state, pgm_dense, pgm_probabilities
+from .schur import guard_dense, permutation_dense
 from .symrep import embed_perm, transposition
 from .registers import Gate, Layout, Op, Register
 from .twisted import TwistedSchur, build_twisted, maximally_entangled
@@ -121,13 +121,17 @@ def run(spec: ProtocolRun) -> ProtocolReport:
 
 def _run_dense(spec: ProtocolRun) -> ProtocolReport:
     n, d = spec.n, spec.d
+    # one outcome branch holds about four dense operators on the ports, the
+    # input, the receiver and (entangled input) the reference
+    entangled = isinstance(spec.input_state, str)
+    guard_dense(n + 2 if entangled else n + 1, d, 4)
     povm = pgm_dense(n, d)
     probs = _dense_probabilities(n, d, povm, _average_input(spec))
     phi = maximally_entangled(d)
     pair = np.outer(phi, phi.conj())
     states = []
     fidelity = 0.0
-    if isinstance(spec.input_state, str):
+    if entangled:
         # teleport half of a maximally entangled pair; fidelity is the
         # overlap of the joint output with the maximally entangled state
         for i, op in enumerate(povm.operators, start=1):
@@ -316,8 +320,6 @@ def _run_amplified(spec: ProtocolRun) -> ProtocolReport:
         n, d, spec.variant, spec.mode, with_ref=isinstance(spec.input_state, str)
     )
     branches, with_ref = _input_branches(spec)
-    povm = pgm_dense(n, d)
-    dense_probs = np.array(_dense_probabilities(n, d, povm, _average_input(spec)))
     layout = pipe.layout
     probs = np.zeros(n - 1)
     anc_weight = 0.0
@@ -348,7 +350,7 @@ def _run_amplified(spec: ProtocolRun) -> ProtocolReport:
             fidelity += probs_cond[i - 1] * float(
                 np.real(np.trace(eta @ states[i - 1]))
             )
-    discrepancy = float(np.abs(probs_cond - dense_probs).max())
+    discrepancy = float(np.abs(probs_cond - pgm_probabilities(n)).max())
     return ProtocolReport(
         n=n,
         d=d,

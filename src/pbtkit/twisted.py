@@ -24,7 +24,7 @@ from .partitions import (
     dim_weyl,
     enumerate_partitions,
 )
-from .schur import build_schur, permutation_operator
+from .schur import build_schur, guard_dense, permutation_operator
 from .symrep import (
     Perm,
     branching_slices,
@@ -402,6 +402,7 @@ class TwistedSchur:
 @lru_cache(maxsize=None)
 def build_twisted(n: int, d: int, gauge_seed: int = 0, validate: bool = True) -> TwistedSchur:
     """Build every (alpha, r) block and the support projector."""
+    guard_dense(n, d, 3)  # the projector, one block's outer product, the blocks
     blocks = []
     proj = np.zeros((d**n, d**n), dtype=complex)
     for alpha in enumerate_partitions(n - 2, d):

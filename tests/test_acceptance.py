@@ -135,8 +135,8 @@ def test_criterion_6_fidelity():
             kraus_from_twisted(n, d, tw, i) @ kraus_from_twisted(n, d, tw, i)
             for i in range(1, n)
         )
-        f_tw = entanglement_fidelity(n, d, Povm(n, d, ops), cross_check=False)
-        f_dense = entanglement_fidelity(n, d, pgm_dense(n, d), cross_check=False)
+        f_tw = entanglement_fidelity(n, d, Povm(n, d, ops))
+        f_dense = entanglement_fidelity(n, d, pgm_dense(n, d))
         worst = max(worst, abs(f_tw - f_dense))
     _report("6c twisted-path fidelity equals dense", worst, 1e-8)
 
@@ -236,7 +236,7 @@ def test_criterion_10_gauge_robustness():
             kraus_from_twisted(n, d, tw, i) @ kraus_from_twisted(n, d, tw, i)
             for i in range(1, n)
         )
-        fids.append(entanglement_fidelity(n, d, Povm(n, d, ops), cross_check=False))
+        fids.append(entanglement_fidelity(n, d, Povm(n, d, ops)))
         res = max(
             float(
                 np.abs(

@@ -231,3 +231,20 @@ def test_reduced_trace_distance_matches_dense_reduced_states(variant):
     expected = np.abs(np.linalg.eigvalsh(reduced(w) - reduced(v))).sum()
     got = _reduced_trace_distance(pipe, w, v)
     assert abs(got - expected) < 1e-10 * expected
+
+
+def test_amplified_paths_never_build_the_dense_pgm(monkeypatch):
+    # the amplified probabilities are checked against the exact 1/(n-1)
+    from pbtkit import pbt, simulate
+
+    run = simulate.run
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense path reached")
+
+    monkeypatch.setattr(pbt, "pgm_dense", refuse)
+    monkeypatch.setattr(simulate, "pgm_dense", refuse)
+    monkeypatch.setattr(simulate, "run", refuse)
+    assert end_to_end(3, 2, "compressed").probability_error < 1e-14
+    report = run(simulate.ProtocolRun(4, 3, engine="amplified-V"))
+    assert report.discrepancy < 1e-14

@@ -9,6 +9,8 @@ from pbtkit.pbt import (
     entanglement_fidelity,
     kraus_from_twisted,
     pgm_dense,
+    pgm_fidelity,
+    pgm_probabilities,
     pgm_tilde_dense,
     principal_sqrt,
     rho_i_dense,
@@ -138,9 +140,37 @@ def test_fidelity_examples_and_monotonicity():
 
 
 def test_fidelity_two_forms_agree():
-    # the cross-check inside entanglement_fidelity raises beyond 1e-10
+    # ancilla form: overlap of the Choi state with the maximally entangled state
     for n, d in [(2, 2), (3, 2), (4, 2), (3, 3)]:
-        entanglement_fidelity(n, d, pgm_dense(n, d), cross_check=True)
+        povm = pgm_dense(n, d)
+        chan = apply_channel_matrix(n, d, povm)
+        choi = sum(chan[:, a * d + b].reshape(d, d)[a, b] for a in range(d) for b in range(d))
+        ancilla_form = float(np.real(choi)) / d**2
+        assert abs(ancilla_form - entanglement_fidelity(n, d, povm)) < 1e-10
+
+
+@pytest.mark.parametrize("n,d", [(n, 2) for n in range(2, 9)] + [(n, 3) for n in range(2, 6)])
+def test_closed_form_fidelity_equals_dense(n, d):
+    assert abs(pgm_fidelity(n, d) - entanglement_fidelity(n, d, pgm_dense(n, d))) < 1e-12
+
+
+def test_closed_form_fidelity_examples():
+    for d in range(1, 6):
+        assert pgm_fidelity(2, d) == pytest.approx(1 / d**2, abs=1e-15)
+    assert pgm_fidelity(3, 2) == pytest.approx((1 + np.sqrt(3)) ** 2 / 16, abs=1e-15)
+    # far past where the exact integers overflow a float product
+    assert 0.99 < pgm_fidelity(1100, 2) < 1.0
+    with pytest.raises(ValueError):
+        pgm_fidelity(1, 2)
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (5, 2), (3, 3)])
+def test_outcome_probabilities_exact_for_any_input(n, d):
+    from pbtkit.simulate import ProtocolRun, run
+
+    for _ in range(2):
+        report = run(ProtocolRun(n, d, input_state=random_state(d), engine="dense-W"))
+        assert np.abs(np.array(report.probabilities) - pgm_probabilities(n)).max() < 1e-14
 
 
 def test_fidelity_from_twisted_kraus_matches_dense():
@@ -153,8 +183,8 @@ def test_fidelity_from_twisted_kraus_matches_dense():
         )
         alt = Povm(n, d, ops)
         alt.validate()
-        f_alt = entanglement_fidelity(n, d, alt, cross_check=False)
-        f_ref = entanglement_fidelity(n, d, povm, cross_check=False)
+        f_alt = entanglement_fidelity(n, d, alt)
+        f_ref = entanglement_fidelity(n, d, povm)
         assert abs(f_alt - f_ref) < 1e-8
 
 
@@ -165,13 +195,9 @@ def test_povm_validation_catches_bad_sets():
         bad.validate()
 
 
-def test_channel_wrapper():
-    from pbtkit.pbt import pgm_channel
-
-    chan = pgm_channel(3, 2)
+def test_channel_matrix_trace_preserving():
+    mat = apply_channel_matrix(3, 2, pgm_dense(3, 2))
     eta = random_state(2)
-    assert np.abs(chan.apply(eta) - channel_apply(3, 2, chan.povm, eta)).max() == 0.0
-    mat = chan.matrix()
     # trace preservation as a matrix identity on vectorized inputs
     out = (mat @ eta.reshape(-1)).reshape(2, 2)
     assert abs(np.trace(out).real - 1.0) < 1e-9
@@ -185,3 +211,20 @@ def test_hs_basis_complement():
     assert hs.shape == (8, 8 - tw.hm_dimension())
     assert np.abs(hs.conj().T @ hs - np.eye(hs.shape[1])).max() < 1e-10
     assert np.abs(tw.hm_projector @ hs).max() < 1e-10
+
+
+def test_dense_builds_guarded_before_allocating():
+    import tracemalloc
+
+    from pbtkit.schur import DenseTooLarge
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseTooLarge, match="3 dense 2\\^13 x 2\\^13 .* 3.0 GiB"):
+            build_twisted(13, 2)
+        with pytest.raises(DenseTooLarge, match="24 dense 2\\^12 x 2\\^12 .* 6.0 GiB"):
+            pgm_dense(12, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -25,7 +25,7 @@ def test_single_port_run():
 def test_entangled_mode_matches_entanglement_fidelity():
     for n, d in [(2, 2), (3, 2), (4, 2), (3, 3)]:
         report = run(ProtocolRun(n, d, engine="dense-W"))
-        reference = entanglement_fidelity(n, d, pgm_dense(n, d), cross_check=False)
+        reference = entanglement_fidelity(n, d, pgm_dense(n, d))
         assert report.fidelity == pytest.approx(reference, abs=1e-10)
         assert sum(report.probabilities) == pytest.approx(1.0, abs=1e-9)
 

@@ -186,3 +186,65 @@ def test_cli_export_schur_too_large_is_usage_error(tmp_path, capsys):
     assert "4.0 GiB" in capsys.readouterr().err
     assert peak < 2**20  # the 4 GiB matrix was never allocated
     assert not path.exists()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cli_fidelity_closed_form_to_n60(capsys, d):
+    assert cli.main(["fidelity", "--d", str(d), "--n", "2..60"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(2, 61))
+    values = [float(row.split(",")[2]) for row in rows]
+    assert all(b > a for a, b in zip(values, values[1:]))
+    assert values[-1] < 1.0
+
+
+def test_cli_verify_fidelity_reports_residual(capsys):
+    assert cli.main(["verify", "--suite", "fidelity", "--n", "2..8", "--d", "2"]) == 0
+    out = capsys.readouterr().out
+    residual = float(out.split("max residual")[1].split()[0])
+    assert 0.0 < residual < 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["encode", "--n", "3", "--d", "2", "--i", "5"], "--i must be a port in 1..2, got 5"),
+        (["encode", "--n", "3", "--d", "2", "--i", "0"], "--i must be a port in 1..2, got 0"),
+        (["encode", "--n", "2", "--d", "2", "--i", "1"], "--n must be at least 3, got 2"),
+        (
+            ["simulate", "--n", "2", "--d", "2", "--engine", "amplified-V"],
+            "--n must be at least 3, got 2",
+        ),
+        (["simulate", "--n", "3", "--d", "2", "--shots", "-5"], "--shots must be nonnegative"),
+        (["verify", "--suite", "kraus", "--n", "1"], "--n must be at least 2, got 1"),
+    ],
+)
+def test_cli_bad_arguments_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,gib",
+    [
+        (["export", "kraus", "--n", "12", "--d", "2"], "6.0 GiB"),
+        (["export", "povm", "--n", "12", "--d", "2"], "6.0 GiB"),
+        (["simulate", "--n", "11", "--d", "2"], "4.0 GiB"),
+    ],
+)
+def test_cli_dense_too_large_is_usage_error(tmp_path, capsys, argv, gib):
+    path = tmp_path / "out.mat"
+    if argv[0] == "export":
+        argv = argv + [str(path)]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert gib in capsys.readouterr().err
+    assert peak < 2**20  # nothing dense was built
+    assert not path.exists()
