@@ -33,7 +33,7 @@ print(f"  protocol-state trace distance {res.discrepancy:.3e}")
 print(f"  outcome probability error {res.probability_error:.3e}")
 print(f"  ancilla purity {res.ancilla_purity:.10f}")
 
-print("\nhonest amplification run (full encoding scale, 99 phases; about 6 s on a 2-core Xeon):")
+print("\nhonest amplification run (full encoding scale, 99 phases; about 2 s on a 2-core Xeon):")
 res = end_to_end(n, d, "honest")
 print(f"  m = {res.m}, epsilon = {res.epsilon:.3e}")
 print(f"  amplified residual {res.amplified_residual:.3e} <= 2 m epsilon = {res.amplified_bound:.3e}")

@@ -5,16 +5,24 @@ isometry only with amplitude 1/(scale * sqrt(n-1)).  Inflating the declared
 scale until that amplitude equals sin(pi/2m) for an odd m, the alternating
 phase sequence boosts it to one; reflections are evaluated through the
 involution identity, so no matrix exponentials are ever formed.
+
+The sequence only ever moves a start-subspace input through the dilation V,
+its adjoint and two diagonal reflections, so the input never leaves S, the
+support the start projector reaches under the nonzero pattern of V's factors
+and their adjoints (``registers.Support``).  The product splits exactly into
+S (+) S^c and runs on the S block: at honest (3,2), 6,144 of the 147,456
+indices of the registers V touches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import asin, ceil, pi, sin
 
 import numpy as np
 
-from .registers import Composite, Layout, Op, compile
+from .registers import Composite, Layout, Op, RestrictedProduct, Support, compile
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,17 +75,26 @@ def plan(
 
 
 class FullDiagonal(Op):
-    """Diagonal over the whole layout (flat values)."""
+    """Diagonal over the whole layout: ``inside`` where the flat boolean
+    ``mask`` holds and ``outside`` elsewhere.  The flat values are formed
+    on first use, so a product that never applies it on the whole layout
+    never allocates them."""
 
-    def __init__(self, values: np.ndarray):
-        self.values = np.asarray(values, dtype=complex)
+    def __init__(self, mask: np.ndarray, inside: complex, outside: complex):
+        self.mask = mask
+        self.inside = inside
+        self.outside = outside
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return np.where(self.mask, self.inside, self.outside)
 
     def apply(self, arr: np.ndarray, layout: Layout) -> np.ndarray:
         shape = layout.dims + (1,) * (arr.ndim - len(layout.dims))
         return arr * self.values.reshape(shape)
 
     def adjoint(self) -> "FullDiagonal":
-        return FullDiagonal(self.values.conj())
+        return FullDiagonal(self.mask, np.conj(self.inside), np.conj(self.outside))
 
 
 def amplified_V(v: Op, plan_: AmplificationPlan, layout: Layout) -> Op:
@@ -89,6 +106,16 @@ def amplified_V(v: Op, plan_: AmplificationPlan, layout: Layout) -> Op:
     returns v unchanged.  Otherwise v is compiled for ``layout`` once, and
     the compiled v, its adjoint and the three phase diagonals are shared by
     every phase.
+
+    A start-subspace input only ever meets v, v^dagger and the diagonals, so
+    it stays in S, the support the start projector reaches under the nonzero
+    pattern of v's factors and their adjoints; every amplitude outside S
+    stays zero at every phase.  The product therefore runs on S alone:
+    each factor of v becomes one S x S CSR matrix, the v^dagger chain their
+    conjugate transposes in reverse, and each diagonal its S rows, all
+    shared across phases.  The returned op is exact on the whole layout:
+    amplitudes on S^c, which protocol runs never have, take the compiled
+    product on the whole layout, which never mixes them into S.
     """
     if plan_.m == 1:
         return v
@@ -103,12 +130,21 @@ def amplified_V(v: Op, plan_: AmplificationPlan, layout: Layout) -> Op:
     start_half = _phase_op(start, pi / 2)
     lead = _phase_op(end, plan_.phases[0], (-1.0) ** ((m - 1) // 2))
     ops = [v, end_half, vdag, start_half] * ((m - 1) // 2) + [v, lead]
-    return Composite(tuple(ops))
+    support = Support(v, layout, start)
+    restricted = {
+        id(v): support.chain,
+        id(vdag): tuple(mat.conj().T.tocsr() for mat in reversed(support.chain)),
+    }
+    for diag in (end_half, start_half, lead):
+        inside = support.rows(diag.mask.reshape(layout.dims), layout)
+        restricted[id(diag)] = np.where(inside, diag.inside, diag.outside)
+    return RestrictedProduct(
+        Composite(tuple(ops)), support, tuple(restricted[id(op)] for op in ops)
+    )
 
 
 def _phase_op(mask: np.ndarray, phase: float, sign: float = 1.0) -> FullDiagonal:
-    vals = np.where(mask, sign * np.exp(1j * phase), sign * np.exp(-1j * phase))
-    return FullDiagonal(vals)
+    return FullDiagonal(mask, sign * np.exp(1j * phase), sign * np.exp(-1j * phase))
 
 
 # ---------------------------------------------------------------------------

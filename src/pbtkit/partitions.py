@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Optional
 
 
@@ -25,11 +25,11 @@ class Partition:
     rows: tuple[int, ...] = ()
 
     def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
+        rows = tuple(map(int, self.rows))
         object.__setattr__(self, "rows", rows)
-        if any(r < 1 for r in rows):
+        if rows and min(rows) < 1:
             raise ValueError(f"partition rows must be positive: {rows}")
-        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+        if list(rows) != sorted(rows, reverse=True):
             raise ValueError(f"partition rows must be weakly decreasing: {rows}")
 
     @property
@@ -127,23 +127,24 @@ def _partition_rows(n: int, max_height: int, max_part: int) -> tuple[tuple[int, 
 
 
 @lru_cache(maxsize=None)
-def _hooks(lam: Partition) -> tuple[int, ...]:
-    conj = lam.conjugate()
-    return tuple(
-        (lam.rows[i] - j) + (conj.rows[j] - i) - 1 for i, j in lam.cells()
+def _hook_product(lam: Partition) -> int:
+    """Product of the hook lengths of ``lam``.
+
+    Column j has length k for rows[k] <= j < rows[k-1] (rows[h] = 0), so in
+    row i the hooks r_i - j + k - i - 1 over those columns are one run of
+    consecutive integers."""
+    rows = lam.rows + (0,)
+    return prod(
+        prod(range(r + k - i - rows[k - 1], r + k - i - rows[k]))
+        for i, r in enumerate(lam.rows)
+        for k in range(i + 1, len(lam.rows) + 1)
     )
 
 
 @lru_cache(maxsize=None)
 def dim_specht(lam: Partition) -> int:
     """Number of standard tableaux of shape ``lam`` (hook length formula, exact)."""
-    if lam.n == 0:
-        return 1
-    num = factorial(lam.n)
-    den = 1
-    for h in _hooks(lam):
-        den *= h
-    q, r = divmod(num, den)
+    q, r = divmod(factorial(lam.n), _hook_product(lam))
     if r:
         raise ArithmeticError(f"hook product does not divide {lam.n}! for {lam}")
     return q
@@ -160,15 +161,9 @@ def dim_weyl(lam: Partition, d: int) -> int:
         raise ValueError("d must be at least 1")
     if lam.height() > d:
         return 0
-    if lam.n == 0:
-        return 1
-    num = 1
-    for i, j in lam.cells():
-        num *= d + j - i
-    den = 1
-    for h in _hooks(lam):
-        den *= h
-    q, r = divmod(num, den)
+    # cell (i, j) contributes d + j - i, so row i the run d - i .. d - i + r - 1
+    num = prod(prod(range(d - i, d - i + r)) for i, r in enumerate(lam.rows))
+    q, r = divmod(num, _hook_product(lam))
     if r:
         raise ArithmeticError(f"Weyl quotient not exact for {lam}, d={d}")
     return q

@@ -9,11 +9,18 @@ acts on; nothing here ever builds the full-space matrix unless asked to.
 ``compile`` lowers an op tree once into an equivalent op that is cheaper to
 apply many times; the tree stays the definition the lowered op is tested
 against.
+
+``Support`` finds S, the smallest set of flat indices that holds a start
+mask's support and is closed under the nonzero pattern of every factor of a
+lowered op and of its adjoint.  No entry links S to its complement, so every
+factor splits exactly into an S block and an S^c block, and a state that
+starts in S can be run through the S x S blocks alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -185,20 +192,21 @@ def _product(mat, x: np.ndarray) -> np.ndarray:
 
 
 class _MatmulGate(Op):
-    """Gate on registers contiguous in the layout, applied as one matmul on
-    the (before, registers, after) view of the state."""
+    """Gate on registers contiguous in the layout (``names``, in layout
+    order), applied as one matmul on the (before, registers, after) view of
+    the state."""
 
-    def __init__(self, first: str, matrix: np.ndarray):
-        self.first = first
+    def __init__(self, names: tuple[str, ...], matrix: np.ndarray):
+        self.names = names
         self.matrix = matrix
 
     def apply(self, arr: np.ndarray, layout: Layout) -> np.ndarray:
-        pre = prod(arr.shape[: layout.axis(self.first)])
+        pre = prod(arr.shape[: layout.axis(self.names[0])])
         out = _product(self.matrix, arr.reshape(pre, self.matrix.shape[0], -1))
         return out.reshape(arr.shape)
 
     def adjoint(self) -> "_MatmulGate":
-        return _MatmulGate(self.first, self.matrix.conj().T)
+        return _MatmulGate(self.names, self.matrix.conj().T)
 
 
 class _SparseBranched(Op):
@@ -280,7 +288,8 @@ def _lower_gate(gate: Gate, layout: Layout) -> Op:
     mat = gate.matrix.reshape(dims + dims).transpose(order + [len(dims) + o for o in order])
     size = gate.matrix.shape[0]
     mat = np.ascontiguousarray(mat.reshape(size, size))
-    return _MatmulGate(layout.names[min(axes)], mat if mat.imag.any() else mat.real)
+    names = tuple(gate.names[o] for o in order)
+    return _MatmulGate(names, mat if mat.imag.any() else mat.real)
 
 
 def _fold_branches(op: Branched, layout: Layout) -> _SparseBranched:
@@ -317,6 +326,168 @@ def _fold_branches(op: Branched, layout: Layout) -> _SparseBranched:
         acc.eliminate_zeros()
         blocks[tuple(key)] = acc if acc.data.imag.any() else acc.real
     return _SparseBranched(op.controls, touched, blocks)
+
+
+def _factors(op: Op) -> list[list[tuple[dict, tuple[str, ...], object]]]:
+    """A lowered op as a product of factors, ``[0]`` acting first.  A factor
+    is a list of pieces (controls, names, matrix): the CSR ``matrix`` acts on
+    the registers ``names``, in its row-major order, where the control
+    registers hold the values ``controls``.  The pieces of one factor have
+    disjoint control slices, and the factor is the identity off them.
+
+    The i-th ops of a Branched's bodies act on disjoint slices, so they make
+    up one factor."""
+    import scipy.sparse as sparse
+
+    if isinstance(op, Composite):
+        return [f for o in op.ops for f in _factors(o)]
+    if isinstance(op, Branched):
+        per_key = []
+        for key, body in op.branches:
+            outer = dict(zip(op.controls, key))
+            per_key.append(
+                [[({**ctl, **outer}, nm, mat) for ctl, nm, mat in f] for f in _factors(body)]
+            )
+        depth = max(map(len, per_key), default=0)
+        return [[p for fs in per_key if i < len(fs) for p in fs[i]] for i in range(depth)]
+    if isinstance(op, _SparseBranched):
+        return [[(dict(zip(op.controls, key)), op.touched, mat) for key, mat in op.blocks.items()]]
+    if isinstance(op, (Gate, _MatmulGate)):
+        return [[({}, op.names, sparse.csr_matrix(op.matrix))]]
+    raise TypeError(f"no sparsity pattern for {type(op).__name__}")
+
+
+class Support:
+    """The smallest set S of flat indices of the registers ``names`` that
+    holds the support of ``mask`` and is closed under the nonzero pattern of
+    every factor of a lowered op and of its adjoint, and the op's factors
+    restricted to it.
+
+    ``names`` runs from the first register of the layout to the last one
+    the op touches; the registers after them ride along as columns, and the
+    support of ``mask`` (flat or layout-shaped) counts every value of them.
+    No nonzero entry of a factor links S to its complement, so each factor
+    is block-diagonal on S (+) S^c, and ``chain`` holds the S x S blocks as
+    CSR matrices, ``[0]`` acting first.  The reach follows every nonzero
+    entry as a link, whatever its size, so no sum of entries can cancel one
+    out; the only entries ever dropped are the ones ``compile`` already
+    drops when folding branches.
+    """
+
+    def __init__(self, op: Op, layout: Layout, mask: np.ndarray):
+        factors = _factors(op)
+        touched = {
+            layout.axis(nm) for f in factors for ctl, names, _ in f for nm in (*ctl, *names)
+        }
+        self.names = layout.names[: max(touched, default=0) + 1]
+        self.dims = layout.dims[: len(self.names)]
+        self._axis = {nm: a for a, nm in enumerate(self.names)}
+        self._strides = [prod(self.dims[a + 1 :]) for a in range(len(self.dims))]
+        # the nonzero pattern of each piece and of its adjoint
+        patterns = [
+            (ctl, names, ((mat != 0) + (mat != 0).T).tocsr())
+            for f in factors
+            for ctl, names, mat in f
+        ]
+        index = np.flatnonzero(mask.reshape(prod(self.dims), -1).any(axis=1))
+        frontier = index
+        while frontier.size:
+            reached = [index]
+            for ctl, names, pattern in patterns:
+                rows = frontier[self._select(ctl, frontier)]
+                reached.append(self._entries(pattern, rows, names)[1])
+            grown = np.unique(np.concatenate(reached))
+            frontier = np.setdiff1d(grown, index, assume_unique=True)
+            index = grown
+        self.index = index
+        self.chain = tuple(self._restrict(factor) for factor in factors)
+
+    def _digit(self, s: np.ndarray, name: str) -> np.ndarray:
+        a = self._axis[name]
+        return s // self._strides[a] % self.dims[a]
+
+    def _select(self, ctl: dict, s: np.ndarray) -> np.ndarray:
+        """Positions in ``s`` whose control registers hold the values ``ctl``."""
+        keep = np.ones(s.size, bool)
+        for name, value in ctl.items():
+            keep &= self._digit(s, name) == value
+        return np.flatnonzero(keep)
+
+    def _entries(self, mat, s: np.ndarray, names: tuple[str, ...]):
+        """The entries (i, t, v) of the factor ``mat`` on ``names`` in the
+        rows ``s``: row s[i] holds v at flat index t."""
+        local_dims = [self.dims[self._axis[nm]] for nm in names]
+        strides = np.array([self._strides[self._axis[nm]] for nm in names], dtype=np.int64)
+        digits = [self._digit(s, nm) for nm in names]
+        local = np.ravel_multi_index(digits, local_dims)
+        base = s - sum(dg * st for dg, st in zip(digits, strides))
+        offset = reduce(np.add.outer, [st * np.arange(dm) for st, dm in zip(strides, local_dims)])
+        offset = offset.ravel()
+        # positions in mat.data of the local rows' entries, row after row
+        counts = np.diff(mat.indptr)[local]
+        i = np.repeat(np.arange(s.size), counts)
+        shift = mat.indptr[local] - (np.cumsum(counts) - counts)
+        pos = np.arange(i.size) + np.repeat(shift, counts)
+        return i, base[i] + offset[mat.indices[pos]], mat.data[pos]
+
+    def _restrict(self, factor):
+        """The factor's S x S block as a CSR matrix."""
+        import scipy.sparse as sparse
+
+        n = self.index.size
+        rows, cols, vals = [], [], []
+        rest = np.ones(n, bool)
+        for ctl, names, mat in factor:
+            sel = self._select(ctl, self.index)
+            rest[sel] = False
+            i, t, v = self._entries(mat, self.index[sel], names)
+            rows.append(sel[i])
+            cols.append(np.searchsorted(self.index, t))
+            vals.append(v)
+        ident = np.flatnonzero(rest)
+        data = np.concatenate(vals + [np.ones(ident.size)])
+        if not np.imag(data).any():
+            data = data.real
+        coords = (np.concatenate(rows + [ident]), np.concatenate(cols + [ident]))
+        return sparse.csr_matrix((data, coords), shape=(n, n))
+
+    def rows(self, arr: np.ndarray, layout: Layout) -> np.ndarray:
+        """The S rows of a layout-shaped array viewed as (``names``, rest)."""
+        return layout.block(arr, self.names)[0, self.index]
+
+
+class RestrictedProduct(Op):
+    """A product of compiled register ops and diagonals, run on the support
+    S its start mask can reach (``Support``).
+
+    Every factor is block-diagonal on S (+) S^c, so the product is too: the
+    S rows are gathered, taken through ``steps`` (a chain of S x S CSR
+    factors or an (|S|, rest) diagonal each, ``[0]`` first) and scattered
+    back.  Amplitudes on S^c, if any is nonzero, go through ``composite``,
+    the same product on the whole layout, which keeps them on S^c."""
+
+    def __init__(self, composite: Composite, support: Support, steps: tuple):
+        self.composite = composite
+        self.support = support
+        self.steps = steps
+
+    def apply(self, arr: np.ndarray, layout: Layout) -> np.ndarray:
+        arr = np.ascontiguousarray(arr, dtype=complex)
+        x = self.support.rows(arr, layout)
+        if np.count_nonzero(arr) > np.count_nonzero(x):
+            outside = arr.copy()
+            layout.block(outside, self.support.names)[0, self.support.index] = 0
+            out = np.ascontiguousarray(self.composite.apply(outside, layout))
+        else:
+            out = np.zeros_like(arr)
+        for step in self.steps:
+            if isinstance(step, np.ndarray):
+                x = (x.reshape(step.shape + (-1,)) * step[..., None]).reshape(x.shape)
+            else:
+                for mat in step:
+                    x = _product(mat, x)
+        layout.block(out, self.support.names)[0, self.support.index] = x
+        return out
 
 
 def to_matrix(op: Op, layout: Layout) -> np.ndarray:

@@ -173,7 +173,6 @@ def test_criterion_7_block_encoding_ledger():
     _report("7b padded ledger matches the reference accounting", float(mismatches), 0.0)
 
 
-@pytest.mark.slow
 def test_criterion_8_naimark_amplification(honest_end_to_end):
     from pbtkit.amplify import end_to_end
 

@@ -130,7 +130,6 @@ def test_end_to_end_compressed():
     assert res.ancilla_zero_weight > 1 - 1e-10
 
 
-@pytest.mark.slow
 def test_end_to_end_honest(honest_end_to_end):
     res = honest_end_to_end
     assert res.m > 50 and res.m % 2 == 1

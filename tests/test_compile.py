@@ -2,19 +2,23 @@
 
 import subprocess
 import sys
+from functools import cache
+from math import prod
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pbtkit
-from pbtkit.amplify import FullDiagonal
+from pbtkit.amplify import FullDiagonal, amplified_V, plan
 from pbtkit.registers import (
     Branched,
     Composite,
     Gate,
     Layout,
+    Op,
     Register,
+    _factors,
     compile,
     to_matrix,
 )
@@ -35,10 +39,22 @@ def random_batch(layout, columns=2):
     return batch / np.linalg.norm(batch.reshape(layout.size, columns), axis=0)
 
 
+@cache
+def bare_pipeline(variant, n, d):
+    return build_pipeline(n, d, variant, with_bob=False, with_ref=False)
+
+
 @pytest.fixture(scope="module", params=[("honest", 3, 2), ("compressed", 4, 3)])
 def pipe(request):
-    variant, n, d = request.param
-    return build_pipeline(n, d, variant, with_bob=False, with_ref=False)
+    return bare_pipeline(*request.param)
+
+
+def uncompiled_product(pipe):
+    """The amplified product's phase schedule with the uncompiled V and V† in
+    place of the compiled ones."""
+    v, ops = pipe.naimark.v_op, pipe.v_amp.composite.ops
+    uncompiled = {id(ops[0]): v, id(ops[2]): v.adjoint()}
+    return Composite(tuple(uncompiled.get(id(op), op) for op in ops))
 
 
 def test_compiled_v_matches_tree(pipe):
@@ -52,22 +68,106 @@ def test_compiled_v_matches_tree(pipe):
 
 
 def test_compiled_amplified_product_matches_tree(pipe):
-    # the same phase schedule with the uncompiled V and V† in place of the
-    # compiled ones
-    layout, v, ops = pipe.layout, pipe.naimark.v_op, pipe.v_amp.ops
-    uncompiled = {id(ops[0]): v, id(ops[2]): v.adjoint()}
-    tree = Composite(tuple(uncompiled.get(id(op), op) for op in ops))
+    layout = pipe.layout
     batch = random_batch(layout)
-    diff = tree.apply(batch, layout) - pipe.v_amp.apply(batch, layout)
+    diff = uncompiled_product(pipe).apply(batch, layout) - pipe.v_amp.apply(batch, layout)
     assert np.abs(diff).max() <= 1000 * EPS * layout.size
 
 
 def test_amplified_product_shares_v_and_diagonals(pipe):
-    ops = pipe.v_amp.ops
+    ops = pipe.v_amp.composite.ops
     assert len(ops) == 2 * pipe.plan.m
     diagonals = {id(op.values) for op in ops if isinstance(op, FullDiagonal)}
     assert len(diagonals) <= 3
     assert len({id(op) for op in ops if not isinstance(op, FullDiagonal)}) == 2
+    # the restricted product: one V chain, one V† chain, three diagonals
+    steps = pipe.v_amp.steps
+    assert len(steps) == len(ops)
+    for op, step in zip(ops, steps):
+        assert isinstance(op, FullDiagonal) == isinstance(step, np.ndarray)
+    assert len({id(step) for step in steps if isinstance(step, np.ndarray)}) <= 3
+    assert len({id(step) for step in steps if not isinstance(step, np.ndarray)}) == 2
+
+
+SUPPORT_SIZES = {
+    ("honest", 3, 2): (6144, 147456),
+    ("compressed", 6, 2): (640, 9000),
+    ("compressed", 4, 3): (486, 1944),
+}
+
+
+@pytest.mark.parametrize("point", SUPPORT_SIZES)
+def test_support_size(point):
+    support = bare_pipeline(*point).v_amp.support
+    assert (support.index.size, prod(support.dims)) == SUPPORT_SIZES[point]
+
+
+def test_support_holds_start_and_is_closed(pipe):
+    layout, support = pipe.layout, pipe.v_amp.support
+    inside = support_mask(pipe)
+    start = pipe.plan.start_projector.reshape(layout.dims)
+    assert not (layout.block(start, support.names)[0].any(axis=1) & ~inside).any()
+    # no nonzero entry of a factor or of its adjoint leaves S
+    for factor in _factors(pipe.v_amp.composite.ops[0]):
+        for ctl, names, mat in factor:
+            rows = support.index[support._select(ctl, support.index)]
+            for m in (mat, mat.T.tocsr()):
+                assert inside[support._entries(m, rows, names)[1]].all()
+    # and the compiled V and V† keep a batch on S there, exactly
+    batch = on_support(pipe, random_batch(layout), inside=True)
+    for op in pipe.v_amp.composite.ops[:3:2]:
+        out = op.apply(batch, layout)
+        assert not layout.block(out, support.names)[0, ~inside].any()
+
+
+def support_mask(pipe):
+    """S as a mask over the flat indices of the registers it spans."""
+    support = pipe.v_amp.support
+    mask = np.zeros(prod(support.dims), bool)
+    mask[support.index] = True
+    return mask
+
+
+def on_support(pipe, batch, inside):
+    """``batch`` with the amplitudes off S (``inside``) or on S zeroed."""
+    names = pipe.v_amp.support.names
+    pipe.layout.block(batch, names)[0, support_mask(pipe) != inside] = 0
+    return batch
+
+
+@pytest.fixture(scope="module")
+def split_batch(pipe):
+    """A batch with its first column on S and its second on S^c, and the
+    uncompiled product applied to it."""
+    first = on_support(pipe, random_batch(pipe.layout, 1), inside=True)
+    second = on_support(pipe, random_batch(pipe.layout, 1), inside=False)
+    batch = np.concatenate([first, second], axis=-1)
+    return batch, uncompiled_product(pipe).apply(batch, pipe.layout)
+
+
+def test_restricted_product_on_support_skips_the_composite(pipe, split_batch, monkeypatch):
+    calls = []
+
+    class Counted(Op):
+        def __init__(self, op):
+            self.op = op
+
+        def apply(self, arr, layout):
+            calls.append(arr.shape)
+            return self.op.apply(arr, layout)
+
+    monkeypatch.setattr(pipe.v_amp, "composite", Counted(pipe.v_amp.composite))
+    batch, expected = split_batch
+    got = pipe.v_amp.apply(batch[..., :1], pipe.layout)
+    assert calls == []
+    assert np.abs(got - expected[..., :1]).max() <= 1000 * EPS * pipe.layout.size
+
+
+def test_restricted_product_keeps_the_complement_off_support(pipe, split_batch):
+    batch, expected = split_batch
+    got = pipe.v_amp.apply(batch[..., 1:], pipe.layout)
+    assert np.abs(got - expected[..., 1:]).max() <= 1000 * EPS * pipe.layout.size
+    assert not pipe.v_amp.support.rows(got, pipe.layout).any()
 
 
 def test_single_gate_bodies_left_untouched():
@@ -107,6 +207,54 @@ def test_compile_matches_dense_on_mixed_tree():
     assert np.abs(to_matrix(lowered.adjoint(), layout) - dense.conj().T).max() <= (
         1000 * EPS * layout.size
     )
+
+
+def block_unitary(*sizes):
+    out = np.zeros((sum(sizes),) * 2, dtype=complex)
+    at = 0
+    for k in sizes:
+        out[at : at + k, at : at + k] = random_unitary(k)
+        at += k
+    return out
+
+
+def test_restricted_product_matches_dense_on_mixed_tree():
+    # block-diagonal gates keep S a proper subset: the gate on c never mixes
+    # c = 0 into c > 0, and the trailing register b rides along
+    layout = Layout(
+        [Register("a", 2), Register("t1", 3), Register("s", 2), Register("t2", 2)]
+        + [Register("c", 3), Register("b", 2)]
+    )
+
+    def chain():
+        return Composite(
+            (Gate(("t2", "t1"), block_unitary(2, 4)), Gate(("t1",), block_unitary(1, 2)))
+        )
+
+    tree = Composite(
+        (
+            Gate(("s", "t1"), block_unitary(3, 3)),
+            Gate(("a",), random_unitary(2)),
+            Gate(("t2", "a"), block_unitary(2, 2)),
+            Branched(("c",), (((0,), chain()), ((2,), chain()))),
+            Branched(("a",), (((1,), Composite((Gate(("c",), block_unitary(1, 2)),))),)),
+        )
+    )
+    start = np.zeros(layout.dims, bool)
+    start[:, 0, :, 0, 0, :] = True
+    end = np.zeros(layout.dims, bool)
+    end[:, :, 0] = True
+    plan_ = plan(3.0, 1, start.ravel(), end.ravel())
+    amplified = amplified_V(tree, plan_, layout)
+    assert 0 < amplified.support.index.size < prod(amplified.support.dims)
+
+    ops = amplified.composite.ops
+    v = to_matrix(tree, layout)
+    matrices = {id(ops[0]): v, id(ops[2]): v.conj().T}
+    dense = np.eye(layout.size)
+    for op in ops:
+        dense = (np.diag(op.values) if isinstance(op, FullDiagonal) else matrices[id(op)]) @ dense
+    assert np.abs(to_matrix(amplified, layout) - dense).max() <= 1000 * EPS * layout.size
 
 
 def test_import_leaves_scipy_out():

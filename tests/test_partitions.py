@@ -1,4 +1,5 @@
 import itertools
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,45 @@ def test_dim_weyl_examples():
 @pytest.mark.parametrize("d", [2, 3])
 def test_dim_weyl_brute_force(rows, d):
     assert dim_weyl(Partition(rows), d) == brute_semistandard_count(rows, d)
+
+
+@cache
+def branching_standard_count(rows):
+    """Standard tableaux by removing the box that holds the largest entry."""
+    if not rows:
+        return 1
+    total = 0
+    for i, r in enumerate(rows):
+        if i + 1 == len(rows) or rows[i + 1] < r:
+            smaller = rows[:i] + (r - 1,) + rows[i + 1 :]
+            total += branching_standard_count(tuple(x for x in smaller if x))
+    return total
+
+
+@cache
+def branching_semistandard_count(rows, d):
+    """Semistandard tableaux with entries in 1..d by removing the boxes that
+    hold d: what is left interlaces ``rows`` and has at most d - 1 rows."""
+    if len(rows) > d:
+        return 0
+    if d == 1 or not rows:
+        return 1
+    padded = rows + (0,) * (d - len(rows))
+    ranges = [range(padded[i + 1], padded[i] + 1) for i in range(d - 1)]
+    return sum(
+        branching_semistandard_count(tuple(x for x in mu if x), d - 1)
+        for mu in itertools.product(*ranges)
+    )
+
+
+def test_dimensions_match_branching_counts_to_twenty_boxes():
+    for n in range(21):
+        for lam in enumerate_partitions(n, max(n, 1)):
+            specht = dim_specht(lam)
+            assert type(specht) is int and specht == branching_standard_count(lam.rows)
+            for d in range(1, 5):
+                weyl = dim_weyl(lam, d)
+                assert type(weyl) is int and weyl == branching_semistandard_count(lam.rows, d)
 
 
 def test_add_box_examples():
