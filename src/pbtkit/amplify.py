@@ -22,7 +22,7 @@ from math import asin, ceil, pi, sin
 
 import numpy as np
 
-from .registers import Composite, Layout, Op, RestrictedProduct, Support, compile
+from .registers import Composite, Layout, Op, RestrictedProduct, Support
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,19 +103,18 @@ def amplified_V(v: Op, plan_: AmplificationPlan, layout: Layout) -> Op:
     v is applied m times in alternation with its adjoint and reflections
     about the start and end projectors; all interior phases are pi/2 and the
     leading end-reflection carries (1-m) pi/2 and the overall sign.  m = 1
-    returns v unchanged.  Otherwise v is compiled for ``layout`` once, and
-    the compiled v, its adjoint and the three phase diagonals are shared by
-    every phase.
+    returns v unchanged.
 
     A start-subspace input only ever meets v, v^dagger and the diagonals, so
     it stays in S, the support the start projector reaches under the nonzero
     pattern of v's factors and their adjoints; every amplitude outside S
     stays zero at every phase.  The product therefore runs on S alone:
-    each factor of v becomes one S x S CSR matrix, the v^dagger chain their
-    conjugate transposes in reverse, and each diagonal its S rows, all
-    shared across phases.  The returned op is exact on the whole layout:
-    amplitudes on S^c, which protocol runs never have, take the compiled
-    product on the whole layout, which never mixes them into S.
+    ``Support`` folds v's factors and restricts each to one S x S CSR
+    matrix, the v^dagger chain is their conjugate transposes in reverse, and
+    each diagonal is its S rows, all shared across phases.  The returned op
+    is exact on the whole layout: amplitudes on S^c, which protocol runs
+    never have, take the same product of v, its adjoint and the diagonals on
+    the whole layout.
     """
     if plan_.m == 1:
         return v
@@ -124,7 +123,6 @@ def amplified_V(v: Op, plan_: AmplificationPlan, layout: Layout) -> Op:
     start = plan_.start_projector.astype(bool)
     end = plan_.end_projector.astype(bool)
     m = plan_.m
-    v = compile(v, layout)
     vdag = v.adjoint()
     end_half = _phase_op(end, pi / 2)
     start_half = _phase_op(start, pi / 2)

@@ -169,7 +169,6 @@ class EncodingSpaces:
     n_ka: int
     n_r2: int
     n_k: int
-    n_outcome: int
     reuse_qudits: bool
     a13_dim: int
     reg1: np.ndarray = field(repr=False)
@@ -233,7 +232,6 @@ def encoding_spaces(n: int, d: int, mode: str = "tight", gauge_seed: int = 0) ->
         "n_ka": max(dim_specht(p) for p in parts2),
         "n_r2": max(dim_weyl(p, d) for p in parts2),
         "n_k": n - 1,
-        "n_outcome": n - 1,
     }
     if mode == "padded":
         sizes = {k: _pow2(v) for k, v in sizes.items()}
@@ -458,7 +456,6 @@ class BlockEncoding:
     systems: tuple[str, ...]
     unitary: Op
     scale: float
-    error_bound: float
     target: np.ndarray | None = None
     valid_mask: np.ndarray | None = None
     name: str = ""
@@ -520,7 +517,6 @@ def adjoint_encoding(enc: BlockEncoding) -> BlockEncoding:
         systems=enc.systems,
         unitary=enc.unitary.adjoint(),
         scale=enc.scale,
-        error_bound=enc.error_bound,
         target=tgt,
         valid_mask=enc.valid_mask,
         name=enc.name + "+",
@@ -530,8 +526,7 @@ def adjoint_encoding(enc: BlockEncoding) -> BlockEncoding:
 def product(a: BlockEncoding, b: BlockEncoding) -> BlockEncoding:
     """Encoding of (a.target @ b.target) with concatenated ancillas.
 
-    Scale and error compose multiplicatively and additively respectively:
-    (ab_scale, a_err * b_scale + b_err * a_scale).
+    The scales multiply.
     """
     if a.systems != b.systems:
         raise ValueError("system registers differ")
@@ -555,7 +550,6 @@ def product(a: BlockEncoding, b: BlockEncoding) -> BlockEncoding:
         systems=a.systems,
         unitary=Composite((op_b, op_a)),
         scale=a.scale * b.scale,
-        error_bound=a.error_bound * b.scale + b.error_bound * a.scale,
         target=tgt,
         valid_mask=mask,
         name=f"{a.name}*{b.name}",
@@ -696,7 +690,6 @@ def encode_O(
         systems=("al", "ka"),
         unitary=Gate(("anc", "acopy", "al", "ka"), mat),
         scale=x**2,
-        error_bound=0.0,
         target=dense_O(spaces, port_cycle(k, n), port_cycle(i, n), "C"),
         valid_mask=_o_valid_mask(spaces),
         name=f"O(k={k},i={i})",
@@ -725,7 +718,6 @@ def encode_Phi(n: int, d: int, mode: str = "tight", gauge_seed: int = 0) -> Bloc
         systems=SYSTEM,
         unitary=Composite(ops),
         scale=float(np.sqrt(d)),
-        error_bound=0.0,
         target=phi_tilde,
         valid_mask=None,
         name="Phi",
@@ -762,7 +754,6 @@ class LedgerRow:
     scale: float
     ancilla_qubits: int | None
     ancilla_dim: int
-    error: float
 
 
 def _central_gates(
@@ -929,7 +920,6 @@ def encode_kraus(
         systems=SYSTEM,
         unitary=Composite(ops),
         scale=float(scale),
-        error_bound=0.0,
         target=target,
         valid_mask=mask,
         name=f"sqrtPi({i})",
@@ -988,7 +978,7 @@ def kraus_ledger(
         qubits = None
         if logs is not None:
             qubits = const + sum(c * q for c, q in zip(coeffs, logs.values()))
-        rows.append(LedgerRow(name, scale, qubits, dim, 0.0))
+        rows.append(LedgerRow(name, scale, qubits, dim))
     return rows
 
 

@@ -105,6 +105,7 @@ def cmd_verify(args) -> int:
         return 2
     ns = _parse_range(args.n)
     ds = _parse_range(args.d)
+    _check_seed(args.seed)
     for n in ns:
         for d in ds:
             _check_dims(n, d, 3 if args.suite == "encode" else 2)
@@ -120,6 +121,7 @@ def cmd_simulate(args) -> int:
     _check_dims(args.n, args.d, 3 if args.engine == "amplified-V" else 2)
     if args.shots < 0:
         _usage_error(f"--shots must be nonnegative, got {args.shots}")
+    _check_seed(args.seed)
     spec = ProtocolRun(
         n=args.n,
         d=args.d,
@@ -143,13 +145,15 @@ def cmd_encode(args) -> int:
     _check_dims(args.n, args.d, 3)
     if not 1 <= args.i <= args.n - 1:
         _usage_error(f"--i must be a port in 1..{args.n - 1}, got {args.i}")
+    for flag, value in (("--x", args.x), ("--xp", args.xp)):
+        if value is not None and not 0 < value < float("inf"):
+            _usage_error(f"{flag} must be positive and finite, got {value}")
     x = args.x if args.x is not None else float(np.sqrt(args.d))
     xp = args.xp if args.xp is not None else float(np.sqrt(args.d))
     tw = build_twisted(args.n, args.d)
     enc = encode_kraus(args.n, args.d, tw, args.i, x, xp, args.mode)
     err = enc.verify()
     rows = kraus_ledger(args.n, args.d, x, xp, args.mode)
-    rows[-1].error = err
     payload = {
         "n": args.n,
         "d": args.d,
@@ -225,6 +229,11 @@ def _check_dims(n: int, d: int, min_n: int = 2) -> None:
         _usage_error(f"--n must be at least {min_n}, got {n}")
     if d < 1:
         _usage_error(f"--d must be at least 1, got {d}")
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        _usage_error(f"--seed must be nonnegative, got {seed}")
 
 
 def _usage_error(message: str) -> NoReturn:

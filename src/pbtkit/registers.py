@@ -6,15 +6,15 @@ small dense gates bound to register names, composed into sequences and
 branch-selected maps.  Branch bodies act on rank-preserving slices, so a gate
 inside a deeply controlled composite only ever touches the small sub-array it
 acts on; nothing here ever builds the full-space matrix unless asked to.
-``compile`` lowers an op tree once into an equivalent op that is cheaper to
-apply many times; the tree stays the definition the lowered op is tested
-against.
+The op tree is the one definition of an operator.
 
-``Support`` finds S, the smallest set of flat indices that holds a start
-mask's support and is closed under the nonzero pattern of every factor of a
-lowered op and of its adjoint.  No entry links S to its complement, so every
-factor splits exactly into an S block and an S^c block, and a state that
-starts in S can be run through the S x S blocks alone.
+``Support`` reads an op tree as a product of sparse factors, folding each
+controlled gate chain into one matrix per branch, and finds S, the smallest
+set of flat indices that holds a start mask's support and is closed under
+the nonzero pattern of every factor and of its adjoint.  No entry links S to
+its complement, so every factor splits exactly into an S block and an S^c
+block, and a state that starts in S can be run through the S x S blocks
+alone.
 """
 
 from __future__ import annotations
@@ -191,85 +191,6 @@ def _product(mat, x: np.ndarray) -> np.ndarray:
     return (mat @ np.ascontiguousarray(x, dtype=complex).view(float)).view(complex)
 
 
-class _MatmulGate(Op):
-    """Gate on registers contiguous in the layout (``names``, in layout
-    order), applied as one matmul on the (before, registers, after) view of
-    the state."""
-
-    def __init__(self, names: tuple[str, ...], matrix: np.ndarray):
-        self.names = names
-        self.matrix = matrix
-
-    def apply(self, arr: np.ndarray, layout: Layout) -> np.ndarray:
-        pre = prod(arr.shape[: layout.axis(self.names[0])])
-        out = _product(self.matrix, arr.reshape(pre, self.matrix.shape[0], -1))
-        return out.reshape(arr.shape)
-
-    def adjoint(self) -> "_MatmulGate":
-        return _MatmulGate(self.names, self.matrix.conj().T)
-
-
-class _SparseBranched(Op):
-    """Branched op whose bodies are folded into one sparse matrix per key on
-    the registers they touch (in layout order); the state is viewed as
-    (controls, touched, everything else)."""
-
-    def __init__(self, controls: tuple[str, ...], touched: tuple[str, ...], blocks: dict):
-        self.controls = controls
-        self.touched = touched
-        self.blocks = blocks
-
-    def apply(self, arr: np.ndarray, layout: Layout) -> np.ndarray:
-        front = [layout.axis(nm) for nm in self.controls + self.touched]
-        perm = front + [a for a in range(arr.ndim) if a not in front]
-        moved = arr.transpose(perm)
-        keys = moved.shape[: len(self.controls)]
-        view = moved.reshape(keys + (prod(moved.shape[len(keys) : len(front)]), -1))
-        out = np.empty(view.shape, dtype=complex)
-        for key in np.ndindex(*keys):
-            mat = self.blocks.get(key)
-            out[key] = view[key] if mat is None else _product(mat, view[key])
-        return out.reshape(moved.shape).transpose(np.argsort(perm))
-
-    def adjoint(self) -> "_SparseBranched":
-        blocks = {k: m.conj().T.tocsr() for k, m in self.blocks.items()}
-        return _SparseBranched(self.controls, self.touched, blocks)
-
-
-def compile(op: Op, layout: Layout) -> Op:
-    """Lower an op tree to an op with the same action on ``layout``-shaped
-    arrays that applies faster; the tree itself stays the definition.
-
-    - A Branched whose bodies are all composites of at least two gates
-      becomes one sparse matrix per branch key on the union of registers
-      the bodies touch.
-    - A gate on registers contiguous in the layout becomes a matmul on a
-      reshaped view.
-    - A branch body that is a single gate is left as it is; composites and
-      other branch bodies are lowered recursively.
-    """
-
-    def lower(op: Op) -> Op:
-        if isinstance(op, Gate):
-            return _lower_gate(op, layout)
-        if isinstance(op, Composite):
-            return Composite(tuple(lower(o) for o in op.ops))
-        if isinstance(op, Branched):
-            bodies = [body for _, body in op.branches]
-            if all(_is_gate_chain(body) for body in bodies):
-                return _fold_branches(op, layout)
-            return Branched(
-                op.controls,
-                tuple(
-                    (key, body if isinstance(body, Gate) else lower(body))
-                    for key, body in op.branches
-                ),
-            )
-        return op
-
-    return lower(op)
-
-
 def _is_gate_chain(op: Op) -> bool:
     return (
         isinstance(op, Composite)
@@ -278,23 +199,10 @@ def _is_gate_chain(op: Op) -> bool:
     )
 
 
-def _lower_gate(gate: Gate, layout: Layout) -> Op:
-    axes = [layout.axis(nm) for nm in gate.names]
-    if sorted(axes) != list(range(min(axes), min(axes) + len(axes))):
-        return gate
-    # reorder the matrix's tensor factors into layout order
-    dims = [layout.dim(nm) for nm in gate.names]
-    order = list(np.argsort(axes))
-    mat = gate.matrix.reshape(dims + dims).transpose(order + [len(dims) + o for o in order])
-    size = gate.matrix.shape[0]
-    mat = np.ascontiguousarray(mat.reshape(size, size))
-    names = tuple(gate.names[o] for o in order)
-    return _MatmulGate(names, mat if mat.imag.any() else mat.real)
-
-
-def _fold_branches(op: Branched, layout: Layout) -> _SparseBranched:
+def _fold_branches(op: Branched, layout: Layout) -> list[tuple[dict, tuple[str, ...], object]]:
     """Multiply each body's gates, each embedded as a sparse matrix on the
-    touched registers, into one CSR matrix per branch key."""
+    touched registers (in layout order), into one CSR matrix per branch key:
+    the pieces of one factor, as ``_factors`` gives them."""
     import scipy.sparse as sparse  # only folding needs it; keeps `import pbtkit` light
 
     names = {nm for _, body in op.branches for gate in body.ops for nm in gate.names}
@@ -304,7 +212,7 @@ def _fold_branches(op: Branched, layout: Layout) -> _SparseBranched:
     dims = tuple(layout.dim(nm) for nm in touched)
     size = prod(dims)
     index = np.arange(size).reshape(dims)
-    blocks = {}
+    pieces = []
     for key, body in op.branches:
         acc = sparse.identity(size, dtype=complex, format="csr")
         for gate in body.ops:
@@ -324,35 +232,36 @@ def _fold_branches(op: Branched, layout: Layout) -> _SparseBranched:
             )
             acc = factor @ acc
         acc.eliminate_zeros()
-        blocks[tuple(key)] = acc if acc.data.imag.any() else acc.real
-    return _SparseBranched(op.controls, touched, blocks)
+        mat = acc if acc.data.imag.any() else acc.real
+        pieces.append((dict(zip(op.controls, key)), touched, mat))
+    return pieces
 
 
-def _factors(op: Op) -> list[list[tuple[dict, tuple[str, ...], object]]]:
-    """A lowered op as a product of factors, ``[0]`` acting first.  A factor
+def _factors(op: Op, layout: Layout) -> list[list[tuple[dict, tuple[str, ...], object]]]:
+    """An op tree as a product of factors, ``[0]`` acting first.  A factor
     is a list of pieces (controls, names, matrix): the CSR ``matrix`` acts on
     the registers ``names``, in its row-major order, where the control
     registers hold the values ``controls``.  The pieces of one factor have
     disjoint control slices, and the factor is the identity off them.
 
-    The i-th ops of a Branched's bodies act on disjoint slices, so they make
-    up one factor."""
+    A Branched whose bodies are all chains of at least two gates is folded
+    into one factor (``_fold_branches``).  Otherwise the i-th ops of a
+    Branched's bodies act on disjoint slices, so they make up one factor."""
     import scipy.sparse as sparse
 
     if isinstance(op, Composite):
-        return [f for o in op.ops for f in _factors(o)]
+        return [f for o in op.ops for f in _factors(o, layout)]
     if isinstance(op, Branched):
+        if all(_is_gate_chain(body) for _, body in op.branches):
+            return [_fold_branches(op, layout)]
         per_key = []
         for key, body in op.branches:
             outer = dict(zip(op.controls, key))
-            per_key.append(
-                [[({**ctl, **outer}, nm, mat) for ctl, nm, mat in f] for f in _factors(body)]
-            )
+            factors = _factors(body, layout)
+            per_key.append([[({**ctl, **outer}, nm, mat) for ctl, nm, mat in f] for f in factors])
         depth = max(map(len, per_key), default=0)
         return [[p for fs in per_key if i < len(fs) for p in fs[i]] for i in range(depth)]
-    if isinstance(op, _SparseBranched):
-        return [[(dict(zip(op.controls, key)), op.touched, mat) for key, mat in op.blocks.items()]]
-    if isinstance(op, (Gate, _MatmulGate)):
+    if isinstance(op, Gate):
         return [[({}, op.names, sparse.csr_matrix(op.matrix))]]
     raise TypeError(f"no sparsity pattern for {type(op).__name__}")
 
@@ -360,8 +269,8 @@ def _factors(op: Op) -> list[list[tuple[dict, tuple[str, ...], object]]]:
 class Support:
     """The smallest set S of flat indices of the registers ``names`` that
     holds the support of ``mask`` and is closed under the nonzero pattern of
-    every factor of a lowered op and of its adjoint, and the op's factors
-    restricted to it.
+    every factor of an op tree and of its adjoint (``_factors``), and the
+    op's factors restricted to it.
 
     ``names`` runs from the first register of the layout to the last one
     the op touches; the registers after them ride along as columns, and the
@@ -370,12 +279,12 @@ class Support:
     is block-diagonal on S (+) S^c, and ``chain`` holds the S x S blocks as
     CSR matrices, ``[0]`` acting first.  The reach follows every nonzero
     entry as a link, whatever its size, so no sum of entries can cancel one
-    out; the only entries ever dropped are the ones ``compile`` already
-    drops when folding branches.
+    out; the only entries ever dropped are the rounding-level ones
+    ``_fold_branches`` drops from the gates it multiplies.
     """
 
     def __init__(self, op: Op, layout: Layout, mask: np.ndarray):
-        factors = _factors(op)
+        factors = _factors(op, layout)
         touched = {
             layout.axis(nm) for f in factors for ctl, names, _ in f for nm in (*ctl, *names)
         }
@@ -457,14 +366,15 @@ class Support:
 
 
 class RestrictedProduct(Op):
-    """A product of compiled register ops and diagonals, run on the support
-    S its start mask can reach (``Support``).
+    """A product of register op trees and diagonals, run on the support S
+    its start mask can reach (``Support``).
 
     Every factor is block-diagonal on S (+) S^c, so the product is too: the
     S rows are gathered, taken through ``steps`` (a chain of S x S CSR
     factors or an (|S|, rest) diagonal each, ``[0]`` first) and scattered
     back.  Amplitudes on S^c, if any is nonzero, go through ``composite``,
-    the same product on the whole layout, which keeps them on S^c."""
+    the same product of op trees on the whole layout, whose S rows the
+    restricted result then replaces."""
 
     def __init__(self, composite: Composite, support: Support, steps: tuple):
         self.composite = composite
@@ -496,10 +406,3 @@ def to_matrix(op: Op, layout: Layout) -> np.ndarray:
     basis = np.eye(n, dtype=complex).reshape(layout.dims + (n,))
     out = op.apply(basis, layout)
     return out.reshape(n, n)
-
-
-def apply_to_columns(op: Op, layout: Layout, cols: np.ndarray) -> np.ndarray:
-    """Apply to a (layout.size x k) stack of column vectors at once."""
-    arr = np.asarray(cols, dtype=complex).reshape(layout.dims + (cols.shape[1],))
-    out = op.apply(arr, layout)
-    return out.reshape(layout.size, cols.shape[1])

@@ -208,7 +208,6 @@ def compressed_encodings(
                 systems=SYSTEM,
                 unitary=unit,
                 scale=float(np.sqrt(d)),
-                error_bound=0.0,
                 target=k,
                 valid_mask=mask,
                 name=f"dilated sqrtPi({i})",

@@ -20,7 +20,7 @@ from pbtkit.blockenc import (
     unitary_complete,
     unitary_dilation,
 )
-from pbtkit.registers import apply_to_columns, to_matrix
+from pbtkit.registers import to_matrix
 from pbtkit.twisted import build_twisted, lambda_eigenvalue, port_cycle
 
 RNG = np.random.default_rng(13)
@@ -149,12 +149,11 @@ def test_product_of_identity_encodings():
         systems=("s",),
         unitary=Gate(("s",), np.eye(3, dtype=complex)),
         scale=1.0,
-        error_bound=0.0,
         target=np.eye(3, dtype=complex),
         name="I",
     )
     prod = product(ident, ident)
-    assert prod.scale == 1.0 and prod.error_bound == 0.0
+    assert prod.scale == 1.0
     assert prod.verify() < 1e-14
 
 
@@ -176,7 +175,6 @@ def test_product_encodes_central_operator():
     assert prod.scale == pytest.approx(4.0)
     err = prod.verify()
     assert err < 1e-8
-    assert prod.error_bound <= a.error_bound * b.scale + b.error_bound * a.scale + 1e-12
 
 
 def test_encode_Phi():
@@ -265,8 +263,7 @@ def test_naimark_columns_and_identity_branches():
         pos = dict(zip(sys_names, np.unravel_index(flat, sys_dims)))
         vec = layout.basis_state(pos)
         cols[:, b] = vec.ravel()
-    out = apply_to_columns(nai.v_op, layout, cols)
-    out = out.reshape(layout.dims + (len(keep),))
+    out = nai.v_op.apply(cols.reshape(layout.dims + (len(keep),)), layout)
     scale = nai.scale * np.sqrt(n - 1)
     for i, k in enumerate(kraus):
         sel: list = [0] * (len(layout.dims))

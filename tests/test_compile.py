@@ -1,4 +1,5 @@
-"""The compile pass against the uncompiled op tree it lowers."""
+"""The amplified product's support and its restricted S x S chain against
+the op tree they are read from."""
 
 import subprocess
 import sys
@@ -18,8 +19,8 @@ from pbtkit.registers import (
     Layout,
     Op,
     Register,
+    Support,
     _factors,
-    compile,
     to_matrix,
 )
 from pbtkit.simulate import build_pipeline
@@ -33,7 +34,7 @@ def random_unitary(d):
     return np.linalg.qr(z)[0]
 
 
-def random_batch(layout, columns=2):
+def random_batch(layout, columns):
     shape = layout.dims + (columns,)
     batch = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
     return batch / np.linalg.norm(batch.reshape(layout.size, columns), axis=0)
@@ -49,33 +50,9 @@ def pipe(request):
     return bare_pipeline(*request.param)
 
 
-def uncompiled_product(pipe):
-    """The amplified product's phase schedule with the uncompiled V and V† in
-    place of the compiled ones."""
-    v, ops = pipe.naimark.v_op, pipe.v_amp.composite.ops
-    uncompiled = {id(ops[0]): v, id(ops[2]): v.adjoint()}
-    return Composite(tuple(uncompiled.get(id(op), op) for op in ops))
-
-
-def test_compiled_v_matches_tree(pipe):
-    layout, v = pipe.layout, pipe.naimark.v_op
-    tol = 1000 * EPS * layout.size
-    batch = random_batch(layout)
-    compiled = compile(v, layout)
-    for tree, lowered in ((v, compiled), (v.adjoint(), compiled.adjoint())):
-        diff = tree.apply(batch, layout) - lowered.apply(batch, layout)
-        assert np.abs(diff).max() <= tol
-
-
-def test_compiled_amplified_product_matches_tree(pipe):
-    layout = pipe.layout
-    batch = random_batch(layout)
-    diff = uncompiled_product(pipe).apply(batch, layout) - pipe.v_amp.apply(batch, layout)
-    assert np.abs(diff).max() <= 1000 * EPS * layout.size
-
-
 def test_amplified_product_shares_v_and_diagonals(pipe):
     ops = pipe.v_amp.composite.ops
+    assert ops[0] is pipe.naimark.v_op
     assert len(ops) == 2 * pipe.plan.m
     diagonals = {id(op.values) for op in ops if isinstance(op, FullDiagonal)}
     assert len(diagonals) <= 3
@@ -108,16 +85,11 @@ def test_support_holds_start_and_is_closed(pipe):
     start = pipe.plan.start_projector.reshape(layout.dims)
     assert not (layout.block(start, support.names)[0].any(axis=1) & ~inside).any()
     # no nonzero entry of a factor or of its adjoint leaves S
-    for factor in _factors(pipe.v_amp.composite.ops[0]):
+    for factor in _factors(pipe.naimark.v_op, layout):
         for ctl, names, mat in factor:
             rows = support.index[support._select(ctl, support.index)]
             for m in (mat, mat.T.tocsr()):
                 assert inside[support._entries(m, rows, names)[1]].all()
-    # and the compiled V and V† keep a batch on S there, exactly
-    batch = on_support(pipe, random_batch(layout), inside=True)
-    for op in pipe.v_amp.composite.ops[:3:2]:
-        out = op.apply(batch, layout)
-        assert not layout.block(out, support.names)[0, ~inside].any()
 
 
 def support_mask(pipe):
@@ -138,11 +110,11 @@ def on_support(pipe, batch, inside):
 @pytest.fixture(scope="module")
 def split_batch(pipe):
     """A batch with its first column on S and its second on S^c, and the
-    uncompiled product applied to it."""
+    amplified product of op trees applied to it."""
     first = on_support(pipe, random_batch(pipe.layout, 1), inside=True)
     second = on_support(pipe, random_batch(pipe.layout, 1), inside=False)
     batch = np.concatenate([first, second], axis=-1)
-    return batch, uncompiled_product(pipe).apply(batch, pipe.layout)
+    return batch, pipe.v_amp.composite.apply(batch, pipe.layout)
 
 
 def test_restricted_product_on_support_skips_the_composite(pipe, split_batch, monkeypatch):
@@ -164,19 +136,25 @@ def test_restricted_product_on_support_skips_the_composite(pipe, split_batch, mo
 
 
 def test_restricted_product_keeps_the_complement_off_support(pipe, split_batch):
+    # both columns at once: the S column through the restricted chain, the
+    # S^c column through the op trees
     batch, expected = split_batch
-    got = pipe.v_amp.apply(batch[..., 1:], pipe.layout)
-    assert np.abs(got - expected[..., 1:]).max() <= 1000 * EPS * pipe.layout.size
-    assert not pipe.v_amp.support.rows(got, pipe.layout).any()
+    got = pipe.v_amp.apply(batch, pipe.layout)
+    assert np.abs(got - expected).max() <= 1000 * EPS * pipe.layout.size
+    assert not pipe.v_amp.support.rows(got[..., 1:], pipe.layout).any()
 
 
 def test_single_gate_bodies_left_untouched():
     pipe = build_pipeline(4, 3, "compressed", with_bob=False, with_ref=False)
     tree = pipe.naimark.uc_op
-    lowered = compile(tree, pipe.layout)
-    for (key, body), (lowered_key, lowered_body) in zip(tree.branches, lowered.branches):
+    (factor,) = _factors(tree, pipe.layout)
+    assert len(factor) == len(tree.branches)
+    for (key, body), (ctl, names, mat) in zip(tree.branches, factor):
         assert isinstance(body, Gate)
-        assert lowered_key == key and lowered_body is body
+        assert ctl == dict(zip(tree.controls, key)) and names == body.names
+        # the body's own matrix: not folded, no rounding-level entry dropped
+        assert np.array_equal(mat.toarray(), body.matrix)
+        assert mat.nnz == np.count_nonzero(body.matrix)
 
 
 def test_compile_matches_dense_on_mixed_tree():
@@ -201,12 +179,19 @@ def test_compile_matches_dense_on_mixed_tree():
             Branched(("a",), (((1,), Composite((Gate(("c",), random_unitary(3)),))),)),
         )
     )
-    lowered = compile(tree, layout)
+    # with a full start mask S is every index, and the chain the whole tree
+    support = Support(tree, layout, np.ones(layout.size, bool))
+    assert support.names == layout.names and support.index.size == layout.size
     dense = to_matrix(tree, layout)
-    assert np.abs(to_matrix(lowered, layout) - dense).max() <= 1000 * EPS * layout.size
-    assert np.abs(to_matrix(lowered.adjoint(), layout) - dense.conj().T).max() <= (
-        1000 * EPS * layout.size
-    )
+    tol = 1000 * EPS * layout.size
+    product = np.eye(layout.size)
+    for mat in support.chain:
+        product = mat @ product
+    assert np.abs(product - dense).max() <= tol
+    adjoint = np.eye(layout.size)
+    for mat in reversed(support.chain):
+        adjoint = mat.conj().T @ adjoint
+    assert np.abs(adjoint - dense.conj().T).max() <= tol
 
 
 def block_unitary(*sizes):

@@ -217,6 +217,16 @@ def test_cli_verify_fidelity_reports_residual(capsys):
         ),
         (["simulate", "--n", "3", "--d", "2", "--shots", "-5"], "--shots must be nonnegative"),
         (["verify", "--suite", "kraus", "--n", "1"], "--n must be at least 2, got 1"),
+        (["encode", "--n", "3", "--d", "2", "--i", "1", "--x", "0"], "--x must be positive"),
+        (["encode", "--n", "3", "--d", "2", "--i", "1", "--xp", "0"], "--xp must be positive"),
+        (["encode", "--n", "3", "--d", "2", "--i", "1", "--x", "nan"], "--x must be positive"),
+        (["encode", "--n", "3", "--d", "2", "--i", "1", "--x", "inf"], "--x must be positive"),
+        (["encode", "--n", "3", "--d", "2", "--i", "1", "--xp", "-1"], "--xp must be positive"),
+        (["verify", "--suite", "yor", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+        (
+            ["simulate", "--n", "3", "--d", "2", "--shots", "5", "--seed", "-1"],
+            "--seed must be nonnegative, got -1",
+        ),
     ],
 )
 def test_cli_bad_arguments_are_usage_errors(capsys, argv, message):
