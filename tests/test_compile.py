@@ -50,6 +50,15 @@ def pipe(request):
     return bare_pipeline(*request.param)
 
 
+def test_compiled_amplified_product_matches_tree(pipe):
+    # generic columns, each with amplitudes both on S and off it: the
+    # restricted chain and the op trees share the work on every column
+    layout = pipe.layout
+    batch = random_batch(layout, 2)
+    diff = pipe.v_amp.composite.apply(batch, layout) - pipe.v_amp.apply(batch, layout)
+    assert np.abs(diff).max() <= 1000 * EPS * layout.size
+
+
 def test_amplified_product_shares_v_and_diagonals(pipe):
     ops = pipe.v_amp.composite.ops
     assert ops[0] is pipe.naimark.v_op
