@@ -37,6 +37,7 @@ from .twisted import (
     mf_pi,
     mf_rho,
     mf_sqrt_pi,
+    pseudo_scale,
     psi_vectors,
     twisted_schur_block,
     z_matrix,
@@ -48,6 +49,7 @@ from .pbt import (
     kraus_from_twisted,
     pgm_dense,
     pgm_fidelity,
+    pgm_function,
     pgm_probabilities,
     principal_sqrt,
     rho_i_dense,
@@ -64,7 +66,6 @@ from .blockenc import (
     naimark_Uc,
     product,
     unitary_complete,
-    unitary_dilation,
 )
 from .amplify import AmplificationPlan, amplified_V, end_to_end, plan
 from .simulate import ProtocolRun, run, sample

@@ -6,7 +6,9 @@ completing specified first rows or columns to unitaries; coefficient
 injection uses a pair of row matrices mixing the irrep-label ancilla states,
 and the full Kraus encoding is assembled multiplicatively with the entangling
 stage and port-superposition registers, following the circuit layout
-faithfully at desk scale.
+faithfully at desk scale.  The compressed variant's one-qubit dilations need
+no completion: both of their blocks are functions of the measurement
+operator, built in closed form by ``simulate.compressed_encodings``.
 
 Two register-sizing modes exist: ``tight`` uses exact register dimensions and
 standalone ancillas; ``padded`` rounds register dimensions up to powers of
@@ -68,7 +70,7 @@ def guard_batch(dims: tuple[int, ...], columns: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# generic unitary completion and dilation
+# generic unitary completion
 
 
 def unitary_complete(rows: np.ndarray) -> np.ndarray:
@@ -99,31 +101,6 @@ def unitary_complete(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def unitary_dilation(a: np.ndarray, scale: float) -> np.ndarray:
-    """Exact one-ancilla-qubit block-encoding of ``a`` with the given scale.
-
-    Returns the 2x2 block unitary [[B, sqrt(I-BB+)], [sqrt(I-B+B), -B+]] with
-    B = a / scale; requires scale >= ||a||.
-    """
-    b = np.asarray(a, dtype=complex) / scale
-    if np.linalg.norm(b, 2) > 1.0 + 1e-12:
-        raise ValueError("scale smaller than the operator norm")
-    dim = b.shape[0]
-    left = _psd_sqrt(np.eye(dim) - b @ b.conj().T)
-    right = _psd_sqrt(np.eye(dim) - b.conj().T @ b)
-    out = np.block([[b, left], [right, -b.conj().T]])
-    err = np.abs(out @ out.conj().T - np.eye(2 * dim)).max()
-    if err > 1e-10:
-        raise ArithmeticError(f"dilation not unitary, residual {err:.2e}")
-    return out
-
-
-def _psd_sqrt(op: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(op)
-    evals = np.clip(evals, 0.0, None)
-    return (evecs * np.sqrt(evals)) @ evecs.conj().T
-
-
 # ---------------------------------------------------------------------------
 # coefficients
 
@@ -143,6 +120,21 @@ def coefficients(n: int, d: int, alpha: Partition, nu: Partition) -> tuple[float
     if not (0.0 < c <= 1.0 + 1e-12 and 0.0 < cp <= 1.0 + 1e-12):
         raise ArithmeticError(f"coefficient bound violated at {alpha}, {nu}")
     return float(c), float(cp)
+
+
+def weight_range(n: int, d: int, variant: str) -> tuple[float, float]:
+    """The interval x (``variant`` "C") or x' ("Cprime") may take: its square
+    covers every diagram's weight sum, and the mixer normalization
+    (n-1)^2.5 d x^4 + (n-1)^2 d x'^2 + 1 stays finite."""
+    pick = ("C", "Cprime").index(variant)
+    sums = [
+        sum(coefficients(n, d, alpha, nu)[pick] for nu in add_box(alpha, d).children)
+        for alpha in enumerate_partitions(n - 2, d)
+    ]
+    # the terms (n-1)^2.5 d x^4 and (n-1)^2 d x'^2 each stay below a quarter of the float range
+    power, weight = ((4, (n - 1) ** 2.5), (2, (n - 1) ** 2))[pick]
+    high = (np.finfo(float).max / (4 * d * weight)) ** (1 / power)
+    return float(np.sqrt(max(sums))), float(high)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +311,8 @@ class CoefficientMatrices:
     """P_L, P_R and the label-permutation helpers, as dense matrices on the
     (copy x irrep) ancilla tensored with the diagram register."""
 
-    variant: str
-    x: float
     p_left: np.ndarray
     p_right: np.ndarray
-    p_one: np.ndarray
     p_two: np.ndarray
     c_rem: dict[Partition, float]
     collisions: tuple[tuple[int, int], ...]
@@ -336,7 +325,6 @@ def build_PL_PR(
     variant: str = "C",
     mode: str = "tight",
     gauge_seed: int = 0,
-    r_choice: dict[Partition, int] | None = None,
 ) -> CoefficientMatrices:
     """Coefficient-injection unitaries for weight family ``variant``.
 
@@ -350,6 +338,7 @@ def build_PL_PR(
     """
     if variant not in ("C", "Cprime"):
         raise ValueError("variant must be 'C' or 'Cprime'")
+    pick = ("C", "Cprime").index(variant)
     spaces = encoding_spaces(n, d, mode, gauge_seed)
     anc = spaces.anc_dim
     dim = anc * spaces.n_al
@@ -359,10 +348,7 @@ def build_PL_PR(
     c_rem: dict[Partition, float] = {}
     for alpha in spaces.parts2:
         children = add_box(alpha, d).children
-        weights = []
-        for nu in children:
-            c, cp = coefficients(n, d, alpha, nu)
-            weights.append(c if variant == "C" else cp)
+        weights = [coefficients(n, d, alpha, nu)[pick] for nu in children]
         rem = 1.0 - sum(weights) / x**2
         if rem < -1e-12:
             raise ValueError(
@@ -379,57 +365,22 @@ def build_PL_PR(
         first_r = first_l.copy()
         first_r[m] = 0.0
         first_r[m + 1] = np.sqrt(rem)
-        # rotate each completed block so its first row sits at (0, e_nu1)
-        block_l = _anchored_block(first_l, anchor=0)
-        block_r = _anchored_block(first_r, anchor=0)
+        # complete each first row to a block whose first row sits at (0, e_nu1)
         e_a = spaces.alpha_state(alpha)
-        for bi, si in enumerate(support):
-            for bj, sj in enumerate(support):
-                p_left[si * spaces.n_al + e_a, sj * spaces.n_al + e_a] = block_l[bi, bj]
-                p_right[si * spaces.n_al + e_a, sj * spaces.n_al + e_a] = block_r[bi, bj]
+        rows = np.ix_(*[np.array(support) * spaces.n_al + e_a] * 2)
+        p_left[rows] = unitary_complete(first_l[None, :]).real
+        p_right[rows] = unitary_complete(first_r[None, :]).real
         # swap (0, 0) <-> (0, e_nu1) conditioned on alpha
         first_child = states[0]
         if first_child != 0:
             for a, b in ((0, first_child), (first_child, 0)):
                 p_two[a * spaces.n_al + e_a, a * spaces.n_al + e_a] = 0.0
                 p_two[a * spaces.n_al + e_a, b * spaces.n_al + e_a] = 1.0
-    p_one = _copy_fixing_matrix(spaces, r_choice)
     collisions = _marker_collisions(spaces)
     for mat in (p_left, p_right, p_two):
         if np.abs(mat @ mat.T - np.eye(dim)).max() > 1e-10:
             raise ArithmeticError("coefficient matrix is not orthogonal")
-    return CoefficientMatrices(
-        variant, float(x), p_left, p_right, p_one, p_two, c_rem, collisions
-    )
-
-
-def _anchored_block(first_row: np.ndarray, anchor: int) -> np.ndarray:
-    """Complete ``first_row`` to a unitary whose row ``anchor`` is that row."""
-    block = unitary_complete(first_row[None, :]).real
-    if anchor:
-        order = list(range(block.shape[0]))
-        order.insert(anchor, order.pop(0))
-        block = block[np.argsort(order)]
-    return block
-
-
-def _copy_fixing_matrix(
-    spaces: EncodingSpaces, r_choice: dict[Partition, int] | None
-) -> np.ndarray:
-    """Swap copy register states 0 <-> chosen copy, conditioned on the irrep
-    register; identity under the default first-copy choice."""
-    anc = spaces.anc_dim
-    out = np.eye(anc)
-    for nu in spaces.parts1:
-        target = (r_choice or {}).get(nu, 1) - 1
-        if target == 0:
-            continue
-        e_nu = spaces.nu_state(nu)
-        a = 0 * spaces.n_nu + e_nu
-        b = target * spaces.n_nu + e_nu
-        out[a, a] = out[b, b] = 0.0
-        out[a, b] = out[b, a] = 1.0
-    return out
+    return CoefficientMatrices(p_left, p_right, p_two, c_rem, collisions)
 
 
 def _marker_collisions(spaces: EncodingSpaces) -> tuple[tuple[int, int], ...]:
@@ -608,11 +559,10 @@ def _sandwich_matrix(
         @ _embedded_perm(spaces, perm_b, n - 1)
         @ reg.conj().T
     )
-    p1 = np.kron(coeff.p_one, np.eye(spaces.n_al * spaces.n_ka))
     pl = np.kron(coeff.p_left, ka_eye)
     pr = np.kron(coeff.p_right, ka_eye)
     p2 = np.kron(coeff.p_two, ka_eye)
-    core = p2 @ pl @ p1 @ middle @ p1 @ pr.conj().T @ p2
+    core = p2 @ pl @ middle @ pr.conj().T @ p2
     # lift (anc, al, ka) -> (anc, acopy, al, ka) and wrap with the copy pair
     anc, na, ka = spaces.anc_dim, spaces.n_al, spaces.n_ka
     core4 = core.reshape(anc, na * ka, anc, na * ka)

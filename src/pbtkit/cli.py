@@ -139,17 +139,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    from .blockenc import encode_kraus, kraus_ledger
+    from .blockenc import encode_kraus, kraus_ledger, weight_range
     from .twisted import build_twisted
 
     _check_dims(args.n, args.d, 3)
     if not 1 <= args.i <= args.n - 1:
         _usage_error(f"--i must be a port in 1..{args.n - 1}, got {args.i}")
-    for flag, value in (("--x", args.x), ("--xp", args.xp)):
-        if value is not None and not 0 < value < float("inf"):
-            _usage_error(f"{flag} must be positive and finite, got {value}")
     x = args.x if args.x is not None else float(np.sqrt(args.d))
     xp = args.xp if args.xp is not None else float(np.sqrt(args.d))
+    for flag, value, variant in (("--x", x, "C"), ("--xp", xp, "Cprime")):
+        low, high = weight_range(args.n, args.d, variant)
+        if not low <= value <= high:
+            _usage_error(
+                f"{flag} must be positive and finite, between {low} (its square covers the "
+                f"weight sums) and {high} (a finite encoding scale), got {value}"
+            )
     tw = build_twisted(args.n, args.d)
     enc = encode_kraus(args.n, args.d, tw, args.i, x, xp, args.mode)
     err = enc.verify()

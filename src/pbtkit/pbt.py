@@ -1,14 +1,17 @@
 """Port-based teleportation with the pretty good measurement.
 
 The entanglement fidelity and the outcome probabilities have closed forms,
-and those are the main path.  Dense brute-force constructions of the POVM,
-the channel and the entanglement fidelity stay as the dense-W engine and as
-the oracle the closed forms and the Kraus operators rebuilt from the
-irrep-block data are checked against.
+and so does every function of a measurement operator: each port block is a
+multiple of a projector, so ``pgm_function`` builds g(Pi_i), the Kraus
+operator sqrt(Pi_i) among them, from the irrep blocks.  These are the main
+path.  Dense brute-force constructions of the POVM, the channel and the
+entanglement fidelity stay as the dense-W engine and as the oracle the closed
+forms are checked against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import sqrt
 
@@ -17,7 +20,7 @@ import numpy as np
 from .partitions import add_box, dim_specht, dim_weyl, enumerate_partitions
 from .schur import guard_dense, partial_transpose_last, permutation_dense
 from .symrep import embed_perm, transposition
-from .twisted import TwistedSchur, maximally_entangled, mf_sqrt_pi
+from .twisted import TwistedSchur, maximally_entangled, mf_pi, mf_sqrt_pi, pseudo_scale
 
 PINV_TOL = 1e-10
 
@@ -130,22 +133,33 @@ def pgm_tilde_dense(n: int, d: int) -> list[np.ndarray]:
     return [rinv @ rho_i_dense(n, d, i) @ rinv for i in range(1, n)]
 
 
-def kraus_from_twisted(n: int, d: int, tw: TwistedSchur, i: int) -> np.ndarray:
-    """Kraus operator sqrt(Pi_i) assembled from the irrep blocks.
+def pgm_function(
+    n: int, d: int, tw: TwistedSchur, i: int, g: Callable[[float], float]
+) -> np.ndarray:
+    """g(Pi_i) from the irrep blocks, as one product of the stacked blocks.
 
-    The support part is the blockwise square root conjugated back through the
-    twisted transform; the complement contributes the orthogonal projector
-    scaled by 1/sqrt(n-1).
+    Pi_i is f M f^+ on block alpha, with M @ M = s_alpha M, and 1/(n-1) off
+    the support, so g(Pi_i) = g(1/(n-1)) I
+    + sum_blocks f [(g(s) - g(0))/s M + (g(0) - g(1/(n-1))) I] f^+.
     """
     if (tw.n, tw.d) != (n, d):
         raise ValueError("twisted transform built for different (n, d)")
-    dim = d**n
-    out = np.zeros((dim, dim), dtype=complex)
-    for blk in tw.blocks:
-        m = mf_sqrt_pi(n, d, blk.alpha, i)
-        out += blk.f @ m @ blk.f.conj().T
-    out += (np.eye(dim) - tw.hm_projector) / np.sqrt(n - 1)
+    off, zero = g(1.0 / (n - 1)), g(0.0)
+    inner = {}
+    for alpha in enumerate_partitions(n - 2, d):
+        s = pseudo_scale(n, d, alpha)
+        m = mf_pi(n, d, alpha, i)
+        inner[alpha] = (g(s) - zero) / s * m + (zero - off) * np.eye(len(m))
+    f = np.concatenate([b.f for b in tw.blocks], axis=1)
+    fg = np.concatenate([b.f @ inner[b.alpha] for b in tw.blocks], axis=1)
+    out = fg @ f.conj().T
+    out[np.diag_indices_from(out)] += off
     return out
+
+
+def kraus_from_twisted(n: int, d: int, tw: TwistedSchur, i: int) -> np.ndarray:
+    """Kraus operator sqrt(Pi_i) assembled from the irrep blocks."""
+    return pgm_function(n, d, tw, i, np.sqrt)
 
 
 def sqrt_tilde_norm(n: int, d: int, i: int) -> float:

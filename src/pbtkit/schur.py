@@ -307,14 +307,8 @@ def submatrix_U_nu_alpha(
     return np.array(t.matrix[rows])
 
 
-def submatrix_U_alpha(
-    t: SchurTransform, alpha: Partition, r_choice: dict[Partition, int] | None = None
-) -> np.ndarray:
+def submatrix_U_alpha(t: SchurTransform, alpha: Partition) -> np.ndarray:
     """Stack, over every ``nu = alpha + box`` of legal height and every
-    removal ``xi`` of ``nu``, the rows of the chosen copy of ``nu``; row order
+    removal ``xi`` of ``nu``, the rows of the first copy of ``nu``; row order
     is (nu, xi, tableau-within-xi) lexicographic in the fixed enumerations."""
-    blocks = []
-    for nu in add_box(alpha, t.d).children:
-        r_nu = 1 if r_choice is None else r_choice.get(nu, 1)
-        blocks.append(t.block_rows(nu, r_nu))
-    return np.concatenate(blocks, axis=0)
+    return np.concatenate([t.block_rows(nu, 1) for nu in add_box(alpha, t.d).children], axis=0)

@@ -25,9 +25,9 @@ from .blockenc import (
     encode_kraus,
     encoding_spaces,
     naimark_Uc,
-    unitary_dilation,
 )
-from .pbt import Povm, _port_resource_state, pgm_dense, pgm_probabilities
+from .pbt import Povm, _port_resource_state, kraus_from_twisted, pgm_dense
+from .pbt import pgm_function, pgm_probabilities
 from .schur import guard_dense, permutation_dense
 from .symrep import embed_perm, transposition
 from .registers import Gate, Layout, Op, Register
@@ -184,29 +184,34 @@ def _entangled_branch(n: int, d: int, i: int, op: np.ndarray) -> np.ndarray:
 def compressed_encodings(
     n: int, d: int, tw: TwistedSchur, mode: str = "tight"
 ) -> list[BlockEncoding]:
-    """Exact one-qubit dilations of the Kraus operators at scale sqrt(d);
-    useful for short amplification schedules."""
+    """Exact one-qubit dilations [[B, C], [C, -B]] of the Kraus operators at
+    scale sqrt(d), for short amplification schedules: B = sqrt(Pi_i / d) and
+    C = sqrt(I - Pi_i / d) from the irrep blocks, B = 0 and C = I on pad
+    states.  B and C are commuting Hermitian functions of Pi_i, so the gate
+    is unitary when B^2 + C^2 = I and BC = CB."""
     spaces = encoding_spaces(n, d, mode)
-    from .pbt import kraus_from_twisted
-
     encs = []
-    sys_regs = spaces.system_registers()
+    layout = Layout([Register("danc", 2), Register("kl", spaces.n_k)] + spaces.system_registers())
     mask = spaces.system_mask()
+    phys = np.ix_(mask, mask)
     total = spaces.system_dim
     for i in range(1, n):
         k = kraus_from_twisted(n, d, tw, i)
-        padded = np.zeros((total, total), dtype=complex)
-        keep = np.flatnonzero(mask)
-        padded[np.ix_(keep, keep)] = k
-        dil = unitary_dilation(padded, float(np.sqrt(d)))
-        layout = Layout([Register("danc", 2), Register("kl", spaces.n_k)] + sys_regs)
-        unit = Gate(("danc",) + SYSTEM, dil)
+        b = k / np.sqrt(d)
+        c = pgm_function(n, d, tw, i, lambda x: np.sqrt(1.0 - x / d))
+        err = max(np.abs(b @ b + c @ c - np.eye(d**n)).max(), np.abs(b @ c - c @ b).max())
+        if err > 1e-10:
+            raise ArithmeticError(f"dilation not unitary, residual {err:.2e}")
+        top = np.zeros((total, total), dtype=complex)
+        side = np.eye(total, dtype=complex)
+        top[phys] = b
+        side[phys] = c
         encs.append(
             BlockEncoding(
                 layout=layout,
                 ancillas=("danc", "kl"),
                 systems=SYSTEM,
-                unitary=unit,
+                unitary=Gate(("danc",) + SYSTEM, np.block([[top, side], [side, -top]])),
                 scale=float(np.sqrt(d)),
                 target=k,
                 valid_mask=mask,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -290,16 +290,22 @@ def _weighted_blocks(
     return out
 
 
+def pseudo_scale(n: int, d: int, alpha: Partition) -> float:
+    """s_alpha = 1 - d_theta / ((n-1) d_alpha), the nonzero eigenvalue of every
+    port block of alpha: ``mf_pi`` satisfies M @ M = s_alpha M."""
+    return 1.0 - add_box(alpha, d).theta_dim() / ((n - 1) * dim_specht(alpha))
+
+
 def mf_pi(n: int, d: int, alpha: Partition, i: int, check: bool = True) -> np.ndarray:
     """Matrix of the normalized measurement operator for port ``i`` in the f
     basis of block alpha: a (pseudo)projector with eigenvalues in
-    {0, 1 - d_theta / ((n-1) d_alpha)}."""
+    {0, pseudo_scale(n, d, alpha)}."""
     box = _validate_block_args(n, d, alpha)
     if not 1 <= i <= n - 1:
         raise ValueError(f"port index i = {i} out of range")
     out = _weighted_blocks(n, d, alpha, i, dict.fromkeys(box.children, 1.0))
     if check:
-        scale = 1.0 - box.theta_dim() / ((n - 1) * dim_specht(alpha))
+        scale = pseudo_scale(n, d, alpha)
         if np.abs(out @ out - scale * out).max() > PSEUDO_TOL:
             raise ArithmeticError(
                 f"pseudoprojector identity violated at n={n}, d={d}, "
@@ -310,9 +316,7 @@ def mf_pi(n: int, d: int, alpha: Partition, i: int, check: bool = True) -> np.nd
 
 def mf_sqrt_pi(n: int, d: int, alpha: Partition, i: int) -> np.ndarray:
     """Square root of the port-i block matrix, by eigenvalue scaling."""
-    box = add_box(alpha, d)
-    scale = 1.0 - box.theta_dim() / ((n - 1) * dim_specht(alpha))
-    return mf_pi(n, d, alpha, i) / np.sqrt(scale)
+    return mf_pi(n, d, alpha, i) / np.sqrt(pseudo_scale(n, d, alpha))
 
 
 def mf_rho(n: int, d: int, alpha: Partition) -> np.ndarray:
@@ -373,23 +377,22 @@ def _two_cycle_port(sigma: Perm, n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class TwistedSchur:
-    """All irrep blocks of the ideal for given (n, d), plus the projector onto
-    its support subspace."""
+    """All irrep blocks of the ideal for given (n, d)."""
 
     n: int
     d: int
     blocks: tuple[IrrepBlock, ...]
-    hm_projector: np.ndarray
     gauge_seed: int
-
-    def block(self, alpha: Partition, r: int) -> IrrepBlock:
-        for b in self.blocks:
-            if b.alpha == alpha and b.r == r:
-                return b
-        raise KeyError(f"no block ({alpha}, {r})")
 
     def hm_dimension(self) -> int:
         return sum(b.dim for b in self.blocks)
+
+    @cached_property
+    def hm_projector(self) -> np.ndarray:
+        """Projector onto the support subspace, formed from the stacked f
+        bases on first read."""
+        f = np.concatenate([b.f for b in self.blocks], axis=1)
+        return f @ f.conj().T
 
     def hs_basis(self) -> np.ndarray:
         """Orthonormal columns spanning the complement of the support subspace,
@@ -401,15 +404,12 @@ class TwistedSchur:
 
 @lru_cache(maxsize=None)
 def build_twisted(n: int, d: int, gauge_seed: int = 0, validate: bool = True) -> TwistedSchur:
-    """Build every (alpha, r) block and the support projector."""
-    guard_dense(n, d, 3)  # the projector, one block's outer product, the blocks
+    """Build every (alpha, r) block."""
+    guard_dense(n, d, 3)  # the blocks, their stacked f and what is formed from it
     blocks = []
-    proj = np.zeros((d**n, d**n), dtype=complex)
     for alpha in enumerate_partitions(n - 2, d):
         for r in range(1, dim_weyl(alpha, d) + 1):
             if validate:
                 twisted_schur_block(n, d, alpha, r, gauge_seed, validate=True)
-            blk = f_basis(n, d, alpha, r, gauge_seed)
-            blocks.append(blk)
-            proj += blk.f @ blk.f.conj().T
-    return TwistedSchur(n, d, tuple(blocks), proj, gauge_seed)
+            blocks.append(f_basis(n, d, alpha, r, gauge_seed))
+    return TwistedSchur(n, d, tuple(blocks), gauge_seed)

@@ -14,6 +14,7 @@ from .twisted import (
     gram_spectrum,
     lambda_eigenvalue,
     mf_pi,
+    pseudo_scale,
     psi_vectors,
 )
 
@@ -99,7 +100,7 @@ def _suite_pseudo(ns, ds, seed):
     for n in ns:
         for d in ds:
             for alpha in enumerate_partitions(n - 2, d):
-                scale = 1.0 - add_box(alpha, d).theta_dim() / ((n - 1) * dim_specht(alpha))
+                scale = pseudo_scale(n, d, alpha)
                 for i in range(1, n):
                     m = mf_pi(n, d, alpha, i, check=False)
                     worst = max(worst, float(np.abs(m @ m - scale * m).max()))
@@ -107,18 +108,18 @@ def _suite_pseudo(ns, ds, seed):
 
 
 def _suite_kraus(ns, ds, seed):
-    from .pbt import kraus_from_twisted, pgm_dense, principal_sqrt
+    from .pbt import kraus_from_twisted, pgm_dense, pgm_function, principal_sqrt
 
     worst = 0.0
     for n in ns:
         for d in ds:
             tw = build_twisted(n, d)
             povm = pgm_dense(n, d)
-            for i in range(1, n):
-                kt = kraus_from_twisted(n, d, tw, i)
-                kd = principal_sqrt(povm.operators[i - 1])
-                worst = max(worst, float(np.abs(kt - kd).max()))
-    return worst <= 1e-8, worst, "twisted vs dense Kraus"
+            for i, op in enumerate(povm.operators, start=1):
+                kraus = kraus_from_twisted(n, d, tw, i) - principal_sqrt(op)
+                pi = pgm_function(n, d, tw, i, lambda x: x) - op
+                worst = max(worst, float(np.abs(kraus).max()), float(np.abs(pi).max()))
+    return worst <= 1e-8, worst, "twisted vs dense Kraus and Pi_i"
 
 
 def _suite_fidelity(ns, ds, seed):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from pbtkit.amplify import amplified_V, end_to_end, plan
-from pbtkit.blockenc import unitary_dilation
+from pbtkit.blockenc import unitary_complete
+from pbtkit.pbt import principal_sqrt
 from pbtkit.registers import Composite, Gate, Layout, Register, to_matrix
 
 RNG = np.random.default_rng(17)
@@ -11,6 +12,14 @@ RNG = np.random.default_rng(17)
 def random_unitary(d):
     z = RNG.standard_normal((d, d)) + 1j * RNG.standard_normal((d, d))
     return np.linalg.qr(z)[0]
+
+
+def unitary_dilation(target, scale):
+    """One-ancilla-qubit unitary whose top-left block is target / scale: the
+    isometry [B; sqrt(I - B^+ B)] completed to a unitary."""
+    b = np.asarray(target, dtype=complex) / scale
+    cols = np.vstack([b, principal_sqrt(np.eye(len(b)) - b.conj().T @ b)])
+    return unitary_complete(cols.conj().T).conj().T
 
 
 def one_qubit_setup(target, scale):

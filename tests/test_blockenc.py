@@ -18,7 +18,6 @@ from pbtkit.blockenc import (
     naimark_W,
     product,
     unitary_complete,
-    unitary_dilation,
 )
 from pbtkit.registers import to_matrix
 from pbtkit.twisted import build_twisted, lambda_eigenvalue, port_cycle
@@ -42,16 +41,6 @@ def test_unitary_complete_examples():
 def test_unitary_complete_rejects_nonorthonormal():
     with pytest.raises(ValueError):
         unitary_complete(np.array([[1.0, 1.0]]))
-
-
-def test_unitary_dilation():
-    for d in (2, 4):
-        z = RNG.standard_normal((d, d)) + 1j * RNG.standard_normal((d, d))
-        z /= 2 * np.linalg.norm(z, 2)
-        u = unitary_dilation(z, 1.0)
-        assert np.abs(u[:d, :d] - z).max() < 1e-12
-    with pytest.raises(ValueError):
-        unitary_dilation(np.eye(2), 0.5)
 
 
 def test_coefficient_example_value():

@@ -10,6 +10,7 @@ from pbtkit.pbt import (
     kraus_from_twisted,
     pgm_dense,
     pgm_fidelity,
+    pgm_function,
     pgm_probabilities,
     pgm_tilde_dense,
     principal_sqrt,
@@ -92,6 +93,25 @@ def test_kraus_twisted_equals_dense(n, d):
         kd = principal_sqrt(povm.operators[i - 1])
         assert np.abs(kt - kd).max() < 1e-8
         assert np.abs(kt @ kt - povm.operators[i - 1]).max() < 1e-8
+
+
+@pytest.mark.parametrize(
+    "n,d", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (2, 3), (3, 3), (4, 3)]
+)
+def test_pgm_function_identity_map_is_dense_pi(n, d):
+    tw = build_twisted(n, d)
+    povm = pgm_dense(n, d)
+    for i in range(1, n):
+        pi = pgm_function(n, d, tw, i, lambda x: x)
+        assert np.abs(pi - povm.operators[i - 1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (4, 2), (3, 3)])
+def test_pgm_function_of_constant_one_is_identity(n, d):
+    tw = build_twisted(n, d)
+    for i in range(1, n):
+        one = pgm_function(n, d, tw, i, lambda x: 1.0)
+        assert np.abs(one - np.eye(d**n)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3)])

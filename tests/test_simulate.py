@@ -3,8 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from pbtkit.pbt import apply_channel_matrix, channel_apply, entanglement_fidelity, pgm_dense
-from pbtkit.simulate import ProtocolRun, run, sample
+from pbtkit.blockenc import encoding_spaces
+from pbtkit.pbt import (
+    apply_channel_matrix,
+    channel_apply,
+    entanglement_fidelity,
+    pgm_dense,
+    principal_sqrt,
+)
+from pbtkit.simulate import ProtocolRun, compressed_encodings, run, sample
+from pbtkit.twisted import build_twisted
 
 RNG = np.random.default_rng(23)
 
@@ -131,3 +139,43 @@ def test_amplification_projectors_pin_ancillas_outcome_and_system():
     assert not physical.all()
     assert np.array_equal(pipe.plan.end_projector, anc_zero)
     assert np.array_equal(pipe.plan.start_projector, anc_zero & (pos["I"] == 0) & physical)
+
+
+@pytest.mark.parametrize(
+    "n,d,mode", [(3, 2, "tight"), (5, 2, "tight"), (4, 3, "tight"), (4, 2, "padded")]
+)
+def test_compressed_gate_matches_dense_dilation(n, d, mode):
+    # [[B, C], [C, -B]] with B = sqrt(Pi_i / d) and C = sqrt(I - Pi_i / d)
+    # from the dense measurement, B = 0 and C = I on the pad states
+    mask = encoding_spaces(n, d, mode).system_mask()
+    total = mask.size
+    povm = pgm_dense(n, d)
+    encs = compressed_encodings(n, d, build_twisted(n, d), mode)
+    for enc, pi in zip(encs, povm.operators):
+        b = np.zeros((total, total), dtype=complex)
+        c = np.eye(total, dtype=complex)
+        b[np.ix_(mask, mask)] = principal_sqrt(pi / d)
+        c[np.ix_(mask, mask)] = principal_sqrt(np.eye(d**n) - pi / d)
+        gate = enc.unitary.matrix
+        assert np.abs(gate - np.block([[b, c], [c, -b]])).max() < 1e-12
+        assert np.abs(gate @ gate.conj().T - np.eye(2 * total)).max() < 1e-12
+
+
+def test_compressed_encodings_run_no_spectral_decomposition(monkeypatch):
+    n, d = 4, 3
+    tw = build_twisted(n, d)
+    encoding_spaces(n, d, "tight")
+    norm = np.linalg.norm
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectral decomposition called")
+
+    def frobenius_only(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            refuse()
+        return norm(x, ord, *args, **kwargs)
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np.linalg, "norm", frobenius_only)
+    assert len(compressed_encodings(n, d, tw)) == n - 1

@@ -227,6 +227,26 @@ def test_cli_verify_fidelity_reports_residual(capsys):
             ["simulate", "--n", "3", "--d", "2", "--shots", "5", "--seed", "-1"],
             "--seed must be nonnegative, got -1",
         ),
+        (
+            ["encode", "--n", "3", "--d", "2", "--i", "1", "--x", "1e200"],
+            "--x must be positive and finite, between",
+        ),
+        (
+            ["encode", "--n", "3", "--d", "2", "--i", "1", "--xp", "1e300"],
+            "--xp must be positive and finite, between",
+        ),
+        (
+            ["encode", "--n", "3", "--d", "2", "--i", "1", "--x", "1e150"],
+            "--x must be positive and finite, between",
+        ),
+        (
+            ["encode", "--n", "3", "--d", "2", "--i", "1", "--x", "1e-200"],
+            "--x must be positive and finite, between",
+        ),
+        (
+            ["encode", "--n", "3", "--d", "2", "--i", "1", "--x", "0.5"],
+            "--x must be positive and finite, between",
+        ),
     ],
 )
 def test_cli_bad_arguments_are_usage_errors(capsys, argv, message):

@@ -170,6 +170,13 @@ def test_blocks_mutually_orthogonal():
             assert np.abs(mats[i] @ mats[j].conj().T).max() < 1e-10
 
 
+@pytest.mark.parametrize("n,d", [(2, 2), (4, 2), (5, 2), (3, 3), (4, 3)])
+def test_hm_projector_is_sum_of_block_projectors(n, d):
+    tw = build_twisted(n, d)
+    total = sum(b.f @ b.f.conj().T for b in tw.blocks)
+    assert np.abs(tw.hm_projector - total).max() < 1e-14
+
+
 def test_hm_projector_rank_and_span():
     for n, d in [(2, 2), (3, 2), (4, 2), (3, 3)]:
         tw = build_twisted(n, d)
