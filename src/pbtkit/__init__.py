@@ -22,7 +22,6 @@ from .schur import (
     build_schur,
     partial_transpose_last,
     permutation_operator,
-    schur_row,
     submatrix_U_alpha,
     submatrix_U_nu_alpha,
 )

@@ -9,20 +9,19 @@ involution identity, so no matrix exponentials are ever formed.
 The sequence only ever moves a start-subspace input through the dilation V,
 its adjoint and two diagonal reflections, so the input never leaves S, the
 support the start projector reaches under the nonzero pattern of V's factors
-and their adjoints (``registers.Support``).  The product splits exactly into
-S (+) S^c and runs on the S block: at honest (3,2), 6,144 of the 147,456
-indices of the registers V touches.
+and their adjoints (``registers.Support``).  The amplified product is built
+and run on S alone, at honest (3,2) 6,144 of the 147,456 indices of the
+registers V touches, and rejects an input with any amplitude off S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import asin, ceil, pi, sin
 
 import numpy as np
 
-from .registers import Composite, Layout, Op, RestrictedProduct, Support
+from .registers import Layout, Op, RestrictedProduct, Support
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,29 +73,6 @@ def plan(
     )
 
 
-class FullDiagonal(Op):
-    """Diagonal over the whole layout: ``inside`` where the flat boolean
-    ``mask`` holds and ``outside`` elsewhere.  The flat values are formed
-    on first use, so a product that never applies it on the whole layout
-    never allocates them."""
-
-    def __init__(self, mask: np.ndarray, inside: complex, outside: complex):
-        self.mask = mask
-        self.inside = inside
-        self.outside = outside
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return np.where(self.mask, self.inside, self.outside)
-
-    def apply(self, arr: np.ndarray, layout: Layout) -> np.ndarray:
-        shape = layout.dims + (1,) * (arr.ndim - len(layout.dims))
-        return arr * self.values.reshape(shape)
-
-    def adjoint(self) -> "FullDiagonal":
-        return FullDiagonal(self.mask, np.conj(self.inside), np.conj(self.outside))
-
-
 def amplified_V(v: Op, plan_: AmplificationPlan, layout: Layout) -> Op:
     """The phase-modulated product boosting the post-selected amplitude.
 
@@ -107,42 +83,32 @@ def amplified_V(v: Op, plan_: AmplificationPlan, layout: Layout) -> Op:
 
     A start-subspace input only ever meets v, v^dagger and the diagonals, so
     it stays in S, the support the start projector reaches under the nonzero
-    pattern of v's factors and their adjoints; every amplitude outside S
-    stays zero at every phase.  The product therefore runs on S alone:
-    ``Support`` folds v's factors and restricts each to one S x S CSR
-    matrix, the v^dagger chain is their conjugate transposes in reverse, and
-    each diagonal is its S rows, all shared across phases.  The returned op
-    is exact on the whole layout: amplitudes on S^c, which protocol runs
-    never have, take the same product of v, its adjoint and the diagonals on
-    the whole layout.
+    pattern of v's factors and their adjoints.  The product runs on S alone:
+    the v chain is ``Support``'s S x S CSR factors, the v^dagger chain their
+    conjugate transposes in reverse, and each diagonal its S rows, all shared
+    across phases.  The returned op takes states supported on S and raises
+    ValueError on any other.
     """
     if plan_.m == 1:
         return v
     if plan_.start_projector is None or plan_.end_projector is None:
         raise ValueError("plan carries no projectors")
-    start = plan_.start_projector.astype(bool)
-    end = plan_.end_projector.astype(bool)
+    start = plan_.start_projector.astype(bool).reshape(layout.dims)
+    end = plan_.end_projector.astype(bool).reshape(layout.dims)
     m = plan_.m
-    vdag = v.adjoint()
-    end_half = _phase_op(end, pi / 2)
-    start_half = _phase_op(start, pi / 2)
-    lead = _phase_op(end, plan_.phases[0], (-1.0) ** ((m - 1) // 2))
-    ops = [v, end_half, vdag, start_half] * ((m - 1) // 2) + [v, lead]
     support = Support(v, layout, start)
-    restricted = {
-        id(v): support.chain,
-        id(vdag): tuple(mat.conj().T.tocsr() for mat in reversed(support.chain)),
-    }
-    for diag in (end_half, start_half, lead):
-        inside = support.rows(diag.mask.reshape(layout.dims), layout)
-        restricted[id(diag)] = np.where(inside, diag.inside, diag.outside)
-    return RestrictedProduct(
-        Composite(tuple(ops)), support, tuple(restricted[id(op)] for op in ops)
-    )
+    v_chain = support.chain
+    vdag_chain = tuple(mat.conj().T.tocsr() for mat in reversed(v_chain))
 
+    def reflection(mask: np.ndarray, phase: float, sign: float = 1.0) -> np.ndarray:
+        inside = support.rows(mask, layout)
+        return np.where(inside, sign * np.exp(1j * phase), sign * np.exp(-1j * phase))
 
-def _phase_op(mask: np.ndarray, phase: float, sign: float = 1.0) -> FullDiagonal:
-    return FullDiagonal(mask, sign * np.exp(1j * phase), sign * np.exp(-1j * phase))
+    end_half = reflection(end, pi / 2)
+    start_half = reflection(start, pi / 2)
+    lead = reflection(end, plan_.phases[0], (-1.0) ** ((m - 1) // 2))
+    steps = [v_chain, end_half, vdag_chain, start_half] * ((m - 1) // 2) + [v_chain, lead]
+    return RestrictedProduct(support, tuple(steps))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ set of flat indices that holds a start mask's support and is closed under
 the nonzero pattern of every factor and of its adjoint.  No entry links S to
 its complement, so every factor splits exactly into an S block and an S^c
 block, and a state that starts in S can be run through the S x S blocks
-alone.
+alone (``RestrictedProduct``, which rejects a state with amplitude off S).
 """
 
 from __future__ import annotations
@@ -366,18 +366,13 @@ class Support:
 
 
 class RestrictedProduct(Op):
-    """A product of register op trees and diagonals, run on the support S
-    its start mask can reach (``Support``).
+    """A product run on the support S of ``Support``: the S rows of a state
+    are gathered, taken through ``steps`` (a chain of S x S CSR factors or
+    an (|S|, rest) diagonal each, ``[0]`` first) and scattered back.  The
+    product is defined on states supported on S; one with a nonzero
+    amplitude off S raises ValueError."""
 
-    Every factor is block-diagonal on S (+) S^c, so the product is too: the
-    S rows are gathered, taken through ``steps`` (a chain of S x S CSR
-    factors or an (|S|, rest) diagonal each, ``[0]`` first) and scattered
-    back.  Amplitudes on S^c, if any is nonzero, go through ``composite``,
-    the same product of op trees on the whole layout, whose S rows the
-    restricted result then replaces."""
-
-    def __init__(self, composite: Composite, support: Support, steps: tuple):
-        self.composite = composite
+    def __init__(self, support: Support, steps: tuple):
         self.support = support
         self.steps = steps
 
@@ -385,17 +380,16 @@ class RestrictedProduct(Op):
         arr = np.ascontiguousarray(arr, dtype=complex)
         x = self.support.rows(arr, layout)
         if np.count_nonzero(arr) > np.count_nonzero(x):
-            outside = arr.copy()
-            layout.block(outside, self.support.names)[0, self.support.index] = 0
-            out = np.ascontiguousarray(self.composite.apply(outside, layout))
-        else:
-            out = np.zeros_like(arr)
+            raise ValueError("state has nonzero amplitudes off the support S")
         for step in self.steps:
             if isinstance(step, np.ndarray):
                 x = (x.reshape(step.shape + (-1,)) * step[..., None]).reshape(x.shape)
             else:
                 for mat in step:
                     x = _product(mat, x)
+        # unlike zeros_like, np.zeros leaves the pages no S row lands on
+        # unwritten, so they take no memory
+        out = np.zeros(arr.shape, dtype=complex)
         layout.block(out, self.support.names)[0, self.support.index] = x
         return out
 

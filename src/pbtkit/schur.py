@@ -127,6 +127,7 @@ class SchurTransform:
         return pos
 
     def row(self, lam: Partition, r: int, path: StandardTableau) -> np.ndarray:
+        """One row of the transform as a bra over the computational basis."""
         return np.array(self.matrix[self.row_position(lam, r, path)])
 
     def block_rows(self, lam: Partition, r: int) -> np.ndarray:
@@ -273,11 +274,6 @@ def build_schur(m: int, d: int, gauge_seed: int = 0) -> SchurTransform:
         raise ArithmeticError(f"Schur transform not unitary, residual {err:.2e}")
     mat.flags.writeable = False
     return SchurTransform(m, d, mat, tuple(index), gauge_seed)
-
-
-def schur_row(t: SchurTransform, lam: Partition, r: int, path: StandardTableau) -> np.ndarray:
-    """One row of the transform as a bra over the computational basis."""
-    return t.row(lam, r, path)
 
 
 def covariance_residual(t: SchurTransform, sigma: Perm) -> float:

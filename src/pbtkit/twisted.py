@@ -164,17 +164,14 @@ def z_stacked(n: int, d: int, alpha: Partition) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class IrrepBlock:
-    """One (alpha, r) irrep block: spanning vectors, orthonormal f basis,
-    row labels and Gram eigenvalues."""
+    """One (alpha, r) irrep block: orthonormal f basis and its row labels."""
 
     n: int
     d: int
     alpha: Partition
     r: int
-    psi: np.ndarray
     f: np.ndarray
     nu_index: tuple[tuple[Partition, Partition, int], ...]
-    lambdas: dict[Partition, float]
 
     @property
     def dim(self) -> int:
@@ -193,8 +190,20 @@ def f_basis(n: int, d: int, alpha: Partition, r: int = 1, gauge_seed: int = 0) -
     err = np.abs(f.conj().T @ f - np.eye(dim)).max()
     if err > 1e-9:
         raise ArithmeticError(f"f basis not orthonormal, residual {err:.2e}")
-    lams = gram_spectrum(n, d, alpha, check=False)
-    return IrrepBlock(n, d, alpha, r, psi, f, nu_index(n, d, alpha), lams)
+    return IrrepBlock(n, d, alpha, r, f, nu_index(n, d, alpha))
+
+
+def _checked_f_basis(n: int, d: int, alpha: Partition, r: int, gauge_seed: int) -> IrrepBlock:
+    """``f_basis``, whose adjoint must agree with the factored form to
+    FACTORED_TOL."""
+    block = f_basis(n, d, alpha, r, gauge_seed)
+    err = np.abs(block.f.conj().T - _factored_block(n, d, alpha, r, gauge_seed)).max()
+    if err > FACTORED_TOL:
+        raise ArithmeticError(
+            f"factored/direct twisted transform mismatch {err:.2e} at "
+            f"n={n}, d={d}, alpha={alpha}, r={r}"
+        )
+    return block
 
 
 def _phi_map(n: int, d: int, alpha: Partition, r: int, gauge_seed: int = 0) -> np.ndarray:
@@ -207,26 +216,16 @@ def _phi_map(n: int, d: int, alpha: Partition, r: int, gauge_seed: int = 0) -> n
 
 
 def twisted_schur_block(
-    n: int, d: int, alpha: Partition, r: int = 1, gauge_seed: int = 0, validate: bool = True
+    n: int, d: int, alpha: Partition, r: int = 1, gauge_seed: int = 0
 ) -> np.ndarray:
     """The D_alpha x d^n isometry from the computational basis to the
     (nu, xi, j)-labelled f basis of one irrep block.
 
-    With ``validate`` the factored form, a sum over ports of Schur submatrix
-    products sandwiched between the entangling map and port permutations, is
+    The factored form, a sum over ports of Schur submatrix products
+    sandwiched between the entangling map and port permutations, is
     evaluated and must agree with the direct form to FACTORED_TOL.
     """
-    block = f_basis(n, d, alpha, r, gauge_seed)
-    direct = block.f.conj().T
-    if validate:
-        factored = _factored_block(n, d, alpha, r, gauge_seed)
-        err = np.abs(direct - factored).max()
-        if err > FACTORED_TOL:
-            raise ArithmeticError(
-                f"factored/direct twisted transform mismatch {err:.2e} at "
-                f"n={n}, d={d}, alpha={alpha}, r={r}"
-            )
-    return direct
+    return _checked_f_basis(n, d, alpha, r, gauge_seed).f.conj().T
 
 
 def _factored_block(n: int, d: int, alpha: Partition, r: int, gauge_seed: int = 0) -> np.ndarray:
@@ -403,13 +402,12 @@ class TwistedSchur:
 
 
 @lru_cache(maxsize=None)
-def build_twisted(n: int, d: int, gauge_seed: int = 0, validate: bool = True) -> TwistedSchur:
-    """Build every (alpha, r) block."""
+def build_twisted(n: int, d: int, gauge_seed: int = 0) -> TwistedSchur:
+    """Build every (alpha, r) block, each checked against its factored form."""
     guard_dense(n, d, 3)  # the blocks, their stacked f and what is formed from it
-    blocks = []
-    for alpha in enumerate_partitions(n - 2, d):
-        for r in range(1, dim_weyl(alpha, d) + 1):
-            if validate:
-                twisted_schur_block(n, d, alpha, r, gauge_seed, validate=True)
-            blocks.append(f_basis(n, d, alpha, r, gauge_seed))
-    return TwistedSchur(n, d, tuple(blocks), gauge_seed)
+    blocks = tuple(
+        _checked_f_basis(n, d, alpha, r, gauge_seed)
+        for alpha in enumerate_partitions(n - 2, d)
+        for r in range(1, dim_weyl(alpha, d) + 1)
+    )
+    return TwistedSchur(n, d, blocks, gauge_seed)

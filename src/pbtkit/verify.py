@@ -142,15 +142,11 @@ def _suite_norm(ns, ds, seed):
     from .pbt import sqrt_tilde_norm
 
     worst = 0.0
-    ok = True
     for n in ns:
         for d in ds:
             for i in range(1, n):
-                nrm = sqrt_tilde_norm(n, d, i)
-                worst = max(worst, nrm)
-                if nrm > np.sqrt(d) + 1e-10:
-                    ok = False
-    return ok, worst, "||sqrt support part|| <= sqrt(d)"
+                worst = max(worst, sqrt_tilde_norm(n, d, i) - np.sqrt(d))
+    return worst <= 1e-10, worst, "max(||sqrt support part|| - sqrt(d), 0)"
 
 
 def _suite_encode(ns, ds, seed):

@@ -122,10 +122,15 @@ def test_phase_gadget_identity():
 def test_amplified_unitarity_compressed():
     from pbtkit.simulate import build_pipeline
 
+    # the product is defined on S, which spans the whole bare layout here:
+    # its S columns are orthonormal and stay in S
     pipe = build_pipeline(3, 2, "compressed", with_bob=False, with_ref=False)
-    mat = to_matrix(pipe.v_amp, pipe.layout)
-    dim = pipe.layout.size
-    assert np.abs(mat @ mat.conj().T - np.eye(dim)).max() < 1e-8
+    layout, support = pipe.layout, pipe.v_amp.support
+    assert support.names == layout.names
+    basis = np.eye(layout.size)[:, support.index].reshape(layout.dims + (support.index.size,))
+    mat = pipe.v_amp.apply(basis, layout).reshape(layout.size, -1)
+    assert np.abs(mat.conj().T @ mat - np.eye(support.index.size)).max() < 1e-8
+    assert not np.delete(mat, support.index, axis=0).any()
 
 
 def test_end_to_end_compressed():

@@ -4,14 +4,14 @@ the op tree they are read from."""
 import subprocess
 import sys
 from functools import cache
-from math import prod
+from math import pi, prod
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pbtkit
-from pbtkit.amplify import FullDiagonal, amplified_V, plan
+from pbtkit.amplify import amplified_V, plan
 from pbtkit.registers import (
     Branched,
     Composite,
@@ -50,29 +50,64 @@ def pipe(request):
     return bare_pipeline(*request.param)
 
 
+class Diagonal(Op):
+    """Diagonal over the whole layout, from its flat values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def apply(self, arr, layout):
+        return arr * self.values.reshape(layout.dims + (1,) * (arr.ndim - len(layout.dims)))
+
+
+def tree_product(v, plan_):
+    """Oracle: the amplified product on the whole layout, ``[0]`` acting
+    first: v and its adjoint as op trees, the reflections as diagonals."""
+    start, end = (mask.astype(bool) for mask in (plan_.start_projector, plan_.end_projector))
+
+    def reflection(mask, phase, sign=1.0):
+        return Diagonal(np.where(mask, sign * np.exp(1j * phase), sign * np.exp(-1j * phase)))
+
+    m = plan_.m
+    lead = reflection(end, plan_.phases[0], (-1.0) ** ((m - 1) // 2))
+    body = [v, reflection(end, pi / 2), v.adjoint(), reflection(start, pi / 2)]
+    return Composite(tuple(body * ((m - 1) // 2) + [v, lead]))
+
+
 def test_compiled_amplified_product_matches_tree(pipe):
-    # generic columns, each with amplitudes both on S and off it: the
-    # restricted chain and the op trees share the work on every column
+    # generic columns spread over all of S, not only the start subspace
     layout = pipe.layout
-    batch = random_batch(layout, 2)
-    diff = pipe.v_amp.composite.apply(batch, layout) - pipe.v_amp.apply(batch, layout)
+    batch = on_support(pipe, random_batch(layout, 2), inside=True)
+    tree = tree_product(pipe.naimark.v_op, pipe.plan)
+    diff = tree.apply(batch, layout) - pipe.v_amp.apply(batch, layout)
     assert np.abs(diff).max() <= 1000 * EPS * layout.size
 
 
 def test_amplified_product_shares_v_and_diagonals(pipe):
-    ops = pipe.v_amp.composite.ops
-    assert ops[0] is pipe.naimark.v_op
-    assert len(ops) == 2 * pipe.plan.m
-    diagonals = {id(op.values) for op in ops if isinstance(op, FullDiagonal)}
-    assert len(diagonals) <= 3
-    assert len({id(op) for op in ops if not isinstance(op, FullDiagonal)}) == 2
-    # the restricted product: one V chain, one V† chain, three diagonals
+    # one V chain, one V† chain, three diagonals, shared across phases
     steps = pipe.v_amp.steps
-    assert len(steps) == len(ops)
-    for op, step in zip(ops, steps):
-        assert isinstance(op, FullDiagonal) == isinstance(step, np.ndarray)
-    assert len({id(step) for step in steps if isinstance(step, np.ndarray)}) <= 3
-    assert len({id(step) for step in steps if not isinstance(step, np.ndarray)}) == 2
+    assert len(steps) == 2 * pipe.plan.m
+    chains, diagonals = steps[0::2], steps[1::2]
+    assert all(isinstance(step, np.ndarray) for step in diagonals)
+    assert len({id(step) for step in diagonals}) <= 3
+    v_chain, vdag_chain = chains[:2]
+    assert v_chain is pipe.v_amp.support.chain
+    assert {id(step) for step in chains} == {id(v_chain), id(vdag_chain)}
+    for mat, adj in zip(reversed(v_chain), vdag_chain):
+        assert (mat.conj().T != adj).nnz == 0
+
+
+def test_build_pipeline_copies_no_gate(monkeypatch):
+    calls = []
+    adjoint = Gate.adjoint
+
+    def counted(self):
+        calls.append(self.names)
+        return adjoint(self)
+
+    monkeypatch.setattr(Gate, "adjoint", counted)
+    build_pipeline(6, 2, "compressed")
+    assert calls == []
 
 
 SUPPORT_SIZES = {
@@ -116,41 +151,14 @@ def on_support(pipe, batch, inside):
     return batch
 
 
-@pytest.fixture(scope="module")
-def split_batch(pipe):
-    """A batch with its first column on S and its second on S^c, and the
-    amplified product of op trees applied to it."""
-    first = on_support(pipe, random_batch(pipe.layout, 1), inside=True)
-    second = on_support(pipe, random_batch(pipe.layout, 1), inside=False)
-    batch = np.concatenate([first, second], axis=-1)
-    return batch, pipe.v_amp.composite.apply(batch, pipe.layout)
-
-
-def test_restricted_product_on_support_skips_the_composite(pipe, split_batch, monkeypatch):
-    calls = []
-
-    class Counted(Op):
-        def __init__(self, op):
-            self.op = op
-
-        def apply(self, arr, layout):
-            calls.append(arr.shape)
-            return self.op.apply(arr, layout)
-
-    monkeypatch.setattr(pipe.v_amp, "composite", Counted(pipe.v_amp.composite))
-    batch, expected = split_batch
-    got = pipe.v_amp.apply(batch[..., :1], pipe.layout)
-    assert calls == []
-    assert np.abs(got - expected[..., :1]).max() <= 1000 * EPS * pipe.layout.size
-
-
-def test_restricted_product_keeps_the_complement_off_support(pipe, split_batch):
-    # both columns at once: the S column through the restricted chain, the
-    # S^c column through the op trees
-    batch, expected = split_batch
-    got = pipe.v_amp.apply(batch, pipe.layout)
-    assert np.abs(got - expected).max() <= 1000 * EPS * pipe.layout.size
-    assert not pipe.v_amp.support.rows(got[..., 1:], pipe.layout).any()
+def test_restricted_product_rejects_input_off_support(pipe):
+    batch = on_support(pipe, random_batch(pipe.layout, 1), inside=True)
+    off = on_support(pipe, random_batch(pipe.layout, 1), inside=False)
+    # one amplitude off S, however small, is rejected
+    flat = np.flatnonzero(off)[0]
+    batch.reshape(-1)[flat] = 1e-300
+    with pytest.raises(ValueError, match="off the support"):
+        pipe.v_amp.apply(batch, pipe.layout)
 
 
 def test_single_gate_bodies_left_untouched():
@@ -240,15 +248,17 @@ def test_restricted_product_matches_dense_on_mixed_tree():
     end[:, :, 0] = True
     plan_ = plan(3.0, 1, start.ravel(), end.ravel())
     amplified = amplified_V(tree, plan_, layout)
-    assert 0 < amplified.support.index.size < prod(amplified.support.dims)
+    support = amplified.support
+    assert 0 < support.index.size < prod(support.dims)
 
-    ops = amplified.composite.ops
-    v = to_matrix(tree, layout)
-    matrices = {id(ops[0]): v, id(ops[2]): v.conj().T}
-    dense = np.eye(layout.size)
-    for op in ops:
-        dense = (np.diag(op.values) if isinstance(op, FullDiagonal) else matrices[id(op)]) @ dense
-    assert np.abs(to_matrix(amplified, layout) - dense).max() <= 1000 * EPS * layout.size
+    # the layout's basis columns on S: the registers after S's ride along
+    inside = np.zeros(prod(support.dims), bool)
+    inside[support.index] = True
+    cols = np.flatnonzero(np.repeat(inside, layout.size // inside.size))
+    basis = np.eye(layout.size)[:, cols].reshape(layout.dims + (cols.size,))
+    got = amplified.apply(basis, layout).reshape(layout.size, cols.size)
+    dense = to_matrix(tree_product(tree, plan_), layout)
+    assert np.abs(got - dense[:, cols]).max() <= 1000 * EPS * layout.size
 
 
 def test_import_leaves_scipy_out():

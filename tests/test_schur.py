@@ -11,7 +11,6 @@ from pbtkit.schur import (
     partial_transpose_last,
     permutation_dense,
     permutation_operator,
-    schur_row,
     submatrix_U_alpha,
     submatrix_U_nu_alpha,
 )
@@ -153,11 +152,11 @@ def test_unitarity():
 def test_schur_row_lookup():
     t = build_schur(3, 2)
     for lam, r, path in t.index:
-        row = schur_row(t, lam, r, path)
+        row = t.row(lam, r, path)
         assert abs(np.vdot(row, row) - 1.0) < 1e-12
     # distinct labels orthogonal
-    r0 = schur_row(t, *t.index[0][:2], t.index[0][2])
-    r5 = schur_row(t, *t.index[5][:2], t.index[5][2])
+    r0 = t.row(*t.index[0])
+    r5 = t.row(*t.index[5])
     assert abs(np.vdot(r0, r5)) < 1e-12
 
 

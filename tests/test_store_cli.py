@@ -205,6 +205,12 @@ def test_cli_verify_fidelity_reports_residual(capsys):
     assert 0.0 < residual < 1e-12
 
 
+def test_cli_verify_norm_reports_residual(capsys):
+    # the norms stay below sqrt(d); the residual is the excess over it, not the norm
+    assert cli.main(["verify", "--suite", "norm", "--n", "3..6", "--d", "2"]) == 0
+    assert "pass  max residual 0  " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

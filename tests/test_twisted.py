@@ -157,7 +157,7 @@ def test_twisted_block_factored_matches_direct():
     # raises internally on factored/direct mismatch
     for n, d in [(2, 2), (3, 2), (4, 2), (3, 3)]:
         for alpha in enumerate_partitions(n - 2, d):
-            u = twisted_schur_block(n, d, alpha, validate=True)
+            u = twisted_schur_block(n, d, alpha)
             dim = block_dimension(alpha, d)
             assert np.abs(u @ u.conj().T - np.eye(dim)).max() < 1e-10
 
