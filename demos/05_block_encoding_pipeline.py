@@ -12,6 +12,7 @@ import numpy as np
 
 from pbtkit import build_twisted, encode_kraus, kraus_ledger
 from pbtkit.amplify import end_to_end
+from pbtkit.blockenc import amplification_weights
 
 n, d = 3, 2
 x = xp = float(np.sqrt(2))
@@ -33,7 +34,8 @@ print(f"  protocol-state trace distance {res.discrepancy:.3e}")
 print(f"  outcome probability error {res.probability_error:.3e}")
 print(f"  ancilla purity {res.ancilla_purity:.10f}")
 
-print("\nhonest amplification run (full encoding scale, 99 phases; about 2 s on a 2-core Xeon):")
+x_amp, xp_amp = amplification_weights(n, d)
+print(f"\nhonest amplification run (weights x = {x_amp:.6f}, x' = {xp_amp:.6f}):")
 res = end_to_end(n, d, "honest")
 print(f"  m = {res.m}, epsilon = {res.epsilon:.3e}")
 print(f"  amplified residual {res.amplified_residual:.3e} <= 2 m epsilon = {res.amplified_bound:.3e}")

@@ -1,9 +1,12 @@
 """Oblivious amplitude amplification of the measurement dilation.
 
 The dilation followed by ancilla post-selection implements the target
-isometry only with amplitude 1/(scale * sqrt(n-1)).  Inflating the declared
-scale until that amplitude equals sin(pi/2m) for an odd m, the alternating
-phase sequence boosts it to one; reflections are evaluated through the
+isometry only with amplitude 1/(scale * sqrt(n-1)).  When that amplitude
+equals sin(pi/2m) for an odd m, the alternating phase sequence boosts it to
+one exactly; the honest encoding's default weights
+(``blockenc.amplification_weights``) are chosen to meet that equality, and
+any other scale leaves the sequence off its target by the slack the
+pipeline's epsilon records.  Reflections are evaluated through the
 involution identity, so no matrix exponentials are ever formed.
 
 The sequence only ever moves a start-subspace input through the dilation V,
@@ -50,8 +53,10 @@ def plan(
     start_projector: np.ndarray | None = None,
     end_projector: np.ndarray | None = None,
 ) -> AmplificationPlan:
-    """Choose the smallest odd m with sin(pi/2m) <= 1/scale_total and inflate
-    the scale so the amplitude condition is met with equality."""
+    """Choose the smallest odd m with sin(pi/2m) <= 1/scale_total.
+
+    ``inflated_scale`` is the per-port scale at which the amplitude is exactly
+    sin(pi/2m); it only records that number, the encoding is not rescaled."""
     if scale_total < 1.0 - 1e-12:
         raise ValueError("total scale must be at least 1")
     scale_total = max(scale_total, 1.0)
@@ -145,7 +150,7 @@ def end_to_end(
     cleanliness; the outcome probabilities against their exact 1/(n-1)."""
     from .blockenc import SYSTEM
     from .pbt import kraus_from_twisted, pgm_probabilities
-    from .simulate import build_pipeline, initial_state, outcome_probabilities
+    from .simulate import _post_select, build_pipeline, initial_state, outcome_probabilities
     from .twisted import build_twisted, maximally_entangled
 
     tw = build_twisted(n, d)
@@ -170,16 +175,15 @@ def end_to_end(
     # so sqrt(d^n) times the (B..., R) axes of an output are the outputs on
     # the system basis columns: the operator residuals come from the same runs
     receivers = layout.names[layout.axis(SYSTEM[-1]) + 1 :]
-    end = pipe.plan.end_projector.reshape(layout.dims).astype(float)
 
     def columns(state: np.ndarray) -> np.ndarray:
         return layout.block(state, receivers)[:, :, 0] * np.sqrt(d**n)
 
     w_cols = columns(w_out)
     sub = w_cols / (pipe.naimark.scale * np.sqrt(pipe.plan.ports))
-    v_cols = columns(pipe.naimark.v_op.apply(psi0, layout) * end)
+    v_cols = columns(_post_select(pipe, pipe.naimark.v_op.apply(psi0, layout)))
     w_res = float(np.linalg.svd(sub - v_cols, compute_uv=False)[0])
-    amp_res = float(np.linalg.svd(w_cols - columns(v_out * end), compute_uv=False)[0])
+    amp_res = float(np.linalg.svd(w_cols - columns(_post_select(pipe, v_out)), compute_uv=False)[0])
 
     discrepancy = _reduced_trace_distance(pipe, w_out, v_out)
 

@@ -25,6 +25,7 @@ from math import prod
 
 import numpy as np
 
+from .amplify import plan
 from .partitions import Partition, add_box, dim_specht, dim_weyl, enumerate_partitions
 from .registers import (
     Branched,
@@ -135,6 +136,31 @@ def weight_range(n: int, d: int, variant: str) -> tuple[float, float]:
     power, weight = ((4, (n - 1) ** 2.5), (2, (n - 1) ** 2))[pick]
     high = (np.finfo(float).max / (4 * d * weight)) ** (1 / power)
     return float(np.sqrt(max(sums))), float(high)
+
+
+def kraus_scale(n: int, d: int, x: float, xp: float) -> float:
+    """The subnormalization of the Kraus encoding at weights (x, x')."""
+    return float((n - 1) ** 2 * d * x**4 + (n - 1) ** 1.5 * d * xp**2 + (n - 1) ** -0.5)
+
+
+def amplification_weights(n: int, d: int) -> tuple[float, float]:
+    """The default weights (x, x') of ``encode_kraus``.
+
+    x' sits at the low end of its range.  The scale at both low ends fixes
+    the smallest odd m the amplification can use; x is then raised from its
+    low end just far enough that the post-selected amplitude
+    1/(scale sqrt(n-1)) equals sin(pi/2m), so the m-phase sequence lands
+    exactly on the target instead of overshooting it."""
+    x_low, x_high = weight_range(n, d, "C")
+    xp = weight_range(n, d, "Cprime")[0]
+    ports = n - 1
+    target = plan(kraus_scale(n, d, x_low, xp) * np.sqrt(ports), ports=ports).inflated_scale
+    x = ((target - kraus_scale(n, d, 0.0, xp)) / (ports**2 * d)) ** 0.25
+    if not x_low <= x <= x_high:
+        raise ArithmeticError(
+            f"amplification weight x = {x} leaves its range [{x_low}, {x_high}] at n={n}, d={d}"
+        )
+    return float(x), xp
 
 
 # ---------------------------------------------------------------------------
@@ -825,13 +851,15 @@ def encode_kraus(
 
     The three summand families (support part, complement superposition part,
     identity) are weighted by the 4-state mixers and the port-superposition
-    registers; the scale is
-    (n-1)^2 d x^4 + (n-1)^(3/2) d x'^2 + (n-1)^(-1/2).
+    registers; the scale is ``kraus_scale``,
+    (n-1)^2 d x^4 + (n-1)^(3/2) d x'^2 + (n-1)^(-1/2).  Weights left as None
+    are taken from ``amplification_weights``, the smallest ones whose scale
+    the amplification sequence removes exactly.
     """
-    if x is None:
-        x = float(np.sqrt(d))
-    if xp is None:
-        xp = float(np.sqrt(d))
+    if x is None or xp is None:
+        x_amp, xp_amp = amplification_weights(n, d)
+        x = x_amp if x is None else x
+        xp = xp_amp if xp is None else xp
     spaces = encoding_spaces(n, d, mode, gauge_seed)
     coeff = build_PL_PR(n, d, x, "C", mode, gauge_seed)
     coeffp = build_PL_PR(n, d, xp, "Cprime", mode, gauge_seed)
@@ -859,7 +887,7 @@ def encode_kraus(
         Gate(("kr",), u_k.astype(complex)),
         Gate(("A4",), u_l.astype(complex)),
     )
-    scale = (n - 1) ** 2 * d * x**4 + (n - 1) ** 1.5 * d * xp**2 + (n - 1) ** -0.5
+    scale = kraus_scale(n, d, x, xp)
     from .pbt import kraus_from_twisted
 
     target = kraus_from_twisted(n, d, tw, i)
@@ -869,7 +897,7 @@ def encode_kraus(
         ancillas=tuple(r.name for r in ancillas),
         systems=SYSTEM,
         unitary=Composite(ops),
-        scale=float(scale),
+        scale=scale,
         target=target,
         valid_mask=mask,
         name=f"sqrtPi({i})",
@@ -910,7 +938,6 @@ def kraus_ledger(
         spaces.a13_dim if spaces.reuse_qudits else spaces.anc_dim**2
     )
     full_anc = prod(r.dim for r in _kraus_ancillas(spaces))
-    alpha = (n - 1) ** 2 * d * x**4 + (n - 1) ** 1.5 * d * xp**2 + (n - 1) ** -0.5
     # name, scale, padded-mode qubits as coefficients on (n_rnu, n_nu, n_al, d,
     # ports) plus a constant, ancilla dimension; the n_al terms account for the
     # diagram-copy registers and vanish whenever a single diagram exists
@@ -920,7 +947,7 @@ def kraus_ledger(
         ("Phi", float(np.sqrt(d)), (0, 0, 0, 0, 0), 1, 2),
         ("O_cen_tilde(i,kl,kr)", x**4, (2, 2, 2, -2, 0), 2, central),
         ("summand(i,kl,kr)", d * x**4, (2, 2, 2, -2, 0), 4, 4 * central),
-        ("sqrtPi(i)", float(alpha), (2, 2, 2, -2, 2), 6, full_anc),
+        ("sqrtPi(i)", kraus_scale(n, d, x, xp), (2, 2, 2, -2, 2), 6, full_anc),
     ]
     logs = spaces.ledger_logs() if mode == "padded" else None
     rows = []

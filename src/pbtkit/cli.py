@@ -139,14 +139,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    from .blockenc import encode_kraus, kraus_ledger, weight_range
+    from .blockenc import amplification_weights, encode_kraus, kraus_ledger, weight_range
     from .twisted import build_twisted
 
     _check_dims(args.n, args.d, 3)
     if not 1 <= args.i <= args.n - 1:
         _usage_error(f"--i must be a port in 1..{args.n - 1}, got {args.i}")
-    x = args.x if args.x is not None else float(np.sqrt(args.d))
-    xp = args.xp if args.xp is not None else float(np.sqrt(args.d))
+    x, xp = amplification_weights(args.n, args.d)
+    x = x if args.x is None else args.x
+    xp = xp if args.xp is None else args.xp
     for flag, value, variant in (("--x", x, "C"), ("--xp", xp, "Cprime")):
         low, high = weight_range(args.n, args.d, variant)
         if not low <= value <= high:

@@ -41,8 +41,10 @@ class ProtocolRun:
     ``input_state``: a d x d density matrix, or "entangled" for the
     maximally-entangled-with-reference figure-of-merit mode.
     ``engine``: "dense-W" or "amplified-V";  the amplified engine accepts a
-    ``variant`` of "honest" (full encoding scale) or "compressed" (direct
-    one-qubit dilations at scale sqrt(d), giving a small phase count).
+    ``variant`` of "honest" (the staged Kraus encodings at the weights of
+    ``blockenc.amplification_weights``, whose scale the phase sequence
+    removes exactly) or "compressed" (direct one-qubit dilations at scale
+    sqrt(d), giving a small phase count).
     """
 
     n: int
@@ -370,7 +372,7 @@ def _run_amplified(spec: ProtocolRun) -> ProtocolReport:
 def _post_select(pipe: Pipeline, out: np.ndarray) -> np.ndarray:
     """The amplified output with the block-encoding ancillas projected onto
     zero, the event the amplification boosts."""
-    return out * pipe.plan.end_projector.reshape(pipe.layout.dims).astype(float)
+    return np.where(pipe.plan.end_projector.reshape(pipe.layout.dims), out, 0)
 
 
 def outcome_probabilities(pipe: Pipeline, out: np.ndarray) -> np.ndarray:

@@ -8,10 +8,8 @@ import numpy as np
 from .partitions import add_box, dim_specht, enumerate_partitions
 from .symrep import compose, yor
 from .twisted import (
-    block_dimension,
     build_twisted,
     f_basis,
-    gram_spectrum,
     lambda_eigenvalue,
     mf_pi,
     pseudo_scale,

@@ -5,6 +5,7 @@ from pbtkit.partitions import Partition, add_box, enumerate_partitions
 from pbtkit.blockenc import (
     BlockEncoding,
     adjoint_encoding,
+    amplification_weights,
     branch_mixers,
     build_PL_PR,
     coefficients,
@@ -14,11 +15,14 @@ from pbtkit.blockenc import (
     encode_Phi,
     encoding_spaces,
     kraus_ledger,
+    kraus_scale,
     naimark_Uc,
     naimark_W,
     product,
     unitary_complete,
+    weight_range,
 )
+from pbtkit.amplify import plan
 from pbtkit.registers import to_matrix
 from pbtkit.twisted import build_twisted, lambda_eigenvalue, port_cycle
 
@@ -62,6 +66,23 @@ def test_coefficient_bounds_sweep():
                 # x = x' = sqrt(d) satisfies both weight constraints
                 assert total_c <= d + 1e-12
                 assert total_cp / d <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("n,d", [(n, 2) for n in range(3, 9)] + [(n, 3) for n in range(3, 7)])
+def test_amplification_weights_make_the_amplitude_exact(n, d):
+    # x' at its low end; m is the plan at both low ends, and x is raised
+    # until 1/(scale sqrt(n-1)) is sin(pi/2m)
+    x, xp = amplification_weights(n, d)
+    (x_low, x_high), (xp_low, xp_high) = weight_range(n, d, "C"), weight_range(n, d, "Cprime")
+    assert x_low <= x <= x_high and xp == xp_low <= xp_high
+    predicted = plan(kraus_scale(n, d, x_low, xp_low) * np.sqrt(n - 1), ports=n - 1).m
+    scale = kraus_scale(n, d, x, xp)
+    m = plan(scale * np.sqrt(n - 1), ports=n - 1).m
+    assert m == predicted
+    assert abs(1 / (scale * np.sqrt(n - 1)) - np.sin(np.pi / (2 * m))) <= 1e-15
+    expected = {(3, 2): 21, (3, 3): 19, (4, 2): 57}
+    if (n, d) in expected:
+        assert m == expected[(n, d)]
 
 
 def test_pl_pr_first_rows_and_unitarity():

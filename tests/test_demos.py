@@ -6,12 +6,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-# demo 05 runs the honest 99-phase amplification schedule and is left out
 DEMOS = [
     "01_irreps_and_gram.py",
     "02_schur_transform.py",
     "03_twisted_basis.py",
     "04_teleportation.py",
+    "05_block_encoding_pipeline.py",
 ]
 
 

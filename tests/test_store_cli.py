@@ -169,6 +169,16 @@ def test_cli_bad_dims_message(capsys):
     assert "--d must be at least 1, got 0" in capsys.readouterr().err
 
 
+def test_cli_encode_defaults_to_amplification_weights(capsys):
+    from pbtkit.blockenc import amplification_weights
+
+    assert cli.main(["encode", "--n", "3", "--d", "2", "--i", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["x"], payload["xp"]) == amplification_weights(3, 2)
+    scale = payload["ledger"][-1]["scale"]
+    assert abs(scale * np.sqrt(2) - 1 / np.sin(np.pi / 42)) < 1e-12
+
+
 def test_cli_encode_too_large_is_usage_error(capsys):
     assert cli.main(["encode", "--n", "5", "--d", "2", "--i", "1"]) == 2
     assert "GiB" in capsys.readouterr().err
