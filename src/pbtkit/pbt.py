@@ -35,16 +35,6 @@ def rho_i_dense(n: int, d: int, i: int) -> np.ndarray:
     return partial_transpose_last(swap, n, d) / d ** (n - 1)
 
 
-def rho_i_tensor(n: int, d: int, i: int) -> np.ndarray:
-    """The same state built directly as a tensor product, for cross-checking."""
-    phi = maximally_entangled(d)
-    pair = np.outer(phi, phi.conj())
-    rest = np.eye(d ** (n - 2)) / d ** (n - 2)
-    # pair currently sits on qudits (n-1, n); permute qudit n-1 into slot i
-    move = permutation_dense(n, d, embed_perm(transposition(i - 1, n - 2, n - 1), n))
-    return move @ np.kron(rest, pair) @ move.conj().T
-
-
 def rho_dense(n: int, d: int) -> np.ndarray:
     return sum(rho_i_dense(n, d, i) for i in range(1, n))
 

@@ -15,9 +15,10 @@ from pbtkit.pbt import (
     pgm_tilde_dense,
     principal_sqrt,
     rho_i_dense,
-    rho_i_tensor,
     sqrt_tilde_norm,
 )
+from pbtkit.schur import permutation_dense
+from pbtkit.symrep import embed_perm, transposition
 from pbtkit.twisted import build_twisted, maximally_entangled
 
 RNG = np.random.default_rng(5)
@@ -32,6 +33,16 @@ def random_state(d):
 def random_unitary(d):
     z = RNG.standard_normal((d, d)) + 1j * RNG.standard_normal((d, d))
     return np.linalg.qr(z)[0]
+
+
+def rho_i_tensor(n, d, i):
+    """rho_i built directly as a tensor product, for cross-checking."""
+    phi = maximally_entangled(d)
+    pair = np.outer(phi, phi.conj())
+    rest = np.eye(d ** (n - 2)) / d ** (n - 2)
+    # pair currently sits on qudits (n-1, n); permute qudit n-1 into slot i
+    move = permutation_dense(n, d, embed_perm(transposition(i - 1, n - 2, n - 1), n))
+    return move @ np.kron(rest, pair) @ move.conj().T
 
 
 def test_rho_i_examples():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -30,6 +32,78 @@ def test_matrix_file_rejects_corruption(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
         load_matrix(path)
+
+
+@pytest.mark.parametrize("change", ["truncated", "over-long"])
+def test_matrix_file_rejects_wrong_payload_length(tmp_path, change):
+    path = tmp_path / "m.mat"
+    save_matrix(path, RNG.standard_normal((4, 3)) + 0j)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-16] if change == "truncated" else raw + bytes(16))
+    with pytest.raises(ValueError, match="payload length"):
+        load_matrix(path)
+
+
+def test_matrix_file_streamed_blocks_match_one_array(tmp_path):
+    blocks = [RNG.standard_normal((r, 6)) + 1j * RNG.standard_normal((r, 6)) for r in (3, 1, 4)]
+    blocks[1] = blocks[1].real  # real blocks are stored as complex
+    whole = np.concatenate(blocks, axis=0)
+    labels = [{"row": i} for i in range(8)]
+    save_matrix(tmp_path / "one.mat", whole, labels)
+    save_matrix(tmp_path / "blocks.mat", iter(blocks), labels)
+    payload = whole.astype("<c16").tobytes()
+    expected = b"PBTM" + struct.pack("<IQQ", 1, 8, 6) + payload
+    assert (tmp_path / "one.mat").read_bytes() == expected
+    assert (tmp_path / "blocks.mat").read_bytes() == expected
+    sidecar = (tmp_path / "one.mat.json").read_text()
+    assert (tmp_path / "blocks.mat.json").read_text() == sidecar
+    assert json.loads(sidecar)["checksum"] == hashlib.sha256(payload).hexdigest()
+
+
+def test_matrix_file_failed_stream_leaves_no_file(tmp_path):
+    path = tmp_path / "m.mat"
+
+    def blocks():
+        yield np.eye(2, dtype=complex)
+        raise RuntimeError("builder failed")
+
+    with pytest.raises(RuntimeError):
+        save_matrix(path, blocks())
+    assert not path.exists()
+    assert not (tmp_path / "m.mat.json").exists()
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [[np.eye(2), np.ones((1, 3))], [np.eye(2), np.ones(2)], [], np.ones(3)],
+    ids=["wrong-width", "not-2d", "empty", "vector"],
+)
+def test_matrix_file_rejects_bad_blocks(tmp_path, blocks):
+    path = tmp_path / "m.mat"
+    with pytest.raises(ValueError):
+        save_matrix(path, blocks)
+    assert not path.exists()
+    assert not (tmp_path / "m.mat.json").exists()
+
+
+def test_cli_export_kraus_streams_one_operator_at_a_time(tmp_path):
+    from pbtkit.pbt import kraus_from_twisted
+    from pbtkit.twisted import build_twisted
+
+    path = tmp_path / "kraus.mat"
+    tracemalloc.start()
+    try:
+        code = cli.main(["export", "kraus", "--n", "6", "--d", "3", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 64 * 2**20  # the five stacked operators alone take 40.5 MiB
+    tw = build_twisted(6, 3)
+    ref = tmp_path / "ref.mat"
+    save_matrix(ref, np.concatenate([kraus_from_twisted(6, 3, tw, i) for i in range(1, 6)]))
+    assert path.read_bytes() == ref.read_bytes()
+    assert (tmp_path / "kraus.mat.json").read_text() == (tmp_path / "ref.mat.json").read_text()
 
 
 def test_cli_irreps(capsys):
@@ -275,7 +349,7 @@ def test_cli_bad_arguments_are_usage_errors(capsys, argv, message):
 @pytest.mark.parametrize(
     "argv,gib",
     [
-        (["export", "kraus", "--n", "12", "--d", "2"], "6.0 GiB"),
+        (["export", "kraus", "--n", "13", "--d", "2"], "6.0 GiB"),
         (["export", "povm", "--n", "12", "--d", "2"], "6.0 GiB"),
         (["simulate", "--n", "11", "--d", "2"], "4.0 GiB"),
     ],
