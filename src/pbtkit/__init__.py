@@ -46,9 +46,11 @@ from .pbt import (
     channel_apply,
     entanglement_fidelity,
     kraus_from_twisted,
+    kraus_operators,
     pgm_dense,
     pgm_fidelity,
     pgm_function,
+    pgm_functions,
     pgm_probabilities,
     principal_sqrt,
     rho_i_dense,

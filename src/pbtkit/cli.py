@@ -184,9 +184,10 @@ def cmd_export(args) -> int:
 
     _check_dims(args.n, args.d)
     if args.object == "kraus":
-        # one operator at a time: the twisted blocks (up to 2), and pgm_function's
-        # stacked f, fg, conjugate of f and product (traced peaks: 3.4 at d = 3,
-        # 5.8 at d = 2); pgm_dense guards the povm export itself
+        # the peak is the one pgm_function product for port 1: the twisted blocks
+        # (up to 2) with its stacked f, fg, conjugate of f and product (traced
+        # peaks: 5.8 at (8,2), 5.5 at (9,2), 3.4 at (6,3) and (5,3)); after it only
+        # K_1 and one gathered operator are held; pgm_dense guards the povm export
         guard_dense(args.n, args.d, 6)
     if args.object == "schur":
         from .schur import build_schur
@@ -202,12 +203,11 @@ def cmd_export(args) -> int:
         ]
         save_matrix(args.path, (b.f.conj().T for b in tw.blocks), labels)
     elif args.object == "kraus":
-        from .pbt import kraus_from_twisted
+        from .pbt import kraus_operators
         from .twisted import build_twisted
 
         tw = build_twisted(args.n, args.d)
-        kraus = (kraus_from_twisted(args.n, args.d, tw, i) for i in range(1, args.n))
-        save_matrix(args.path, kraus)
+        save_matrix(args.path, kraus_operators(args.n, args.d, tw))
     elif args.object == "povm":
         from .pbt import pgm_dense
 

@@ -3,7 +3,10 @@
 The entanglement fidelity and the outcome probabilities have closed forms,
 and so does every function of a measurement operator: each port block is a
 multiple of a projector, so ``pgm_function`` builds g(Pi_i), the Kraus
-operator sqrt(Pi_i) among them, from the irrep blocks.  These are the main
+operator sqrt(Pi_i) among them, from the irrep blocks.  The measurement is
+covariant under port permutations, Pi_i = V(1 i) Pi_1 V(1 i), so
+``pgm_functions`` and ``kraus_operators`` build port 1's operator once and
+gather every other port's from it by the port swap.  These are the main
 path.  Dense brute-force constructions of the POVM, the channel and the
 entanglement fidelity stay as the dense-W engine and as the oracle the closed
 forms are checked against.
@@ -11,14 +14,14 @@ forms are checked against.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
 from .partitions import add_box, dim_specht, dim_weyl, enumerate_partitions
-from .schur import guard_dense, partial_transpose_last, permutation_dense
+from .schur import guard_dense, partial_transpose_last, permutation_dense, permutation_operator
 from .symrep import embed_perm, transposition
 from .twisted import TwistedSchur, maximally_entangled, mf_pi, mf_sqrt_pi, pseudo_scale
 
@@ -150,6 +153,26 @@ def pgm_function(
 def kraus_from_twisted(n: int, d: int, tw: TwistedSchur, i: int) -> np.ndarray:
     """Kraus operator sqrt(Pi_i) assembled from the irrep blocks."""
     return pgm_function(n, d, tw, i, np.sqrt)
+
+
+def pgm_functions(
+    n: int, d: int, tw: TwistedSchur, g: Callable[[float], float]
+) -> Iterator[np.ndarray]:
+    """g(Pi_i) for ports i = 1..n-1, one at a time: g(Pi_1) from the irrep
+    blocks, and every other port's by port covariance,
+    g(Pi_i) = V(1 i) g(Pi_1) V(1 i), an exact gather of rows and columns.
+    The first operator yielded is the one the others are gathered from."""
+    first = pgm_function(n, d, tw, 1, g)
+    yield first
+    for i in range(2, n):
+        s = permutation_operator(n, d, transposition(0, i - 1, n)).source_index()
+        yield first[np.ix_(s, s)]
+
+
+def kraus_operators(n: int, d: int, tw: TwistedSchur) -> Iterator[np.ndarray]:
+    """The Kraus operators sqrt(Pi_i) for ports i = 1..n-1, one at a time,
+    from a single closed-form product (see ``pgm_functions``)."""
+    return pgm_functions(n, d, tw, np.sqrt)
 
 
 def sqrt_tilde_norm(n: int, d: int, i: int) -> float:

@@ -26,8 +26,8 @@ from .blockenc import (
     encoding_spaces,
     naimark_Uc,
 )
-from .pbt import Povm, _port_resource_state, kraus_from_twisted, pgm_dense
-from .pbt import pgm_function, pgm_probabilities
+from .pbt import Povm, _port_resource_state, kraus_operators, pgm_dense
+from .pbt import pgm_functions, pgm_probabilities
 from .schur import guard_dense, permutation_dense
 from .symrep import embed_perm, transposition
 from .registers import Gate, Layout, Op, Register
@@ -188,19 +188,19 @@ def compressed_encodings(
 ) -> list[BlockEncoding]:
     """Exact one-qubit dilations [[B, C], [C, -B]] of the Kraus operators at
     scale sqrt(d), for short amplification schedules: B = sqrt(Pi_i / d) and
-    C = sqrt(I - Pi_i / d) from the irrep blocks, B = 0 and C = I on pad
-    states.  B and C are commuting Hermitian functions of Pi_i, so the gate
-    is unitary when B^2 + C^2 = I and BC = CB."""
+    C = sqrt(I - Pi_i / d) from the irrep blocks for port 1 and by the port
+    swap for the others, B = 0 and C = I on pad states.  B and C are
+    commuting Hermitian functions of Pi_i, so the gate is unitary when
+    B^2 + C^2 = I and BC = CB, which is checked on every port's gate."""
     spaces = encoding_spaces(n, d, mode)
     encs = []
     layout = Layout([Register("danc", 2), Register("kl", spaces.n_k)] + spaces.system_registers())
     mask = spaces.system_mask()
     phys = np.ix_(mask, mask)
     total = spaces.system_dim
-    for i in range(1, n):
-        k = kraus_from_twisted(n, d, tw, i)
+    cs = pgm_functions(n, d, tw, lambda x: np.sqrt(1.0 - x / d))
+    for i, (k, c) in enumerate(zip(kraus_operators(n, d, tw), cs), start=1):
         b = k / np.sqrt(d)
-        c = pgm_function(n, d, tw, i, lambda x: np.sqrt(1.0 - x / d))
         err = max(np.abs(b @ b + c @ c - np.eye(d**n)).max(), np.abs(b @ c - c @ b).max())
         if err > 1e-10:
             raise ArithmeticError(f"dilation not unitary, residual {err:.2e}")

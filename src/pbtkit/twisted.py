@@ -393,13 +393,6 @@ class TwistedSchur:
         f = np.concatenate([b.f for b in self.blocks], axis=1)
         return f @ f.conj().T
 
-    def hs_basis(self) -> np.ndarray:
-        """Orthonormal columns spanning the complement of the support subspace,
-        from deterministic-pivot diagonalization of the projector."""
-        evals, evecs = np.linalg.eigh(self.hm_projector)
-        keep = evals < 0.5
-        return evecs[:, keep]
-
 
 @lru_cache(maxsize=None)
 def build_twisted(n: int, d: int, gauge_seed: int = 0) -> TwistedSchur:

@@ -106,15 +106,16 @@ def _suite_pseudo(ns, ds, seed):
 
 
 def _suite_kraus(ns, ds, seed):
-    from .pbt import kraus_from_twisted, pgm_dense, pgm_function, principal_sqrt
+    from .pbt import kraus_operators, pgm_dense, pgm_function, principal_sqrt
 
     worst = 0.0
     for n in ns:
         for d in ds:
             tw = build_twisted(n, d)
             povm = pgm_dense(n, d)
-            for i, op in enumerate(povm.operators, start=1):
-                kraus = kraus_from_twisted(n, d, tw, i) - principal_sqrt(op)
+            pairs = zip(povm.operators, kraus_operators(n, d, tw))
+            for i, (op, k) in enumerate(pairs, start=1):
+                kraus = k - principal_sqrt(op)
                 pi = pgm_function(n, d, tw, i, lambda x: x) - op
                 worst = max(worst, float(np.abs(kraus).max()), float(np.abs(pi).max()))
     return worst <= 1e-8, worst, "twisted vs dense Kraus and Pi_i"

@@ -11,6 +11,7 @@ from pbtkit.pbt import (
     pgm_dense,
     pgm_fidelity,
     pgm_function,
+    pgm_functions,
     pgm_probabilities,
     pgm_tilde_dense,
     principal_sqrt,
@@ -115,6 +116,24 @@ def test_pgm_function_identity_map_is_dense_pi(n, d):
     for i in range(1, n):
         pi = pgm_function(n, d, tw, i, lambda x: x)
         assert np.abs(pi - povm.operators[i - 1]).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (5, 2), (6, 2), (2, 3), (4, 3)])
+def test_pgm_functions_gathers_port_one_by_the_port_swap(n, d):
+    tw = build_twisted(n, d)
+    for g in (np.sqrt, lambda x: np.sqrt(1.0 - x / d)):
+        ops = list(pgm_functions(n, d, tw, g))
+        assert len(ops) == n - 1
+        first = pgm_function(n, d, tw, 1, g)
+        assert ops[0].tobytes() == first.tobytes()
+        for i, op in enumerate(ops, start=1):
+            # V(1 i) A V(1 i): exchange qudits 1 and i on the row and the column side
+            axes = list(range(2 * n))
+            axes[0], axes[i - 1] = axes[i - 1], axes[0]
+            axes[n], axes[n + i - 1] = axes[n + i - 1], axes[n]
+            swapped = first.reshape((d,) * (2 * n)).transpose(axes).reshape(d**n, d**n)
+            assert np.array_equal(op, swapped)
+            assert np.abs(op - pgm_function(n, d, tw, i, g)).max() < 1e-14
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (4, 2), (3, 3)])
@@ -232,16 +251,6 @@ def test_channel_matrix_trace_preserving():
     # trace preservation as a matrix identity on vectorized inputs
     out = (mat @ eta.reshape(-1)).reshape(2, 2)
     assert abs(np.trace(out).real - 1.0) < 1e-9
-
-
-def test_hs_basis_complement():
-    from pbtkit.twisted import build_twisted
-
-    tw = build_twisted(3, 2)
-    hs = tw.hs_basis()
-    assert hs.shape == (8, 8 - tw.hm_dimension())
-    assert np.abs(hs.conj().T @ hs - np.eye(hs.shape[1])).max() < 1e-10
-    assert np.abs(tw.hm_projector @ hs).max() < 1e-10
 
 
 def test_dense_builds_guarded_before_allocating():

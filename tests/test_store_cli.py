@@ -86,24 +86,70 @@ def test_matrix_file_rejects_bad_blocks(tmp_path, blocks):
     assert not (tmp_path / "m.mat.json").exists()
 
 
-def test_cli_export_kraus_streams_one_operator_at_a_time(tmp_path):
+def _count_pgm_function_calls(monkeypatch):
+    from pbtkit import pbt
+
+    calls = []
+    inner = pbt.pgm_function
+
+    def counted(*args):
+        calls.append(args[3])
+        return inner(*args)
+
+    monkeypatch.setattr(pbt, "pgm_function", counted)
+    return calls
+
+
+def test_cli_export_kraus_streams_one_operator_at_a_time(tmp_path, monkeypatch):
     from pbtkit.pbt import kraus_from_twisted
+    from pbtkit.schur import permutation_operator
+    from pbtkit.symrep import transposition
     from pbtkit.twisted import build_twisted
 
+    n, d, dim = 6, 3, 3**6
     path = tmp_path / "kraus.mat"
+    calls = _count_pgm_function_calls(monkeypatch)
     tracemalloc.start()
     try:
-        code = cli.main(["export", "kraus", "--n", "6", "--d", "3", str(path)])
+        code = cli.main(["export", "kraus", "--n", str(n), "--d", str(d), str(path)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
+    assert calls == [1]  # port 1's product only; the other ports are gathered
     assert peak < 64 * 2**20  # the five stacked operators alone take 40.5 MiB
-    tw = build_twisted(6, 3)
+    monkeypatch.undo()
+    tw = build_twisted(n, d)
+    k1 = kraus_from_twisted(n, d, tw, 1)
+    # reference: V(1 i) K_1 V(1 i) by exchanging qudits 1 and i on both sides
+    ref_ops = []
+    for i in range(1, n):
+        axes = list(range(2 * n))
+        axes[0], axes[i - 1] = axes[i - 1], axes[0]
+        axes[n], axes[n + i - 1] = axes[n + i - 1], axes[n]
+        ref_ops.append(k1.reshape((d,) * (2 * n)).transpose(axes).reshape(dim, dim))
     ref = tmp_path / "ref.mat"
-    save_matrix(ref, np.concatenate([kraus_from_twisted(6, 3, tw, i) for i in range(1, 6)]))
+    save_matrix(ref, np.concatenate(ref_ops))
     assert path.read_bytes() == ref.read_bytes()
     assert (tmp_path / "kraus.mat.json").read_text() == (tmp_path / "ref.mat.json").read_text()
+    kraus = load_matrix(path)[0].reshape(n - 1, dim, dim)
+    for i, k in enumerate(kraus, start=1):
+        s = permutation_operator(n, d, transposition(0, i - 1, n)).source_index()
+        assert np.array_equal(k, k1[np.ix_(s, s)])
+        assert np.abs(k - kraus_from_twisted(n, d, tw, i)).max() < 1e-15
+
+
+def test_cli_export_kraus_one_port(tmp_path, monkeypatch):
+    from pbtkit.pbt import kraus_from_twisted
+    from pbtkit.twisted import build_twisted
+
+    path = tmp_path / "kraus.mat"
+    calls = _count_pgm_function_calls(monkeypatch)
+    assert cli.main(["export", "kraus", "--n", "2", "--d", "3", str(path)]) == 0
+    assert calls == [1]
+    back, meta = load_matrix(path)
+    assert (meta["rows"], meta["cols"]) == (9, 9)
+    assert back.tobytes() == kraus_from_twisted(2, 3, build_twisted(2, 3), 1).tobytes()
 
 
 def test_cli_irreps(capsys):
