@@ -47,6 +47,7 @@ from .pbt import (
     entanglement_fidelity,
     kraus_from_twisted,
     kraus_operators,
+    outcome_output,
     pgm_dense,
     pgm_fidelity,
     pgm_function,

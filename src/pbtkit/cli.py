@@ -12,7 +12,6 @@ import json
 import sys
 from typing import NoReturn
 
-from .blockenc import BatchTooLarge
 from .partitions import dim_specht, dim_weyl, enumerate_partitions
 from .schur import DenseTooLarge, guard_dense
 from .twisted import block_dimension, gram_spectrum
@@ -312,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BatchTooLarge, DenseTooLarge) as exc:
+    except DenseTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:

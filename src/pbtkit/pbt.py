@@ -7,9 +7,11 @@ operator sqrt(Pi_i) among them, from the irrep blocks.  The measurement is
 covariant under port permutations, Pi_i = V(1 i) Pi_1 V(1 i), so
 ``pgm_functions`` and ``kraus_operators`` build port 1's operator once and
 gather every other port's from it by the port swap.  These are the main
-path.  Dense brute-force constructions of the POVM, the channel and the
-entanglement fidelity stay as the dense-W engine and as the oracle the closed
-forms are checked against.
+path.  Dense brute-force constructions of the POVM and the entanglement
+fidelity stay as the dense-W engine and as the oracle the closed forms are
+checked against.  With maximally entangled resource pairs the receiver's
+output for outcome i is a partial trace of Pi_i (``outcome_output``), so the
+dense engine and the channel never build a resource state.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 
 from .partitions import add_box, dim_specht, dim_weyl, enumerate_partitions
 from .schur import guard_dense, partial_transpose_last, permutation_dense, permutation_operator
-from .symrep import embed_perm, transposition
-from .twisted import TwistedSchur, maximally_entangled, mf_pi, mf_sqrt_pi, pseudo_scale
+from .symrep import transposition
+from .twisted import TwistedSchur, mf_pi, mf_sqrt_pi, pseudo_scale
 
 PINV_TOL = 1e-10
 
@@ -185,42 +187,33 @@ def sqrt_tilde_norm(n: int, d: int, i: int) -> float:
     return worst
 
 
-def channel_apply(n: int, d: int, povm: Povm, eta: np.ndarray) -> np.ndarray:
-    """Output of the teleportation channel on input ``eta``.
+def outcome_output(
+    n: int, d: int, op: np.ndarray, i: int, eta: np.ndarray | None = None
+) -> np.ndarray:
+    """Unnormalized receiver output for outcome i, whose trace is the
+    outcome's probability; ``op`` is the measurement operator Pi_i.
 
-    For each outcome the receiver keeps only the matching port, so the term
-    is evaluated on the sender's n qudits plus a single receiver qudit, with
-    the port pair maximally entangled and the rest maximally mixed.
+    The resource pairs are maximally entangled, so by the transpose trick the
+    output depends on Pi_i only through M_i = Tr_{ports != i} Pi_i, a
+    d^2 x d^2 operator on (port i, input).  With the input entangled with a
+    reference (``eta`` None) the joint (receiver, reference) output is
+    M_i^T / d^n; for an input ``eta`` the receiver's output is
+    (Tr_input[M_i (I (x) eta)])^T / d^(n-1).
     """
+    before, after = d ** (i - 1), d ** (n - 1 - i)
+    m = np.einsum("aibxacby->ixcy", op.reshape(before, d, after, d, before, d, after, d))
+    if eta is None:
+        return m.reshape(d * d, d * d).T / d**n
+    return np.einsum("ixcy,yx->ci", m, eta) / d ** (n - 1)
+
+
+def channel_apply(n: int, d: int, povm: Povm, eta: np.ndarray) -> np.ndarray:
+    """Output of the teleportation channel on input ``eta``: the sum of the
+    receiver's outputs over the outcomes (``outcome_output``).  ``eta`` may
+    be any d x d operator; the channel is linear in it."""
     if eta.shape != (d, d):
         raise ValueError("input state must be a single-qudit operator")
-    dim_b = d
-    out = np.zeros((dim_b, dim_b), dtype=complex)
-    phi = maximally_entangled(d)
-    pair = np.outer(phi, phi.conj())
-    for i, op in enumerate(povm.operators, start=1):
-        state = _port_resource_state(n, d, i, pair, eta)
-        joint = np.kron(op, np.eye(dim_b)) @ state
-        # trace out the sender's n qudits (axes 0 of the (sender, receiver) split)
-        out += joint.reshape(d**n, dim_b, d**n, dim_b).trace(axis1=0, axis2=2)
-    return out
-
-
-def _port_resource_state(n: int, d: int, i: int, pair: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Resource-and-input state on (ports 1..n-1, input qudit, one receiver
-    qudit), with the receiver maximally entangled with port i."""
-    rest = np.eye(d ** (n - 2)) / d ** (n - 2)
-    # build with the entangled pair on (port n-1, receiver), then permute the
-    # sender side so the pair sits on port i
-    state = np.kron(rest, _pair_with_receiver(pair, eta, d))
-    move = permutation_dense(n + 1, d, embed_perm(transposition(i - 1, n - 2, n - 1), n + 1))
-    return move @ state @ move.conj().T
-
-
-def _pair_with_receiver(pair: np.ndarray, eta: np.ndarray, d: int) -> np.ndarray:
-    """Operator on (port, input, receiver) with the pair on (port, receiver)."""
-    op = np.kron(pair, eta)  # (port, receiver, input)
-    return op.reshape(d, d, d, d, d, d).transpose(0, 2, 1, 3, 5, 4).reshape(d**3, d**3)
+    return sum(outcome_output(n, d, op, i, eta) for i, op in enumerate(povm.operators, start=1))
 
 
 def apply_channel_matrix(n: int, d: int, povm: Povm) -> np.ndarray:

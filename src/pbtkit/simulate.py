@@ -1,8 +1,10 @@
 """End-to-end teleportation runs.
 
-The dense engine evaluates outcome probabilities and post-measurement states
-directly from the measurement operators.  The amplified engine drives the
-full register pipeline: outcome-controlled Kraus encodings, the
+The dense engine builds the measurement by brute force and reads each
+outcome's probability and receiver state off a partial trace of its
+measurement operator (``pbt.outcome_output``); the only dense matrices it
+holds are the d^n x d^n ones ``pgm_dense`` guards.  The amplified engine
+drives the full register pipeline: outcome-controlled Kraus encodings, the
 outcome-superposition preparer and the oblivious amplification sequence,
 applied to the physical initial state as a structured operator; its
 probabilities are conditioned on the block-encoding ancillas returning to
@@ -26,12 +28,11 @@ from .blockenc import (
     encoding_spaces,
     naimark_Uc,
 )
-from .pbt import Povm, _port_resource_state, kraus_operators, pgm_dense
-from .pbt import pgm_functions, pgm_probabilities
-from .schur import guard_dense, permutation_dense
-from .symrep import embed_perm, transposition
+from .pbt import kraus_operators, outcome_output, pgm_dense, pgm_functions, pgm_probabilities
 from .registers import Gate, Layout, Op, Register
 from .twisted import TwistedSchur, build_twisted, maximally_entangled
+
+INPUT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,10 @@ class ProtocolRun:
     """One protocol configuration.
 
     ``input_state``: a d x d density matrix, or "entangled" for the
-    maximally-entangled-with-reference figure-of-merit mode.
+    maximally-entangled-with-reference figure-of-merit mode.  A matrix that
+    is not d x d, is not Hermitian, has a trace off one or an eigenvalue
+    below zero, each beyond ``INPUT_TOL``, raises ``ValueError`` before
+    anything is built.
     ``engine``: "dense-W" or "amplified-V";  the amplified engine accepts a
     ``variant`` of "honest" (the staged Kraus encodings at the weights of
     ``blockenc.amplification_weights``, whose scale the phase sequence
@@ -80,36 +84,36 @@ class ProtocolReport:
         )
 
 
-def _input_branches(spec: ProtocolRun) -> tuple[list[tuple[float, np.ndarray]], bool]:
-    """Pure-state branches of the input, plus whether a reference is used."""
+def _input_state(spec: ProtocolRun) -> np.ndarray | None:
+    """The checked input density matrix, or None in the entangled mode."""
     d = spec.d
     if isinstance(spec.input_state, str):
         if spec.input_state != "entangled":
             raise ValueError(f"unknown input mode {spec.input_state!r}")
-        return [(1.0, maximally_entangled(d))], True
+        return None
     eta = np.asarray(spec.input_state, dtype=complex)
     if eta.shape != (d, d):
         raise ValueError("input state must be d x d")
-    if abs(np.trace(eta).real - 1.0) > 1e-9:
+    if np.abs(eta - eta.conj().T).max() > INPUT_TOL:
+        raise ValueError("input state must be Hermitian")
+    if abs(np.trace(eta).real - 1.0) > INPUT_TOL:
         raise ValueError("input state must have unit trace")
+    low = np.linalg.eigvalsh(eta).min()
+    if low < -INPUT_TOL:
+        raise ValueError(f"input state must be positive semidefinite, has eigenvalue {low:.3g}")
+    return eta
+
+
+def _input_branches(spec: ProtocolRun) -> tuple[list[tuple[float, np.ndarray]], bool]:
+    """Pure-state branches of the input, plus whether a reference is used."""
+    eta = _input_state(spec)
+    if eta is None:
+        return [(1.0, maximally_entangled(spec.d))], True
     evals, evecs = np.linalg.eigh(eta)
     branches = [
         (float(w), evecs[:, j]) for j, w in enumerate(evals) if w > 1e-12
     ]
     return branches, False
-
-
-def _dense_probabilities(n: int, d: int, povm: Povm, eta: np.ndarray) -> list[float]:
-    """p(i) = tr(Pi_i (I/d^(n-1) (x) eta))."""
-    rest = np.eye(d ** (n - 1)) / d ** (n - 1)
-    state = np.kron(rest, eta)
-    return [float(np.real(np.trace(op @ state))) for op in povm.operators]
-
-
-def _average_input(spec: ProtocolRun) -> np.ndarray:
-    if isinstance(spec.input_state, str):
-        return np.eye(spec.d, dtype=complex) / spec.d
-    return np.asarray(spec.input_state, dtype=complex)
 
 
 def run(spec: ProtocolRun) -> ProtocolReport:
@@ -123,29 +127,22 @@ def run(spec: ProtocolRun) -> ProtocolReport:
 
 def _run_dense(spec: ProtocolRun) -> ProtocolReport:
     n, d = spec.n, spec.d
-    # one outcome branch holds about four dense operators on the ports, the
-    # input, the receiver and (entangled input) the reference
-    entangled = isinstance(spec.input_state, str)
-    guard_dense(n + 2 if entangled else n + 1, d, 4)
+    eta = _input_state(spec)
     povm = pgm_dense(n, d)
-    probs = _dense_probabilities(n, d, povm, _average_input(spec))
     phi = maximally_entangled(d)
-    pair = np.outer(phi, phi.conj())
+    probs = []
     states = []
     fidelity = 0.0
-    if entangled:
-        # teleport half of a maximally entangled pair; fidelity is the
-        # overlap of the joint output with the maximally entangled state
-        for i, op in enumerate(povm.operators, start=1):
-            out = _entangled_branch(n, d, i, op)
-            states.append(out / max(np.trace(out).real, 1e-30))
+    for i, op in enumerate(povm.operators, start=1):
+        out = outcome_output(n, d, op, i, eta)
+        p_i = float(np.trace(out).real)
+        probs.append(p_i)
+        states.append(out / max(p_i, 1e-30))
+        # teleporting half of a maximally entangled pair, the fidelity term is
+        # the joint output's overlap with that pair; else, with the input
+        if eta is None:
             fidelity += float(np.real(phi.conj() @ out @ phi))
-    else:
-        eta = np.asarray(spec.input_state, dtype=complex)
-        for i, op in enumerate(povm.operators, start=1):
-            joint = np.kron(op, np.eye(d)) @ _port_resource_state(n, d, i, pair, eta)
-            out = joint.reshape(d**n, d, d**n, d).trace(axis1=0, axis2=2)
-            states.append(out / max(np.trace(out).real, 1e-30))
+        else:
             fidelity += float(np.real(np.trace(eta @ out)))
     return ProtocolReport(
         n=n,
@@ -156,31 +153,6 @@ def _run_dense(spec: ProtocolRun) -> ProtocolReport:
         fidelity=fidelity,
         discrepancy=0.0,
     )
-
-
-def _entangled_branch(n: int, d: int, i: int, op: np.ndarray) -> np.ndarray:
-    """Unnormalized joint (receiver, reference) output for one outcome when
-    teleporting half of a maximally entangled pair.
-
-    The joint system is (ports 1..n-1, input qudit, receiver qudit,
-    reference); the resource entangles port i with the receiver and the input
-    with the reference.
-    """
-    phi = maximally_entangled(d)
-    pair = np.outer(phi, phi.conj())
-    # four-qudit block on (port n-1, input, receiver, reference): start from
-    # (port, receiver) x (input, reference) and swap the middle factors
-    four = np.kron(pair, pair).reshape((d,) * 8)
-    four = four.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(d**4, d**4)
-    rest = np.eye(d ** (n - 2)) / d ** (n - 2)
-    state = np.kron(rest, four)
-    move = permutation_dense(
-        n + 2, d, embed_perm(transposition(i - 1, n - 2, n - 1), n + 2)
-    )
-    state = move @ state @ move.conj().T
-    dim = d**n
-    full = np.kron(op, np.eye(d * d)) @ state
-    return full.reshape(dim, d * d, dim, d * d).trace(axis1=0, axis2=2)
 
 
 def compressed_encodings(
@@ -322,10 +294,8 @@ def initial_state(pipe: Pipeline, branch: np.ndarray) -> np.ndarray:
 
 def _run_amplified(spec: ProtocolRun) -> ProtocolReport:
     n, d = spec.n, spec.d
-    pipe = build_pipeline(
-        n, d, spec.variant, spec.mode, with_ref=isinstance(spec.input_state, str)
-    )
     branches, with_ref = _input_branches(spec)
+    pipe = build_pipeline(n, d, spec.variant, spec.mode, with_ref=with_ref)
     layout = pipe.layout
     probs = np.zeros(n - 1)
     anc_weight = 0.0

@@ -121,20 +121,23 @@ def gram_spectrum(
     GRAM_TOL raises.
     """
     box = _validate_block_args(n, d, alpha)
-    values = {nu: lambda_eigenvalue(n, d, alpha, nu) for nu in box.children}
-    if check:
-        psi = psi_vectors(n, d, alpha, r, gauge_seed)
-        gram = psi.conj().T @ psi
-        expected = []
-        for nu, lam in values.items():
-            expected.extend([lam] * dim_specht(nu))
-        expected.extend([0.0] * box.theta_dim())
-        got = np.linalg.eigvalsh(gram)
-        if np.abs(np.sort(np.array(expected)) - got).max() > GRAM_TOL:
-            raise ArithmeticError(
-                f"Gram spectrum mismatch for n={n}, d={d}, alpha={alpha}"
-            )
-    return values
+    if check and gram_residual(n, d, alpha, r, gauge_seed) > GRAM_TOL:
+        raise ArithmeticError(f"Gram spectrum mismatch for n={n}, d={d}, alpha={alpha}")
+    return {nu: lambda_eigenvalue(n, d, alpha, nu) for nu in box.children}
+
+
+def gram_residual(n: int, d: int, alpha: Partition, r: int = 1, gauge_seed: int = 0) -> float:
+    """Largest gap between the closed-form Gram spectrum (each lambda_nu
+    dim(nu) times, padded by zeros) and the eigenvalues of the numerically
+    formed Gram matrix of the spanning vectors."""
+    box = _validate_block_args(n, d, alpha)
+    psi = psi_vectors(n, d, alpha, r, gauge_seed)
+    expected = []
+    for nu in box.children:
+        expected.extend([lambda_eigenvalue(n, d, alpha, nu)] * dim_specht(nu))
+    expected.extend([0.0] * box.theta_dim())
+    got = np.linalg.eigvalsh(psi.conj().T @ psi)
+    return float(np.abs(np.sort(np.array(expected)) - got).max())
 
 
 def z_matrix(n: int, d: int, alpha: Partition) -> tuple[np.ndarray, ...]:
@@ -303,14 +306,16 @@ def mf_pi(n: int, d: int, alpha: Partition, i: int, check: bool = True) -> np.nd
     if not 1 <= i <= n - 1:
         raise ValueError(f"port index i = {i} out of range")
     out = _weighted_blocks(n, d, alpha, i, dict.fromkeys(box.children, 1.0))
-    if check:
-        scale = pseudo_scale(n, d, alpha)
-        if np.abs(out @ out - scale * out).max() > PSEUDO_TOL:
-            raise ArithmeticError(
-                f"pseudoprojector identity violated at n={n}, d={d}, "
-                f"alpha={alpha}, i={i}"
-            )
+    if check and pseudo_residual(out, pseudo_scale(n, d, alpha)) > PSEUDO_TOL:
+        raise ArithmeticError(
+            f"pseudoprojector identity violated at n={n}, d={d}, alpha={alpha}, i={i}"
+        )
     return out
+
+
+def pseudo_residual(m: np.ndarray, scale: float) -> float:
+    """max |M @ M - s M|: how far a port block is from s times a projector."""
+    return float(np.abs(m @ m - scale * m).max())
 
 
 def mf_sqrt_pi(n: int, d: int, alpha: Partition, i: int) -> np.ndarray:

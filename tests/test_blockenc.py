@@ -328,8 +328,9 @@ def test_naimark_W_reference():
 
 
 def test_batch_guard_raises_before_allocating():
-    from pbtkit.blockenc import BATCH_GUARD_BYTES, BatchTooLarge, guard_batch
+    from pbtkit.blockenc import guard_batch
+    from pbtkit.schur import DENSE_GUARD_BYTES, DenseTooLarge
 
-    with pytest.raises(BatchTooLarge, match="1024.0 GiB"):
+    with pytest.raises(DenseTooLarge, match="1024.0 GiB"):
         guard_batch((2**20, 2**12), 16)  # 1 TiB: would fail if it were allocated
-    guard_batch((BATCH_GUARD_BYTES // 16,), 1)  # exactly at the guard passes
+    guard_batch((DENSE_GUARD_BYTES // 16,), 1)  # exactly at the guard passes

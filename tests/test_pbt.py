@@ -8,6 +8,7 @@ from pbtkit.pbt import (
     channel_apply,
     entanglement_fidelity,
     kraus_from_twisted,
+    outcome_output,
     pgm_dense,
     pgm_fidelity,
     pgm_function,
@@ -148,6 +149,58 @@ def test_pgm_function_of_constant_one_is_identity(n, d):
 def test_sqrt_tilde_norm_bound(n, d):
     for i in range(1, n):
         assert sqrt_tilde_norm(n, d, i) <= np.sqrt(d) + 1e-10
+
+
+def resource_output(n, d, i, op, eta=None):
+    """Receiver output for outcome i, Tr_sender[(Pi_i (x) I) state], from the
+    whole resource-and-input state on (ports 1..n-1, input, receiver) plus a
+    reference when ``eta`` is None: the receiver maximally entangled with
+    port i, the other ports maximally mixed, and the input either ``eta`` or
+    maximally entangled with the reference."""
+    phi = maximally_entangled(d)
+    pair = np.outer(phi, phi.conj())
+    if eta is None:
+        # (port, receiver, input, reference) reordered to (port, input, receiver, reference)
+        block = np.kron(pair, pair).reshape((d,) * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+        side = 2
+    else:
+        # (port, receiver, input) reordered to (port, input, receiver)
+        block = np.kron(pair, eta).reshape((d,) * 6).transpose(0, 2, 1, 3, 5, 4)
+        side = 1
+    m = n + side
+    size = d ** (side + 2)
+    state = np.kron(np.eye(d ** (n - 2)) / d ** (n - 2), block.reshape(size, size))
+    # the pair was built on port n-1; move it onto port i
+    move = permutation_dense(m, d, embed_perm(transposition(i - 1, n - 2, n - 1), m))
+    state = move @ state @ move.conj().T
+    joint = np.kron(op, np.eye(d**side)) @ state
+    return joint.reshape(d**n, d**side, d**n, d**side).trace(axis1=0, axis2=2)
+
+
+def mixed_state(d, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = z @ z.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (3, 3)])
+def test_outcome_output_matches_resource_state_oracle(n, d):
+    povm = pgm_dense(n, d)
+    # the measurement operators are real; a complex Hermitian operator also
+    # pins the transposes
+    z = np.random.default_rng(n * d).standard_normal((2, d**n, d**n))
+    generic = (z[0] + 1j * z[1] + z[0].T - 1j * z[1].T) / d**n
+    for eta in [None] + [mixed_state(d, seed) for seed in (1, 2, 3)]:
+        total = 0.0
+        for i, op in enumerate(povm.operators, start=1):
+            ref = resource_output(n, d, i, op, eta)
+            assert np.abs(outcome_output(n, d, op, i, eta) - ref).max() < 1e-12
+            total = total + ref
+            ref = resource_output(n, d, i, generic, eta)
+            assert np.abs(outcome_output(n, d, generic, i, eta) - ref).max() < 1e-12
+        if eta is not None:
+            assert np.abs(channel_apply(n, d, povm, eta) - total).max() < 1e-12
 
 
 def test_channel_single_port():

@@ -9,6 +9,8 @@ from pbtkit.pbt import (
     channel_apply,
     entanglement_fidelity,
     pgm_dense,
+    pgm_fidelity,
+    pgm_probabilities,
     principal_sqrt,
 )
 from pbtkit.simulate import ProtocolRun, compressed_encodings, run, sample
@@ -179,3 +181,55 @@ def test_compressed_encodings_run_no_spectral_decomposition(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     monkeypatch.setattr(np.linalg, "norm", frobenius_only)
     assert len(compressed_encodings(n, d, tw)) == n - 1
+
+
+@pytest.mark.parametrize("n,d", [(5, 3), (8, 2)])
+def test_dense_engine_matches_closed_forms(n, d):
+    report = run(ProtocolRun(n, d, engine="dense-W"))
+    assert report.fidelity == pytest.approx(pgm_fidelity(n, d), abs=1e-12)
+    assert np.abs(np.array(report.probabilities) - pgm_probabilities(n)).max() < 1e-12
+
+
+def test_dense_engine_refused_by_the_measurement_guard():
+    import tracemalloc
+
+    from pbtkit.schur import DenseTooLarge
+
+    tracemalloc.start()
+    try:
+        # pgm_dense's own guard: 2n dense d^n x d^n matrices
+        with pytest.raises(DenseTooLarge, match="24 dense 2\\^12 x 2\\^12"):
+            run(ProtocolRun(12, 2, engine="dense-W"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("engine", ["dense-W", "amplified-V"])
+@pytest.mark.parametrize(
+    "eta,problem",
+    [
+        (np.diag([1.5, -0.5]), "positive semidefinite, has eigenvalue -0.5"),
+        (np.array([[0.5, 0.3], [0.1, 0.5]]), "Hermitian"),
+        (np.array([[0.5, 0.3j], [0.3j, 0.5]]), "Hermitian"),
+        (np.eye(2) / 4, "unit trace"),
+        (np.eye(3) / 3, "d x d"),
+    ],
+)
+def test_invalid_input_state_rejected_before_building(engine, eta, problem, monkeypatch):
+    import pbtkit.simulate as sim
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the input was checked")
+
+    monkeypatch.setattr(sim, "pgm_dense", refuse)
+    monkeypatch.setattr(sim, "build_pipeline", refuse)
+    with pytest.raises(ValueError, match=problem):
+        run(ProtocolRun(3, 2, input_state=eta, engine=engine))
+
+
+def test_input_state_checks_allow_rounding():
+    eta = np.array([[1.0 + 1e-10, 1e-11j], [-1e-11j, -1e-10]])
+    report = run(ProtocolRun(3, 2, input_state=eta, engine="dense-W"))
+    assert sum(report.probabilities) == pytest.approx(1.0, abs=1e-9)

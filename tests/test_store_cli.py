@@ -397,7 +397,7 @@ def test_cli_bad_arguments_are_usage_errors(capsys, argv, message):
     [
         (["export", "kraus", "--n", "13", "--d", "2"], "6.0 GiB"),
         (["export", "povm", "--n", "12", "--d", "2"], "6.0 GiB"),
-        (["simulate", "--n", "11", "--d", "2"], "4.0 GiB"),
+        (["simulate", "--n", "12", "--d", "2"], "6.0 GiB"),
     ],
 )
 def test_cli_dense_too_large_is_usage_error(tmp_path, capsys, argv, gib):
