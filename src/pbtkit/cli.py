@@ -13,7 +13,7 @@ import sys
 from typing import NoReturn
 
 from .partitions import dim_specht, dim_weyl, enumerate_partitions
-from .schur import DenseTooLarge, guard_dense
+from .schur import DenseTooLarge
 from .twisted import block_dimension, gram_spectrum
 
 FLOAT_FMT = "{:.17g}"
@@ -182,12 +182,6 @@ def cmd_export(args) -> int:
     from .store import save_matrix, schur_labels
 
     _check_dims(args.n, args.d)
-    if args.object == "kraus":
-        # the peak is the one pgm_function product for port 1: the twisted blocks
-        # (up to 2) with its stacked f, fg, conjugate of f and product (traced
-        # peaks: 5.8 at (8,2), 5.5 at (9,2), 3.4 at (6,3) and (5,3)); after it only
-        # K_1 and one gathered operator are held; pgm_dense guards the povm export
-        guard_dense(args.n, args.d, 6)
     if args.object == "schur":
         from .schur import build_schur
 
@@ -201,20 +195,13 @@ def cmd_export(args) -> int:
             {"alpha": list(b.alpha.rows), "copy": b.r, "dim": b.dim} for b in tw.blocks
         ]
         save_matrix(args.path, (b.f.conj().T for b in tw.blocks), labels)
-    elif args.object == "kraus":
-        from .pbt import kraus_operators
-        from .twisted import build_twisted
+    else:  # the Kraus operators sqrt(Pi_i) or the POVM Pi_i, from the closed form
+        import numpy as np
 
-        tw = build_twisted(args.n, args.d)
-        save_matrix(args.path, kraus_operators(args.n, args.d, tw))
-    elif args.object == "povm":
-        from .pbt import pgm_dense
+        from .pbt import measurement_functions
 
-        povm = pgm_dense(args.n, args.d)
-        save_matrix(args.path, povm.operators)
-    else:
-        print(f"unknown object {args.object!r}", file=sys.stderr)
-        return 2
+        g = np.sqrt if args.object == "kraus" else (lambda x: x)
+        save_matrix(args.path, measurement_functions(args.n, args.d, g))
     print(f"wrote {args.path}")
     return 0
 

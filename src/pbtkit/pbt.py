@@ -5,13 +5,12 @@ and so does every function of a measurement operator: each port block is a
 multiple of a projector, so ``pgm_function`` builds g(Pi_i), the Kraus
 operator sqrt(Pi_i) among them, from the irrep blocks.  The measurement is
 covariant under port permutations, Pi_i = V(1 i) Pi_1 V(1 i), so
-``pgm_functions`` and ``kraus_operators`` build port 1's operator once and
-gather every other port's from it by the port swap.  These are the main
-path.  Dense brute-force constructions of the POVM and the entanglement
-fidelity stay as the dense-W engine and as the oracle the closed forms are
-checked against.  With maximally entangled resource pairs the receiver's
-output for outcome i is a partial trace of Pi_i (``outcome_output``), so the
-dense engine and the channel never build a resource state.
+``pgm_functions`` builds port 1's operator once and gathers every other
+port's from it by the port swap; ``measurement_functions`` runs it, size guard
+first, for the dense-W engine and the matrix exports.  With maximally
+entangled resource pairs the receiver's output for outcome i is a partial
+trace of Pi_i (``outcome_output``).  The dense brute-force POVM, channel and
+entanglement fidelity stay only as the oracle the closed forms are checked on.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 from .partitions import add_box, dim_specht, dim_weyl, enumerate_partitions
 from .schur import guard_dense, partial_transpose_last, permutation_dense, permutation_operator
 from .symrep import transposition
-from .twisted import TwistedSchur, mf_pi, mf_sqrt_pi, pseudo_scale
+from .twisted import TwistedSchur, build_twisted, mf_pi, mf_sqrt_pi, pseudo_scale
 
 PINV_TOL = 1e-10
 
@@ -77,7 +76,7 @@ class Povm:
 
 
 def pgm_dense(n: int, d: int) -> Povm:
-    """Pretty good measurement for the port states, built by brute force.
+    """Pretty good measurement by brute force, the oracle of ``pgm_functions``.
 
     The inverse square root of the average state is taken on its support; the
     orthogonal complement is spread uniformly over the outcomes so the
@@ -169,6 +168,15 @@ def pgm_functions(
     for i in range(2, n):
         s = permutation_operator(n, d, transposition(0, i - 1, n)).source_index()
         yield first[np.ix_(s, s)]
+
+
+def measurement_functions(n: int, d: int, g: Callable[[float], float]) -> Iterator[np.ndarray]:
+    """``pgm_functions`` on the twisted transform at (n, d), refused before it
+    is built when the one product does not fit: the twisted blocks, stacked f,
+    fg, conjugate of f and product (traced peaks, in dense d^n x d^n matrices:
+    5.8 at (8,2), 5.5 at (9,2), 3.4 at (6,3) and (5,3)); ports >= 2 are gathers."""
+    guard_dense(n, d, 6)
+    return pgm_functions(n, d, build_twisted(n, d), g)
 
 
 def kraus_operators(n: int, d: int, tw: TwistedSchur) -> Iterator[np.ndarray]:

@@ -1,10 +1,10 @@
 """End-to-end teleportation runs.
 
-The dense engine builds the measurement by brute force and reads each
-outcome's probability and receiver state off a partial trace of its
-measurement operator (``pbt.outcome_output``); the only dense matrices it
-holds are the d^n x d^n ones ``pgm_dense`` guards.  The amplified engine
-drives the full register pipeline: outcome-controlled Kraus encodings, the
+The dense engine takes the measurement operators from the closed form on the
+irrep blocks (``pbt.measurement_functions``, one guarded d^n x d^n product)
+and reads each outcome's probability and receiver state off a partial trace
+of its operator (``pbt.outcome_output``).  The amplified engine drives the
+full register pipeline: outcome-controlled Kraus encodings, the
 outcome-superposition preparer and the oblivious amplification sequence,
 applied to the physical initial state as a structured operator; its
 probabilities are conditioned on the block-encoding ancillas returning to
@@ -28,7 +28,7 @@ from .blockenc import (
     encoding_spaces,
     naimark_Uc,
 )
-from .pbt import kraus_operators, outcome_output, pgm_dense, pgm_functions, pgm_probabilities
+from .pbt import measurement_functions, outcome_output, pgm_functions, pgm_probabilities
 from .registers import Gate, Layout, Op, Register
 from .twisted import TwistedSchur, build_twisted, maximally_entangled
 
@@ -128,12 +128,12 @@ def run(spec: ProtocolRun) -> ProtocolReport:
 def _run_dense(spec: ProtocolRun) -> ProtocolReport:
     n, d = spec.n, spec.d
     eta = _input_state(spec)
-    povm = pgm_dense(n, d)
+    ops = measurement_functions(n, d, lambda x: x)
     phi = maximally_entangled(d)
     probs = []
     states = []
     fidelity = 0.0
-    for i, op in enumerate(povm.operators, start=1):
+    for i, op in enumerate(ops, start=1):
         out = outcome_output(n, d, op, i, eta)
         p_i = float(np.trace(out).real)
         probs.append(p_i)
@@ -163,7 +163,8 @@ def compressed_encodings(
     C = sqrt(I - Pi_i / d) from the irrep blocks for port 1 and by the port
     swap for the others, B = 0 and C = I on pad states.  B and C are
     commuting Hermitian functions of Pi_i, so the gate is unitary when
-    B^2 + C^2 = I and BC = CB, which is checked on every port's gate."""
+    B^2 + C^2 = I and BC = CB, which is checked on port 1's gate only: every
+    other port's B and C are exact gathers of port 1's, so would repeat it."""
     spaces = encoding_spaces(n, d, mode)
     encs = []
     layout = Layout([Register("danc", 2), Register("kl", spaces.n_k)] + spaces.system_registers())
@@ -171,11 +172,12 @@ def compressed_encodings(
     phys = np.ix_(mask, mask)
     total = spaces.system_dim
     cs = pgm_functions(n, d, tw, lambda x: np.sqrt(1.0 - x / d))
-    for i, (k, c) in enumerate(zip(kraus_operators(n, d, tw), cs), start=1):
+    for i, (k, c) in enumerate(zip(pgm_functions(n, d, tw, np.sqrt), cs), start=1):
         b = k / np.sqrt(d)
-        err = max(np.abs(b @ b + c @ c - np.eye(d**n)).max(), np.abs(b @ c - c @ b).max())
-        if err > 1e-10:
-            raise ArithmeticError(f"dilation not unitary, residual {err:.2e}")
+        if i == 1:
+            err = max(np.abs(b @ b + c @ c - np.eye(d**n)).max(), np.abs(b @ c - c @ b).max())
+            if err > 1e-10:
+                raise ArithmeticError(f"dilation not unitary, residual {err:.2e}")
         top = np.zeros((total, total), dtype=complex)
         side = np.eye(total, dtype=complex)
         top[phys] = b
@@ -303,7 +305,7 @@ def _run_amplified(spec: ProtocolRun) -> ProtocolReport:
     fidelity = 0.0
     phi = maximally_entangled(d)
     for weight, branch in branches:
-        vec = initial_state(pipe, branch if with_ref else branch[:, None].ravel())
+        vec = initial_state(pipe, branch)
         good = _post_select(pipe, pipe.v_amp.apply(vec, layout))
         anc_weight += weight * float(np.vdot(good, good).real)
         for i in range(1, n):

@@ -261,7 +261,8 @@ def test_amplified_paths_never_build_the_dense_pgm(monkeypatch):
         raise AssertionError("dense path reached")
 
     monkeypatch.setattr(pbt, "pgm_dense", refuse)
-    monkeypatch.setattr(simulate, "pgm_dense", refuse)
+    # pgm_dense's own body, however a caller imported the name
+    monkeypatch.setattr(pbt, "pgm_tilde_dense", refuse)
     monkeypatch.setattr(simulate, "run", refuse)
     assert end_to_end(3, 2, "compressed").probability_error < 1e-14
     report = run(simulate.ProtocolRun(4, 3, engine="amplified-V"))

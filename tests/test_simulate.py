@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,13 +9,16 @@ from pbtkit.pbt import (
     apply_channel_matrix,
     channel_apply,
     entanglement_fidelity,
+    outcome_output,
     pgm_dense,
     pgm_fidelity,
     pgm_probabilities,
     principal_sqrt,
 )
-from pbtkit.simulate import ProtocolRun, compressed_encodings, run, sample
-from pbtkit.twisted import build_twisted
+from pbtkit.schur import permutation_operator
+from pbtkit.simulate import ProtocolReport, ProtocolRun, compressed_encodings, run, sample
+from pbtkit.symrep import transposition
+from pbtkit.twisted import build_twisted, maximally_entangled
 
 RNG = np.random.default_rng(23)
 
@@ -183,6 +187,75 @@ def test_compressed_encodings_run_no_spectral_decomposition(monkeypatch):
     assert len(compressed_encodings(n, d, tw)) == n - 1
 
 
+@pytest.mark.parametrize(
+    "n,d,mode", [(3, 2, "tight"), (5, 2, "tight"), (4, 3, "tight"), (4, 2, "padded")]
+)
+def test_compressed_gates_are_port_swap_gathers_of_port_1(n, d, mode):
+    # only port 1's dilation is checked for unitarity; every other port's B and
+    # C must be the exact gather of port 1's by the port swap V(1 i)
+    mask = encoding_spaces(n, d, mode).system_mask()
+    total, phys = mask.size, np.ix_(mask, mask)
+    blocks = []
+    for enc in compressed_encodings(n, d, build_twisted(n, d), mode):
+        gate = enc.unitary.matrix
+        blocks.append((gate[:total, :total][phys], gate[:total, total:][phys]))
+    b1, c1 = blocks[0]
+    for i, (b, c) in enumerate(blocks[1:], start=2):
+        s = permutation_operator(n, d, transposition(0, i - 1, n)).source_index()
+        assert np.array_equal(b, b1[np.ix_(s, s)])
+        assert np.array_equal(c, c1[np.ix_(s, s)])
+
+
+def _oracle_report(n, d, eta):
+    """The dense-W report with every Pi_i from the brute-force ``pgm_dense``."""
+    phi = maximally_entangled(d)
+    ops = pgm_dense(n, d).operators
+    outs = [outcome_output(n, d, op, i, eta) for i, op in enumerate(ops, start=1)]
+    probs = [float(np.trace(out).real) for out in outs]
+    if eta is None:
+        fidelity = sum(float(np.real(phi.conj() @ out @ phi)) for out in outs)
+    else:
+        fidelity = sum(float(np.real(np.trace(eta @ out))) for out in outs)
+    states = [out / max(p, 1e-30) for out, p in zip(outs, probs)]
+    return ProtocolReport(n, d, "dense-W", probs, states, fidelity, 0.0)
+
+
+def _mixed_input(d, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    eta = z @ z.conj().T
+    return eta / np.trace(eta).real
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3], ids=["entangled", "mixed1", "mixed2", "mixed3"])
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (3, 3), (6, 2)])
+def test_dense_engine_report_matches_the_dense_measurement(n, d, seed):
+    eta = None if seed is None else _mixed_input(d, seed)
+    report = run(ProtocolRun(n, d, input_state="entangled" if eta is None else eta))
+    oracle = _oracle_report(n, d, eta)
+    for field in fields(ProtocolReport):
+        got, want = getattr(report, field.name), getattr(oracle, field.name)
+        if isinstance(want, (str, int)):
+            assert got == want
+        else:
+            assert np.shape(got) == np.shape(want)
+            assert np.abs(np.asarray(got) - np.asarray(want)).max() < 1e-14, field.name
+
+
+def test_dense_engine_never_builds_the_dense_measurement(monkeypatch):
+    from pbtkit import pbt
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense measurement built")
+
+    monkeypatch.setattr(pbt, "pgm_dense", refuse)
+    monkeypatch.setattr(pbt, "pgm_tilde_dense", refuse)
+    report = run(ProtocolRun(5, 3, engine="dense-W"))
+    assert report.fidelity == pytest.approx(pgm_fidelity(5, 3), abs=1e-12)
+    report = run(ProtocolRun(4, 2, input_state=_mixed_input(2, 1), engine="dense-W"))
+    assert sum(report.probabilities) == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("n,d", [(5, 3), (8, 2)])
 def test_dense_engine_matches_closed_forms(n, d):
     report = run(ProtocolRun(n, d, engine="dense-W"))
@@ -197,9 +270,9 @@ def test_dense_engine_refused_by_the_measurement_guard():
 
     tracemalloc.start()
     try:
-        # pgm_dense's own guard: 2n dense d^n x d^n matrices
-        with pytest.raises(DenseTooLarge, match="24 dense 2\\^12 x 2\\^12"):
-            run(ProtocolRun(12, 2, engine="dense-W"))
+        # the guard of the one closed-form product, before the twisted transform
+        with pytest.raises(DenseTooLarge, match="6 dense 2\\^13 x 2\\^13"):
+            run(ProtocolRun(13, 2, engine="dense-W"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -223,7 +296,7 @@ def test_invalid_input_state_rejected_before_building(engine, eta, problem, monk
     def refuse(*args, **kwargs):
         raise AssertionError("built before the input was checked")
 
-    monkeypatch.setattr(sim, "pgm_dense", refuse)
+    monkeypatch.setattr(sim, "measurement_functions", refuse)
     monkeypatch.setattr(sim, "build_pipeline", refuse)
     with pytest.raises(ValueError, match=problem):
         run(ProtocolRun(3, 2, input_state=eta, engine=engine))

@@ -152,6 +152,22 @@ def test_cli_export_kraus_one_port(tmp_path, monkeypatch):
     assert back.tobytes() == kraus_from_twisted(2, 3, build_twisted(2, 3), 1).tobytes()
 
 
+@pytest.mark.parametrize("n,d", [(3, 2), (5, 2), (3, 3), (4, 3)])
+def test_cli_export_povm_is_the_closed_form(tmp_path, monkeypatch, n, d):
+    from pbtkit.pbt import pgm_dense
+
+    path = tmp_path / "povm.mat"
+    calls = _count_pgm_function_calls(monkeypatch)
+    assert cli.main(["export", "povm", "--n", str(n), "--d", str(d), str(path)]) == 0
+    assert calls == [1]  # port 1's product only; the other ports are gathered
+    monkeypatch.undo()
+    dim = d**n
+    ops = load_matrix(path)[0].reshape(n - 1, dim, dim)
+    for op, ref in zip(ops, pgm_dense(n, d).operators, strict=True):
+        assert np.abs(op - ref).max() < 1e-14
+    assert np.abs(ops.sum(axis=0) - np.eye(dim)).max() < 1e-14
+
+
 def test_cli_irreps(capsys):
     assert cli.main(["irreps", "--n", "3", "--d", "2"]) == 0
     out = capsys.readouterr().out
@@ -396,8 +412,8 @@ def test_cli_bad_arguments_are_usage_errors(capsys, argv, message):
     "argv,gib",
     [
         (["export", "kraus", "--n", "13", "--d", "2"], "6.0 GiB"),
-        (["export", "povm", "--n", "12", "--d", "2"], "6.0 GiB"),
-        (["simulate", "--n", "12", "--d", "2"], "6.0 GiB"),
+        (["export", "povm", "--n", "13", "--d", "2"], "6.0 GiB"),
+        (["simulate", "--n", "13", "--d", "2"], "6.0 GiB"),
     ],
 )
 def test_cli_dense_too_large_is_usage_error(tmp_path, capsys, argv, gib):
