@@ -194,7 +194,7 @@ def cmd_export(args) -> int:
         labels = [
             {"alpha": list(b.alpha.rows), "copy": b.r, "dim": b.dim} for b in tw.blocks
         ]
-        save_matrix(args.path, (b.f.conj().T for b in tw.blocks), labels)
+        save_matrix(args.path, (b.f.T for b in tw.blocks), labels)
     else:  # the Kraus operators sqrt(Pi_i) or the POVM Pi_i, from the closed form
         import numpy as np
 

@@ -146,7 +146,7 @@ def pgm_function(
         inner[alpha] = (g(s) - zero) / s * m + (zero - off) * np.eye(len(m))
     f = np.concatenate([b.f for b in tw.blocks], axis=1)
     fg = np.concatenate([b.f @ inner[b.alpha] for b in tw.blocks], axis=1)
-    out = fg @ f.conj().T
+    out = fg @ f.T
     out[np.diag_indices_from(out)] += off
     return out
 
@@ -172,9 +172,10 @@ def pgm_functions(
 
 def measurement_functions(n: int, d: int, g: Callable[[float], float]) -> Iterator[np.ndarray]:
     """``pgm_functions`` on the twisted transform at (n, d), refused before it
-    is built when the one product does not fit: the twisted blocks, stacked f,
-    fg, conjugate of f and product (traced peaks, in dense d^n x d^n matrices:
-    5.8 at (8,2), 5.5 at (9,2), 3.4 at (6,3) and (5,3)); ports >= 2 are gathers."""
+    is built when the one product does not fit: the real twisted blocks,
+    stacked f, fg and product, and the file's complex copy (traced peaks, in
+    complex d^n x d^n matrices: 3.1 at (8,2), 2.8 at (9,2), 2.4 at (6,3) and
+    2.7 at (5,3)); ports >= 2 are gathers."""
     guard_dense(n, d, 6)
     return pgm_functions(n, d, build_twisted(n, d), g)
 

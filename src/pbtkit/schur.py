@@ -10,7 +10,8 @@ t, by an adjacent transposition s_k, and Young's orthogonal form
 ``V(s_k) u_t = u_t / a + sqrt(1 - 1/a^2) u_s`` gives u_s.  So
 ``U V(sigma) U+`` is block diagonal with blocks ``I_m  (x)  yor(lambda,
 sigma)`` by construction, which is the property every formula downstream
-relies on, and the build never runs over the m! group elements.
+relies on, and the build never runs over the m! group elements.  Every
+entry is real, so the transform is a real orthogonal float64 matrix.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ def partial_transpose_last(op: np.ndarray, m: int, d: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SchurTransform:
-    """Unitary to the irrep-adapted basis of m qudits plus its row labels.
+    """Real orthogonal (float64) map to the irrep-adapted basis of m qudits
+    plus its row labels.
 
     Row order groups by diagram (lexicographically decreasing), then
     multiplicity copy, then standard tableau in last-letter order, so the
@@ -122,9 +124,7 @@ class SchurTransform:
     gauge_seed: int
 
     def row_position(self, lam: Partition, r: int, path: StandardTableau) -> int:
-        key = (lam, r, path.growth)
-        pos = _row_lookup(self)[key]
-        return pos
+        return _row_lookup(self)[(lam, r, path.growth)]
 
     def row(self, lam: Partition, r: int, path: StandardTableau) -> np.ndarray:
         """One row of the transform as a bra over the computational basis."""
@@ -181,7 +181,9 @@ def _fix_signs(cols: np.ndarray) -> np.ndarray:
 
 def guard_dense(m: int, d: int, count: int = 1) -> None:
     """Raise DenseTooLarge, before anything is allocated, when ``count`` dense
-    complex d^m x d^m matrices held at once exceed the guard."""
+    complex d^m x d^m matrices held at once exceed the guard.  Callers count
+    in complex matrices even where they hold real ones, so refusal points do
+    not depend on the dtype."""
     need = 16 * count * d ** (2 * m)
     if need > DENSE_GUARD_BYTES:
         raise DenseTooLarge(
@@ -218,7 +220,7 @@ def _jucys_murphy_eigenspace(m: int, d: int, contents: tuple[int, ...]) -> np.nd
 
 @lru_cache(maxsize=None)
 def build_schur(m: int, d: int, gauge_seed: int = 0) -> SchurTransform:
-    """Construct the m-qudit Schur transform as a dense unitary.
+    """Construct the m-qudit Schur transform as a dense real orthogonal matrix.
 
     ``gauge_seed`` != 0 rotates each multiplicity basis by a seeded orthogonal
     mix; all downstream scalar quantities must be independent of this gauge.
@@ -228,7 +230,7 @@ def build_schur(m: int, d: int, gauge_seed: int = 0) -> SchurTransform:
     guard_dense(m, d)
     dim = d**m
     if m == 0:
-        mat = np.eye(1, dtype=complex)
+        mat = np.eye(1)
         index = ((Partition(), 1, StandardTableau(Partition(), ())),)
         return SchurTransform(m, d, mat, index, gauge_seed)
 
@@ -268,12 +270,11 @@ def build_schur(m: int, d: int, gauge_seed: int = 0) -> SchurTransform:
         cursor += size
     if cursor != dim:
         raise ArithmeticError(f"assembled {cursor} rows, expected {dim}")
-    mat = rows.astype(complex)
-    err = np.abs(mat @ mat.conj().T - np.eye(dim)).max()
+    err = np.abs(rows @ rows.T - np.eye(dim)).max()
     if err > 1e-10:
         raise ArithmeticError(f"Schur transform not unitary, residual {err:.2e}")
-    mat.flags.writeable = False
-    return SchurTransform(m, d, mat, tuple(index), gauge_seed)
+    rows.flags.writeable = False
+    return SchurTransform(m, d, rows, tuple(index), gauge_seed)
 
 
 def covariance_residual(t: SchurTransform, sigma: Perm) -> float:

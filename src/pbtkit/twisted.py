@@ -4,7 +4,7 @@ The ideal generated by elements that move the last qudit is supported on the
 subspace spanned by product states maximally entangled between one of the
 first n-1 qudits and the last.  Each irrep block is labelled by a diagram
 ``alpha`` on n-2 boxes and a multiplicity copy ``r``; its spanning vectors,
-Gram spectrum, orthonormal f basis and the matrix forms of the algebra
+Gram spectrum, real orthonormal f basis and the matrix forms of the algebra
 generators are all computed here, each backed by a dense oracle check.
 """
 
@@ -24,7 +24,13 @@ from .partitions import (
     dim_weyl,
     enumerate_partitions,
 )
-from .schur import build_schur, guard_dense, permutation_operator
+from .schur import (
+    build_schur,
+    guard_dense,
+    permutation_operator,
+    submatrix_U_alpha,
+    submatrix_U_nu_alpha,
+)
 from .symrep import (
     Perm,
     branching_slices,
@@ -37,6 +43,7 @@ from .symrep import (
 GRAM_TOL = 1e-8
 PSEUDO_TOL = 1e-8
 FACTORED_TOL = 1e-10
+ORTHO_TOL = 1e-9
 
 
 def _validate_block_args(n: int, d: int, alpha: Partition) -> BoxAddition:
@@ -86,6 +93,22 @@ def maximally_entangled(d: int) -> np.ndarray:
     return v
 
 
+def _port_gathers(m: int, d: int, n: int) -> list[np.ndarray]:
+    """Source indices of V[(k, n-1)] on m qudits for ports k = 1..n-1.  Each
+    is a two-cycle, so each gather is its own inverse."""
+    return [
+        permutation_operator(m, d, embed_perm(port_cycle(k, n), m)).source_index()
+        for k in range(1, n)
+    ]
+
+
+def _spanning_rows(rows: np.ndarray, d: int, gathers: list[np.ndarray]) -> np.ndarray:
+    """psi^T: row (k, k_alpha), k outer, is sqrt(d) V[(k, n-1)] applied to
+    Schur row k_alpha tensored with the maximally entangled pair."""
+    kets = np.sqrt(d) * np.kron(rows, maximally_entangled(d))
+    return np.concatenate([kets[:, src] for src in gathers])
+
+
 def psi_vectors(n: int, d: int, alpha: Partition, r: int = 1, gauge_seed: int = 0) -> np.ndarray:
     """Spanning columns of one irrep block, each of squared norm d.
 
@@ -94,20 +117,10 @@ def psi_vectors(n: int, d: int, alpha: Partition, r: int = 1, gauge_seed: int = 
     maximally entangled pair on qudits n-1, n.
     """
     _validate_block_args(n, d, alpha)
-    sch = build_schur(n - 2, d, gauge_seed)
-    d_alpha = dim_specht(alpha)
     if not 1 <= r <= dim_weyl(alpha, d):
         raise ValueError(f"multiplicity copy r = {r} out of range for {alpha}")
-    base = sch.block_rows(alpha, r).conj()  # kets, shape (d_alpha, d^(n-2))
-    phi = maximally_entangled(d)
-    cols = np.zeros((d**n, (n - 1) * d_alpha), dtype=complex)
-    for k in range(1, n):
-        op = permutation_operator(n, d, embed_perm(port_cycle(k, n), n))
-        src = op.source_index()
-        for ka in range(d_alpha):
-            vec = np.sqrt(d) * np.kron(base[ka], phi)
-            cols[:, (k - 1) * d_alpha + ka] = vec[src]
-    return cols
+    rows = build_schur(n - 2, d, gauge_seed).block_rows(alpha, r)
+    return _spanning_rows(rows, d, _port_gathers(n, d, n)).T
 
 
 def gram_spectrum(
@@ -136,7 +149,7 @@ def gram_residual(n: int, d: int, alpha: Partition, r: int = 1, gauge_seed: int 
     for nu in box.children:
         expected.extend([lambda_eigenvalue(n, d, alpha, nu)] * dim_specht(nu))
     expected.extend([0.0] * box.theta_dim())
-    got = np.linalg.eigvalsh(psi.conj().T @ psi)
+    got = np.linalg.eigvalsh(psi.T @ psi)
     return float(np.abs(np.sort(np.array(expected)) - got).max())
 
 
@@ -167,7 +180,7 @@ def z_stacked(n: int, d: int, alpha: Partition) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class IrrepBlock:
-    """One (alpha, r) irrep block: orthonormal f basis and its row labels."""
+    """One (alpha, r) irrep block: real orthonormal f basis and its row labels."""
 
     n: int
     d: int
@@ -181,87 +194,71 @@ class IrrepBlock:
         return self.f.shape[1]
 
 
+def _check_orthonormal(f: np.ndarray) -> None:
+    err = np.abs(f.T @ f - np.eye(f.shape[1])).max()
+    if err > ORTHO_TOL:
+        raise ArithmeticError(f"f basis not orthonormal, residual {err:.2e}")
+
+
 def f_basis(n: int, d: int, alpha: Partition, r: int = 1, gauge_seed: int = 0) -> IrrepBlock:
     """Orthonormal basis decomposing one irrep block under S(n-1).
 
     Columns are psi . z in (nu, xi, j) order; orthonormality is enforced.
     """
-    psi = psi_vectors(n, d, alpha, r, gauge_seed)
-    z = z_stacked(n, d, alpha)
-    f = psi @ z
-    dim = f.shape[1]
-    err = np.abs(f.conj().T @ f - np.eye(dim)).max()
-    if err > 1e-9:
-        raise ArithmeticError(f"f basis not orthonormal, residual {err:.2e}")
+    f = psi_vectors(n, d, alpha, r, gauge_seed) @ z_stacked(n, d, alpha)
+    _check_orthonormal(f)
     return IrrepBlock(n, d, alpha, r, f, nu_index(n, d, alpha))
 
 
-def _checked_f_basis(n: int, d: int, alpha: Partition, r: int, gauge_seed: int) -> IrrepBlock:
-    """``f_basis``, whose adjoint must agree with the factored form to
-    FACTORED_TOL."""
-    block = f_basis(n, d, alpha, r, gauge_seed)
-    err = np.abs(block.f.conj().T - _factored_block(n, d, alpha, r, gauge_seed)).max()
-    if err > FACTORED_TOL:
-        raise ArithmeticError(
-            f"factored/direct twisted transform mismatch {err:.2e} at "
-            f"n={n}, d={d}, alpha={alpha}, r={r}"
-        )
-    return block
+def _diagram_blocks(n: int, d: int, alpha: Partition, gauge_seed: int) -> tuple[IrrepBlock, ...]:
+    """The f bases of every multiplicity copy r of diagram alpha, each
+    checked for orthonormality and against the factored form to FACTORED_TOL.
 
-
-def _phi_map(n: int, d: int, alpha: Partition, r: int, gauge_seed: int = 0) -> np.ndarray:
-    """dim(alpha) x d^n map onto the (alpha, r) Schur rows tensored with the
-    maximally entangled bra on qudits n-1, n, times sqrt(d)."""
-    sch = build_schur(n - 2, d, gauge_seed)
-    rows = sch.block_rows(alpha, r)
-    phi = maximally_entangled(d)
-    return np.sqrt(d) * np.kron(rows, phi[None, :].conj())
+    What depends on alpha alone is built once: z, the port gathers and the
+    factored form's per-port Schur submatrix products
+    inner_k = sum_nu c_nu U_alpha V(k, n-1) U_nu^T on n-1 qudits.  For copy r
+    the factored block sum_k inner_k (Schur rows (x) phi+ bra) V(k, n-1) is
+    then one product of the stacked inner_k with psi^T.
+    """
+    box = _validate_block_args(n, d, alpha)
+    sch, sch1 = build_schur(n - 2, d, gauge_seed), build_schur(n - 1, d, gauge_seed)
+    w = sum(
+        np.sqrt(dim_specht(nu) / lambda_eigenvalue(n, d, alpha, nu))
+        * submatrix_U_nu_alpha(sch1, nu, alpha)
+        for nu in box.children
+    )
+    ws = np.concatenate([w[:, src] for src in _port_gathers(n - 1, d, n)])
+    inner = submatrix_U_alpha(sch1, alpha) @ ws.T / np.sqrt((n - 1) * dim_specht(alpha))
+    gathers, z, labels = _port_gathers(n, d, n), z_stacked(n, d, alpha), nu_index(n, d, alpha)
+    blocks = []
+    for r in range(1, dim_weyl(alpha, d) + 1):
+        psi_t = _spanning_rows(sch.block_rows(alpha, r), d, gathers)
+        f = psi_t.T @ z
+        _check_orthonormal(f)
+        err = np.abs(f.T - inner @ psi_t).max()
+        if err > FACTORED_TOL:
+            raise ArithmeticError(
+                f"factored/direct twisted transform mismatch {err:.2e} at "
+                f"n={n}, d={d}, alpha={alpha}, r={r}"
+            )
+        blocks.append(IrrepBlock(n, d, alpha, r, f, labels))
+    return tuple(blocks)
 
 
 def twisted_schur_block(
     n: int, d: int, alpha: Partition, r: int = 1, gauge_seed: int = 0
 ) -> np.ndarray:
     """The D_alpha x d^n isometry from the computational basis to the
-    (nu, xi, j)-labelled f basis of one irrep block.
-
-    The factored form, a sum over ports of Schur submatrix products
-    sandwiched between the entangling map and port permutations, is
-    evaluated and must agree with the direct form to FACTORED_TOL.
-    """
-    return _checked_f_basis(n, d, alpha, r, gauge_seed).f.conj().T
-
-
-def _factored_block(n: int, d: int, alpha: Partition, r: int, gauge_seed: int = 0) -> np.ndarray:
-    from .schur import submatrix_U_alpha, submatrix_U_nu_alpha
-
-    box = add_box(alpha, d)
-    sch1 = build_schur(n - 1, d, gauge_seed)
-    d_alpha = dim_specht(alpha)
-    u_alpha = submatrix_U_alpha(sch1, alpha)
-    phi = _phi_map(n, d, alpha, r, gauge_seed)
-    total = np.zeros((block_dimension(alpha, d), d**n), dtype=complex)
-    for k in range(1, n):
-        pk = port_cycle(k, n)
-        # A @ V(sigma) gathers the columns of A by the inverse of sigma's source index
-        u_alpha_k = u_alpha[:, np.argsort(permutation_operator(n - 1, d, pk).source_index())]
-        inner = np.zeros_like(total[:, : d_alpha])
-        for nu in box.children:
-            u_nu = submatrix_U_nu_alpha(sch1, nu, alpha)
-            c = np.sqrt(dim_specht(nu) / lambda_eigenvalue(n, d, alpha, nu))
-            inner = inner + c * (u_alpha_k @ u_nu.conj().T)
-        src_lk = permutation_operator(n, d, embed_perm(pk, n)).source_index()
-        total = total + (inner @ phi)[:, np.argsort(src_lk)]
-    return total / np.sqrt((n - 1) * d_alpha)
+    (nu, xi, j)-labelled f basis of one irrep block, checked against the
+    factored form (see ``_diagram_blocks``)."""
+    blocks = _diagram_blocks(n, d, alpha, gauge_seed)
+    if not 1 <= r <= len(blocks):
+        raise ValueError(f"multiplicity copy r = {r} out of range for {alpha}")
+    return blocks[r - 1].f.T
 
 
 # ---------------------------------------------------------------------------
 # matrix forms of the algebra generators in the f basis
-
-
-def _alpha_row_blocks(n: int, d: int, alpha: Partition, i: int) -> dict[Partition, np.ndarray]:
-    """yor(nu, (i, n-1)) restricted to alpha rows, for every child nu."""
-    pk = port_cycle(i, n)
-    return {nu: prir_rows(nu, pk, alpha) for nu in add_box(alpha, d).children}
 
 
 def _weighted_blocks(
@@ -272,7 +269,7 @@ def _weighted_blocks(
     alpha rows of yor(., (i, n-1)): the port-i measurement operator at unit
     weights, the partially transposed two-cycle (i n) at w = lambda."""
     d_alpha = dim_specht(alpha)
-    rows = _alpha_row_blocks(n, d, alpha, i)
+    rows = {nu: prir_rows(nu, port_cycle(i, n), alpha) for nu in add_box(alpha, d).children}
     dim = block_dimension(alpha, d)
     out = np.zeros((dim, dim))
     oa = 0
@@ -396,16 +393,17 @@ class TwistedSchur:
         """Projector onto the support subspace, formed from the stacked f
         bases on first read."""
         f = np.concatenate([b.f for b in self.blocks], axis=1)
-        return f @ f.conj().T
+        return f @ f.T
 
 
 @lru_cache(maxsize=None)
 def build_twisted(n: int, d: int, gauge_seed: int = 0) -> TwistedSchur:
-    """Build every (alpha, r) block, each checked against its factored form."""
+    """Build every (alpha, r) block, one diagram at a time, each checked
+    against its factored form."""
     guard_dense(n, d, 3)  # the blocks, their stacked f and what is formed from it
     blocks = tuple(
-        _checked_f_basis(n, d, alpha, r, gauge_seed)
+        block
         for alpha in enumerate_partitions(n - 2, d)
-        for r in range(1, dim_weyl(alpha, d) + 1)
+        for block in _diagram_blocks(n, d, alpha, gauge_seed)
     )
     return TwistedSchur(n, d, blocks, gauge_seed)

@@ -321,3 +321,11 @@ def test_dense_builds_guarded_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (4, 2), (6, 2), (3, 3), (4, 3)])
+def test_pgm_function_is_real(n, d):
+    tw = build_twisted(n, d)
+    for g in (np.sqrt, lambda x: x, lambda x: np.sqrt(1.0 - x / d)):
+        for i in range(1, n):
+            assert pgm_function(n, d, tw, i, g).dtype == np.float64

@@ -223,3 +223,10 @@ def test_gauge_seed_changes_basis_not_span():
     assert not np.allclose(t0.matrix, t1.matrix)
     # both remain exact transforms
     assert covariance_residual(t1, transposition(0, 1, 3)) < 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_schur_transform_is_real(seed):
+    for d in (2, 3):
+        for m in range(0, 7):
+            assert build_schur(m, d, seed).matrix.dtype == np.float64

@@ -149,7 +149,16 @@ def test_cli_export_kraus_one_port(tmp_path, monkeypatch):
     assert calls == [1]
     back, meta = load_matrix(path)
     assert (meta["rows"], meta["cols"]) == (9, 9)
-    assert back.tobytes() == kraus_from_twisted(2, 3, build_twisted(2, 3), 1).tobytes()
+    assert back.tobytes() == kraus_from_twisted(2, 3, build_twisted(2, 3), 1).astype(complex).tobytes()
+
+
+def test_cli_export_kraus_has_zero_imaginary_parts(tmp_path):
+    path = tmp_path / "kraus.mat"
+    assert cli.main(["export", "kraus", "--n", "4", "--d", "2", str(path)]) == 0
+    mat, meta = load_matrix(path)
+    assert meta["dtype"] == "complex-f64" and mat.dtype == np.complex128
+    assert mat.shape == (3 * 16, 16)
+    assert not mat.imag.any() and mat.real.any()
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (5, 2), (3, 3), (4, 3)])
@@ -247,7 +256,7 @@ def test_cli_export_roundtrip(tmp_path, capsys):
     from pbtkit.schur import build_schur
 
     ref = build_schur(4, 2).matrix
-    assert mat.tobytes() == np.asarray(ref).tobytes()
+    assert mat.tobytes() == ref.astype(complex).tobytes()
     assert len(meta["labels"]) == 16
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pbtkit import twisted
 from pbtkit.partitions import Partition, add_box, dim_specht, dim_weyl, enumerate_partitions
 from pbtkit.schur import partial_transpose_last, permutation_dense
 from pbtkit.symrep import embed_perm, transposition, yor
@@ -381,3 +382,56 @@ def test_invalid_arguments():
         mf_pi(3, 2, ONE, 3)  # port out of range
     with pytest.raises(ValueError):
         mf_generator(3, 2, ONE, (2, 1, 0), transposed=False)  # moves last qudit
+
+
+def recording_tolerance(value, seen):
+    """A tolerance that appends every residual compared with it to ``seen``:
+    ``err > tol`` asks the tolerance first, as its type subclasses the
+    residual's np.float64."""
+
+    class Tol(np.float64):
+        def __lt__(self, err):
+            seen.append(float(err))
+            return np.float64.__lt__(self, err)
+
+    return Tol(value)
+
+
+@pytest.mark.parametrize("n,d", [(5, 2), (4, 3)])
+def test_build_twisted_checks_every_block(monkeypatch, n, d):
+    copies = [dim_weyl(alpha, d) for alpha in enumerate_partitions(n - 2, d)]
+    assert max(copies) > 1
+    ortho, factored = [], []
+    monkeypatch.setattr(twisted, "ORTHO_TOL", recording_tolerance(1e-9, ortho))
+    monkeypatch.setattr(twisted, "FACTORED_TOL", recording_tolerance(1e-10, factored))
+    build_twisted.cache_clear()
+    try:
+        tw = build_twisted(n, d)
+        assert len(tw.blocks) == len(ortho) == len(factored) == sum(copies)
+        assert 0 < max(ortho) < 1e-9 and 0 < max(factored) < 1e-10
+        monkeypatch.setattr(twisted, "FACTORED_TOL", -1.0)
+        build_twisted.cache_clear()
+        with pytest.raises(ArithmeticError, match="factored/direct"):
+            build_twisted(n, d)
+    finally:
+        build_twisted.cache_clear()
+
+
+@pytest.mark.parametrize("n,d", [(6, 2), (5, 3)])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_build_twisted_blocks_equal_f_basis(n, d, seed):
+    # the per-diagram builder and the one-block path share the spanning rows
+    # and z, so the blocks agree to the bit
+    tw = build_twisted(n, d, seed)
+    assert any(blk.r > 1 for blk in tw.blocks)
+    for blk in tw.blocks:
+        one = f_basis(n, d, blk.alpha, blk.r, seed)
+        assert np.array_equal(blk.f, one.f)
+        assert blk.nu_index == one.nu_index
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (4, 2), (6, 2), (3, 3), (5, 3)])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_twisted_blocks_are_real(n, d, seed):
+    for blk in build_twisted(n, d, seed).blocks:
+        assert blk.f.dtype == np.float64
