@@ -89,10 +89,10 @@ def amplified_V(v: Op, plan_: AmplificationPlan, layout: Layout) -> Op:
     A start-subspace input only ever meets v, v^dagger and the diagonals, so
     it stays in S, the support the start projector reaches under the nonzero
     pattern of v's factors and their adjoints.  The product runs on S alone:
-    the v chain is ``Support``'s S x S CSR factors, the v^dagger chain their
-    conjugate transposes in reverse, and each diagonal its S rows, all shared
-    across phases.  The returned op takes states supported on S and raises
-    ValueError on any other.
+    the v chain is ``Support``'s S x S dense component blocks, the v^dagger
+    chain their conjugate transposes in reverse, and each diagonal its S
+    rows, all shared across phases.  The returned op takes states supported
+    on S and raises ValueError on any other.
     """
     if plan_.m == 1:
         return v
@@ -103,7 +103,7 @@ def amplified_V(v: Op, plan_: AmplificationPlan, layout: Layout) -> Op:
     m = plan_.m
     support = Support(v, layout, start)
     v_chain = support.chain
-    vdag_chain = tuple(mat.conj().T.tocsr() for mat in reversed(v_chain))
+    vdag_chain = tuple(f.adjoint() for f in reversed(v_chain))
 
     def reflection(mask: np.ndarray, phase: float, sign: float = 1.0) -> np.ndarray:
         inside = support.rows(mask, layout)

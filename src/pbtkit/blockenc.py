@@ -20,7 +20,6 @@ qubit accounting assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -43,6 +42,7 @@ from .schur import (
     SchurTransform,
     build_schur,
     submatrix_U_nu_alpha,
+    value_cache,
 )
 from .symrep import embed_perm, tableau_index
 from .twisted import (
@@ -236,7 +236,7 @@ class EncodingSpaces:
         }
 
 
-@lru_cache(maxsize=None)
+@value_cache
 def encoding_spaces(n: int, d: int, mode: str = "tight", gauge_seed: int = 0) -> EncodingSpaces:
     if mode not in ("tight", "padded"):
         raise ValueError("mode must be 'tight' or 'padded'")

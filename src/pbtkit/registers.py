@@ -15,6 +15,8 @@ the nonzero pattern of every factor and of its adjoint.  No entry links S to
 its complement, so every factor splits exactly into an S block and an S^c
 block, and a state that starts in S can be run through the S x S blocks
 alone (``RestrictedProduct``, which rejects a state with amplitude off S).
+Each S x S block is held as dense component blocks (``BlockFactor``), so only
+folding a gate chain needs ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,12 +186,18 @@ def controlled_not_gate(flag_dim: int, cond_dims: list[int]) -> np.ndarray:
     return out
 
 
-def _product(mat, x: np.ndarray) -> np.ndarray:
-    """mat @ x for a complex stack x; a real mat acts on the real view of x,
-    which halves the arithmetic."""
-    if np.iscomplexobj(mat):
-        return mat @ x
-    return (mat @ np.ascontiguousarray(x, dtype=complex).view(float)).view(complex)
+class Csr(NamedTuple):
+    """The nonzeros of a square matrix, row after row: row r holds
+    ``data[indptr[r]:indptr[r + 1]]`` in the columns ``indices[...]``; the
+    index arrays are int32, as ``scipy.sparse`` keeps them."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def rows(self) -> np.ndarray:
+        """The row of each entry."""
+        return np.repeat(np.arange(self.indptr.size - 1, dtype=np.int32), np.diff(self.indptr))
 
 
 def _is_gate_chain(op: Op) -> bool:
@@ -199,10 +208,10 @@ def _is_gate_chain(op: Op) -> bool:
     )
 
 
-def _fold_branches(op: Branched, layout: Layout) -> list[tuple[dict, tuple[str, ...], object]]:
+def _fold_branches(op: Branched, layout: Layout) -> list[tuple[dict, tuple[str, ...], Csr]]:
     """Multiply each body's gates, each embedded as a sparse matrix on the
-    touched registers (in layout order), into one CSR matrix per branch key:
-    the pieces of one factor, as ``_factors`` gives them."""
+    touched registers (in layout order), into one matrix per branch key: the
+    pieces of one factor, as ``_factors`` gives them."""
     import scipy.sparse as sparse  # only folding needs it; keeps `import pbtkit` light
 
     names = {nm for _, body in op.branches for gate in body.ops for nm in gate.names}
@@ -232,23 +241,21 @@ def _fold_branches(op: Branched, layout: Layout) -> list[tuple[dict, tuple[str, 
             )
             acc = factor @ acc
         acc.eliminate_zeros()
-        mat = acc if acc.data.imag.any() else acc.real
-        pieces.append((dict(zip(op.controls, key)), touched, mat))
+        data = acc.data if acc.data.imag.any() else acc.data.real
+        pieces.append((dict(zip(op.controls, key)), touched, Csr(acc.indptr, acc.indices, data)))
     return pieces
 
 
-def _factors(op: Op, layout: Layout) -> list[list[tuple[dict, tuple[str, ...], object]]]:
+def _factors(op: Op, layout: Layout) -> list[list[tuple[dict, tuple[str, ...], Csr]]]:
     """An op tree as a product of factors, ``[0]`` acting first.  A factor
-    is a list of pieces (controls, names, matrix): the CSR ``matrix`` acts on
-    the registers ``names``, in its row-major order, where the control
-    registers hold the values ``controls``.  The pieces of one factor have
-    disjoint control slices, and the factor is the identity off them.
+    is a list of pieces (controls, names, matrix): ``matrix`` acts on the
+    registers ``names``, in its row-major order, where the control registers
+    hold the values ``controls``.  The pieces of one factor have disjoint
+    control slices, and the factor is the identity off them.
 
     A Branched whose bodies are all chains of at least two gates is folded
     into one factor (``_fold_branches``).  Otherwise the i-th ops of a
     Branched's bodies act on disjoint slices, so they make up one factor."""
-    import scipy.sparse as sparse
-
     if isinstance(op, Composite):
         return [f for o in op.ops for f in _factors(o, layout)]
     if isinstance(op, Branched):
@@ -262,8 +269,79 @@ def _factors(op: Op, layout: Layout) -> list[list[tuple[dict, tuple[str, ...], o
         depth = max(map(len, per_key), default=0)
         return [[p for fs in per_key if i < len(fs) for p in fs[i]] for i in range(depth)]
     if isinstance(op, Gate):
-        return [[({}, op.names, sparse.csr_matrix(op.matrix))]]
+        rows, cols = np.nonzero(op.matrix)
+        indptr = np.searchsorted(rows, np.arange(op.matrix.shape[0] + 1)).astype(np.int32)
+        return [[({}, op.names, Csr(indptr, cols.astype(np.int32), op.matrix[rows, cols]))]]
     raise TypeError(f"no sparsity pattern for {type(op).__name__}")
+
+
+def _components(mat: Csr) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The connected components of the nonzero pattern of ``mat`` and of its
+    adjoint: every nonzero links its row and its column.  Returns ``label``,
+    each index's component named by its smallest index, and ``members``,
+    ``start`` and ``size``: component c is ``members[start[c]:][:size[c]]``,
+    in ascending order."""
+    size = mat.indptr.size - 1
+    rows, cols = mat.rows(), mat.indices
+    label = np.arange(size)
+    while True:
+        low = np.minimum(label[rows], label[cols])
+        new = label.copy()
+        np.minimum.at(new, rows, low)
+        np.minimum.at(new, cols, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    counts = np.bincount(label, minlength=size)
+    return label, np.argsort(label, kind="stable"), np.cumsum(counts) - counts, counts
+
+
+@dataclass(frozen=True, eq=False)
+class BlockFactor:
+    """A ``size`` x ``size`` matrix as dense blocks on disjoint sets of
+    indices, the identity on every index no block holds.  A group
+    ``(idx, blocks)`` holds either one (k, k) block, shared by the k-sets in
+    the columns of idx (k, nb), or one block per k-set, blocks (nb, k, k) on
+    the rows of idx (nb, k)."""
+
+    size: int
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``self @ x`` in place for a C-contiguous complex (size, c) x; real
+        blocks act on its float view, which halves the arithmetic."""
+        if not x.size:
+            return x
+        # each row one element, so a gather or scatter moves whole rows
+        row = np.dtype((np.void, x.strides[0]))
+        rows = x.view(row).reshape(-1)
+        for idx, blocks in self.groups:
+            g = np.take(rows, idx).view(blocks.dtype).reshape(idx.shape + (-1,))
+            g = blocks @ (g.reshape(len(idx), -1) if blocks.ndim == 2 else g)
+            rows[idx] = g.reshape(len(idx), -1).view(row)
+        return x
+
+    def adjoint(self) -> "BlockFactor":
+        """Each block's conjugate transpose, on the same indices."""
+        flip = tuple((i, np.ascontiguousarray(b.conj().swapaxes(-1, -2))) for i, b in self.groups)
+        return BlockFactor(self.size, flip)
+
+
+def _group(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    """One group of blocks of one size from ``parts`` of (idx (nb, k),
+    distinct blocks (nc, k, k), the block of each k-set (nb,)).  Blocks
+    whose imaginary part is 0 are made real, and blocks that are all equal
+    are kept once."""
+    idx = np.concatenate([p[0] for p in parts])
+    stack = np.concatenate([p[1] for p in parts])
+    first = np.cumsum([0] + [len(p[1]) for p in parts[:-1]])
+    which = np.concatenate([p[2] + at for p, at in zip(parts, first)])
+    if not stack.imag.any():
+        stack = stack.real
+    if (stack == stack[0]).all():
+        return np.ascontiguousarray(idx.T), stack[0]
+    return idx, stack[which]
 
 
 class Support:
@@ -275,40 +353,44 @@ class Support:
     ``names`` runs from the first register of the layout to the last one
     the op touches; the registers after them ride along as columns, and the
     support of ``mask`` (flat or layout-shaped) counts every value of them.
-    No nonzero entry of a factor links S to its complement, so each factor
-    is block-diagonal on S (+) S^c, and ``chain`` holds the S x S blocks as
-    CSR matrices, ``[0]`` acting first.  The reach follows every nonzero
-    entry as a link, whatever its size, so no sum of entries can cancel one
-    out; the only entries ever dropped are the rounding-level ones
-    ``_fold_branches`` drops from the gates it multiplies.
+    S is a union of the connected components of the pieces' patterns
+    (``_components``), so each factor is block-diagonal on S (+) S^c, and
+    ``chain`` holds the S x S blocks as ``BlockFactor``s, one dense block per
+    component of a piece in each of its fibres in S, ``[0]`` acting first.
+    The reach follows every nonzero entry as a link, whatever its size, so
+    no sum of entries can cancel one out; the only entries ever dropped are
+    the rounding-level ones ``_fold_branches`` drops from the gates it
+    multiplies.
     """
 
     def __init__(self, op: Op, layout: Layout, mask: np.ndarray):
-        factors = _factors(op, layout)
+        factors = [
+            [(ctl, names, mat, _components(mat)) for ctl, names, mat in f]
+            for f in _factors(op, layout)
+        ]
         touched = {
-            layout.axis(nm) for f in factors for ctl, names, _ in f for nm in (*ctl, *names)
+            layout.axis(nm) for f in factors for ctl, names, *_ in f for nm in (*ctl, *names)
         }
         self.names = layout.names[: max(touched, default=0) + 1]
         self.dims = layout.dims[: len(self.names)]
         self._axis = {nm: a for a, nm in enumerate(self.names)}
         self._strides = [prod(self.dims[a + 1 :]) for a in range(len(self.dims))]
-        # the nonzero pattern of each piece and of its adjoint
-        patterns = [
-            (ctl, names, ((mat != 0) + (mat != 0).T).tocsr())
-            for f in factors
-            for ctl, names, mat in f
-        ]
-        index = np.flatnonzero(mask.reshape(prod(self.dims), -1).any(axis=1))
-        frontier = index
+        inside = np.zeros(prod(self.dims), bool)
+        frontier = np.flatnonzero(mask.reshape(inside.size, -1).any(axis=1))
+        inside[frontier] = True
         while frontier.size:
-            reached = [index]
-            for ctl, names, pattern in patterns:
-                rows = frontier[self._select(ctl, frontier)]
-                reached.append(self._entries(pattern, rows, names)[1])
-            grown = np.unique(np.concatenate(reached))
-            frontier = np.setdiff1d(grown, index, assume_unique=True)
-            index = grown
-        self.index = index
+            reached = np.zeros_like(inside)
+            for f in factors:
+                for ctl, names, _, (label, members, start, size) in f:
+                    local, base, offset = self._local(frontier[self._select(ctl, frontier)], names)
+                    # every member of the component of each row, in its fibre
+                    counts = size[label[local]]
+                    first = start[label[local]] - np.cumsum(counts) + counts
+                    pos = np.arange(counts.sum()) + np.repeat(first, counts)
+                    reached[np.repeat(base, counts) + offset[members[pos]]] = True
+            frontier = np.flatnonzero(reached & ~inside)
+            inside |= reached
+        self.index = np.flatnonzero(inside)
         self.chain = tuple(self._restrict(factor) for factor in factors)
 
     def _digit(self, s: np.ndarray, name: str) -> np.ndarray:
@@ -322,43 +404,42 @@ class Support:
             keep &= self._digit(s, name) == value
         return np.flatnonzero(keep)
 
-    def _entries(self, mat, s: np.ndarray, names: tuple[str, ...]):
-        """The entries (i, t, v) of the factor ``mat`` on ``names`` in the
-        rows ``s``: row s[i] holds v at flat index t."""
+    def _local(self, s: np.ndarray, names: tuple[str, ...]):
+        """The flat indices ``s`` split on the registers ``names``: each
+        one's local index (row-major in ``names``) and its flat index with
+        those registers at 0, and the flat offset of every local index."""
         local_dims = [self.dims[self._axis[nm]] for nm in names]
-        strides = np.array([self._strides[self._axis[nm]] for nm in names], dtype=np.int64)
-        digits = [self._digit(s, nm) for nm in names]
-        local = np.ravel_multi_index(digits, local_dims)
-        base = s - sum(dg * st for dg, st in zip(digits, strides))
+        strides = [self._strides[self._axis[nm]] for nm in names]
+        local = np.ravel_multi_index([self._digit(s, nm) for nm in names], local_dims)
         offset = reduce(np.add.outer, [st * np.arange(dm) for st, dm in zip(strides, local_dims)])
-        offset = offset.ravel()
-        # positions in mat.data of the local rows' entries, row after row
-        counts = np.diff(mat.indptr)[local]
-        i = np.repeat(np.arange(s.size), counts)
-        shift = mat.indptr[local] - (np.cumsum(counts) - counts)
-        pos = np.arange(i.size) + np.repeat(shift, counts)
-        return i, base[i] + offset[mat.indices[pos]], mat.data[pos]
+        return local, s - offset.ravel()[local], offset.ravel()
 
-    def _restrict(self, factor):
-        """The factor's S x S block as a CSR matrix."""
-        import scipy.sparse as sparse
-
-        n = self.index.size
-        rows, cols, vals = [], [], []
-        rest = np.ones(n, bool)
-        for ctl, names, mat in factor:
-            sel = self._select(ctl, self.index)
-            rest[sel] = False
-            i, t, v = self._entries(mat, self.index[sel], names)
-            rows.append(sel[i])
-            cols.append(np.searchsorted(self.index, t))
-            vals.append(v)
-        ident = np.flatnonzero(rest)
-        data = np.concatenate(vals + [np.ones(ident.size)])
-        if not np.imag(data).any():
-            data = data.real
-        coords = (np.concatenate(rows + [ident]), np.concatenate(cols + [ident]))
-        return sparse.csr_matrix((data, coords), shape=(n, n))
+    def _restrict(self, factor) -> BlockFactor:
+        """The factor's S x S block: one dense block per component of a
+        piece in each of its fibres in S, grouped by size."""
+        by_size: dict[int, list] = {}
+        for ctl, names, mat, (label, members, start, size) in factor:
+            local, base, offset = self._local(self.index[self._select(ctl, self.index)], names)
+            # one k-set per component in each fibre, at its smallest index
+            anchor = local == label[local]
+            roots, base = local[anchor], base[anchor]
+            rank = np.empty_like(members)  # each index's place in its component
+            rank[members] = np.arange(members.size) - start[label[members]]
+            rows = mat.rows()
+            owner = label[rows]
+            slot = np.full(label.size, -1)  # a component's place among the met k-components
+            for k in np.flatnonzero(np.bincount(size[roots])):
+                here = size[roots] == k
+                comps = np.flatnonzero(np.bincount(roots[here], minlength=label.size))
+                slot[comps] = np.arange(comps.size)
+                span = members[start[roots[here]][:, None] + np.arange(k)]
+                idx = np.searchsorted(self.index, base[here][:, None] + offset[span])
+                e = (slot[owner] >= 0) & (size[owner] == k)
+                blocks = np.zeros((comps.size, k, k), mat.data.dtype)
+                blocks[slot[owner[e]], rank[rows[e]], rank[mat.indices[e]]] = mat.data[e]
+                by_size.setdefault(int(k), []).append((idx, blocks, slot[roots[here]]))
+        groups = tuple(_group(parts) for _, parts in sorted(by_size.items()))
+        return BlockFactor(self.index.size, groups)
 
     def rows(self, arr: np.ndarray, layout: Layout) -> np.ndarray:
         """The S rows of a layout-shaped array viewed as (``names``, rest)."""
@@ -367,7 +448,7 @@ class Support:
 
 class RestrictedProduct(Op):
     """A product run on the support S of ``Support``: the S rows of a state
-    are gathered, taken through ``steps`` (a chain of S x S CSR factors or
+    are gathered, taken through ``steps`` (a chain of ``BlockFactor``s or
     an (|S|, rest) diagonal each, ``[0]`` first) and scattered back.  The
     product is defined on states supported on S; one with a nonzero
     amplitude off S raises ValueError."""
@@ -385,8 +466,8 @@ class RestrictedProduct(Op):
             if isinstance(step, np.ndarray):
                 x = (x.reshape(step.shape + (-1,)) * step[..., None]).reshape(x.shape)
             else:
-                for mat in step:
-                    x = _product(mat, x)
+                for factor in step:
+                    factor.apply(x)
         # unlike zeros_like, np.zeros leaves the pages no S row lands on
         # unwritten, so they take no memory
         out = np.zeros(arr.shape, dtype=complex)

@@ -16,8 +16,9 @@ entry is real, so the transform is a real orthogonal float64 matrix.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -179,6 +180,22 @@ def _fix_signs(cols: np.ndarray) -> np.ndarray:
     return out
 
 
+def value_cache(func):
+    """``lru_cache`` keyed on the argument values, defaults filled in: f(5, 2),
+    f(5, 2, 0) and f(5, 2, gauge_seed=0) share one entry."""
+    signature = inspect.signature(func)
+    cached = lru_cache(maxsize=None)(func)
+
+    @wraps(func)
+    def wrapper(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args)
+
+    wrapper.cache_clear = cached.cache_clear
+    return wrapper
+
+
 def guard_dense(m: int, d: int, count: int = 1) -> None:
     """Raise DenseTooLarge, before anything is allocated, when ``count`` dense
     complex d^m x d^m matrices held at once exceed the guard.  Callers count
@@ -218,7 +235,7 @@ def _jucys_murphy_eigenspace(m: int, d: int, contents: tuple[int, ...]) -> np.nd
     return np.concatenate(found, axis=1)
 
 
-@lru_cache(maxsize=None)
+@value_cache
 def build_schur(m: int, d: int, gauge_seed: int = 0) -> SchurTransform:
     """Construct the m-qudit Schur transform as a dense real orthogonal matrix.
 

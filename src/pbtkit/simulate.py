@@ -178,8 +178,8 @@ def compressed_encodings(
             err = max(np.abs(b @ b + c @ c - np.eye(d**n)).max(), np.abs(b @ c - c @ b).max())
             if err > 1e-10:
                 raise ArithmeticError(f"dilation not unitary, residual {err:.2e}")
-        top = np.zeros((total, total), dtype=complex)
-        side = np.eye(total, dtype=complex)
+        top = np.zeros((total, total), dtype=b.dtype)
+        side = np.eye(total, dtype=b.dtype)
         top[phys] = b
         side[phys] = c
         encs.append(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .schur import (
     permutation_operator,
     submatrix_U_alpha,
     submatrix_U_nu_alpha,
+    value_cache,
 )
 from .symrep import (
     Perm,
@@ -396,7 +397,7 @@ class TwistedSchur:
         return f @ f.T
 
 
-@lru_cache(maxsize=None)
+@value_cache
 def build_twisted(n: int, d: int, gauge_seed: int = 0) -> TwistedSchur:
     """Build every (alpha, r) block, one diagram at a time, each checked
     against its factored form."""

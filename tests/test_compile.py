@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import pbtkit
 from pbtkit.amplify import amplified_V, plan
@@ -21,6 +22,7 @@ from pbtkit.registers import (
     Register,
     Support,
     _factors,
+    _is_gate_chain,
     to_matrix,
 )
 from pbtkit.simulate import build_pipeline
@@ -94,7 +96,10 @@ def test_amplified_product_shares_v_and_diagonals(pipe):
     assert v_chain is pipe.v_amp.support.chain
     assert {id(step) for step in chains} == {id(v_chain), id(vdag_chain)}
     for mat, adj in zip(reversed(v_chain), vdag_chain):
-        assert (mat.conj().T != adj).nnz == 0
+        assert len(mat.groups) == len(adj.groups)
+        for (idx, blocks), (adj_idx, adj_blocks) in zip(mat.groups, adj.groups):
+            assert np.array_equal(idx, adj_idx)
+            assert np.array_equal(blocks.conj().swapaxes(-1, -2), adj_blocks)
 
 
 def test_build_pipeline_copies_no_gate(monkeypatch):
@@ -132,8 +137,20 @@ def test_support_holds_start_and_is_closed(pipe):
     for factor in _factors(pipe.naimark.v_op, layout):
         for ctl, names, mat in factor:
             rows = support.index[support._select(ctl, support.index)]
-            for m in (mat, mat.T.tocsr()):
-                assert inside[support._entries(m, rows, names)[1]].all()
+            size = mat.indptr.size - 1
+            csr = sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=(size, size))
+            for m in (csr, csr.T.tocsr()):
+                assert inside[entry_columns(support, m, rows, names)].all()
+
+
+def entry_columns(support, mat, rows, names):
+    """The flat index of every nonzero entry of the piece ``mat`` on
+    ``names`` in the flat ``rows``: row s holds entries at these indices."""
+    local, base, offset = support._local(rows, names)
+    counts = np.diff(mat.indptr)[local]
+    first = mat.indptr[local] - np.cumsum(counts) + counts
+    pos = np.arange(counts.sum()) + np.repeat(first, counts)
+    return np.repeat(base, counts) + offset[mat.indices[pos]]
 
 
 def support_mask(pipe):
@@ -161,6 +178,11 @@ def test_restricted_product_rejects_input_off_support(pipe):
         pipe.v_amp.apply(batch, pipe.layout)
 
 
+def test_restricted_product_takes_an_empty_batch(pipe):
+    empty = np.zeros(pipe.layout.dims + (0,), dtype=complex)
+    assert pipe.v_amp.apply(empty, pipe.layout).shape == empty.shape
+
+
 def test_single_gate_bodies_left_untouched():
     pipe = build_pipeline(4, 3, "compressed", with_bob=False, with_ref=False)
     tree = pipe.naimark.uc_op
@@ -170,14 +192,15 @@ def test_single_gate_bodies_left_untouched():
         assert isinstance(body, Gate)
         assert ctl == dict(zip(tree.controls, key)) and names == body.names
         # the body's own matrix: not folded, no rounding-level entry dropped
-        assert np.array_equal(mat.toarray(), body.matrix)
-        assert mat.nnz == np.count_nonzero(body.matrix)
+        csr = sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=body.matrix.shape)
+        assert np.array_equal(csr.toarray(), body.matrix)
+        assert mat.data.size == np.count_nonzero(body.matrix)
 
 
-def test_compile_matches_dense_on_mixed_tree():
-    # contiguous registers named out of layout order, a non-contiguous gate,
-    # complex folded bodies, an absent branch key and a control register
-    # after the touched ones
+def mixed_tree():
+    """Contiguous registers named out of layout order, a non-contiguous gate,
+    complex folded bodies, an absent branch key and a control register after
+    the touched ones."""
     layout = Layout(
         [Register("a", 2), Register("t1", 3), Register("s", 2), Register("t2", 2), Register("c", 3)]
     )
@@ -196,6 +219,11 @@ def test_compile_matches_dense_on_mixed_tree():
             Branched(("a",), (((1,), Composite((Gate(("c",), random_unitary(3)),))),)),
         )
     )
+    return layout, tree
+
+
+def test_compile_matches_dense_on_mixed_tree():
+    layout, tree = mixed_tree()
     # with a full start mask S is every index, and the chain the whole tree
     support = Support(tree, layout, np.ones(layout.size, bool))
     assert support.names == layout.names and support.index.size == layout.size
@@ -203,11 +231,11 @@ def test_compile_matches_dense_on_mixed_tree():
     tol = 1000 * EPS * layout.size
     product = np.eye(layout.size)
     for mat in support.chain:
-        product = mat @ product
+        product = scattered(mat) @ product
     assert np.abs(product - dense).max() <= tol
     adjoint = np.eye(layout.size)
     for mat in reversed(support.chain):
-        adjoint = mat.conj().T @ adjoint
+        adjoint = scattered(mat.adjoint()) @ adjoint
     assert np.abs(adjoint - dense.conj().T).max() <= tol
 
 
@@ -220,9 +248,9 @@ def block_unitary(*sizes):
     return out
 
 
-def test_restricted_product_matches_dense_on_mixed_tree():
-    # block-diagonal gates keep S a proper subset: the gate on c never mixes
-    # c = 0 into c > 0, and the trailing register b rides along
+def block_tree():
+    """Block-diagonal gates keep S a proper subset: the gate on c never
+    mixes c = 0 into c > 0, and the trailing register b rides along."""
     layout = Layout(
         [Register("a", 2), Register("t1", 3), Register("s", 2), Register("t2", 2)]
         + [Register("c", 3), Register("b", 2)]
@@ -246,7 +274,11 @@ def test_restricted_product_matches_dense_on_mixed_tree():
     start[:, 0, :, 0, 0, :] = True
     end = np.zeros(layout.dims, bool)
     end[:, :, 0] = True
-    plan_ = plan(3.0, 1, start.ravel(), end.ravel())
+    return layout, tree, plan(3.0, 1, start.ravel(), end.ravel())
+
+
+def test_restricted_product_matches_dense_on_mixed_tree():
+    layout, tree, plan_ = block_tree()
     amplified = amplified_V(tree, plan_, layout)
     support = amplified.support
     assert 0 < support.index.size < prod(support.dims)
@@ -261,6 +293,48 @@ def test_restricted_product_matches_dense_on_mixed_tree():
     assert np.abs(got - dense[:, cols]).max() <= 1000 * EPS * layout.size
 
 
+def scattered(factor):
+    """A ``BlockFactor`` as a matrix: its blocks scattered onto the identity."""
+    out = np.eye(factor.size, dtype=complex)
+    for idx, blocks in factor.groups:
+        if blocks.ndim == 2:
+            idx, blocks = idx.T, np.broadcast_to(blocks, (idx.shape[1],) + blocks.shape)
+        out[idx[:, :, None], idx[:, None, :]] = blocks
+    return out
+
+
+def chain_case(case):
+    """(layout, op tree, its Support) for the mixed trees and compressed (4,3)."""
+    if case == "mixed":
+        layout, tree = mixed_tree()
+        return layout, tree, Support(tree, layout, np.ones(layout.size, bool))
+    if case == "block":
+        layout, tree, plan_ = block_tree()
+        return layout, tree, amplified_V(tree, plan_, layout).support
+    pipe = bare_pipeline("compressed", 4, 3)
+    return pipe.layout, pipe.naimark.v_op, pipe.v_amp.support
+
+
+@pytest.mark.parametrize("case", ["mixed", "block", "compressed43"])
+def test_chain_blocks_are_the_dense_factor_blocks(case):
+    # each factor's blocks, scattered to a matrix, are the S x S block of the
+    # factor's op: exactly for a gate or an unfolded Branched, to rounding
+    # for a folded gate chain, whose product is formed in another order
+    layout, tree, support = chain_case(case)
+    assert len(support.chain) == len(tree.ops)
+    rows = support.index * (layout.size // prod(support.dims))
+    for op, factor in zip(tree.ops, support.chain):
+        dense = to_matrix(op, layout)[np.ix_(rows, rows)]
+        got = scattered(factor)
+        if isinstance(op, Branched) and all(_is_gate_chain(body) for _, body in op.branches):
+            assert np.abs(got - dense).max() <= 1000 * EPS * layout.size
+        else:
+            assert np.array_equal(got, dense)
+        assert np.array_equal(scattered(factor.adjoint()), got.conj().T)
+        if case == "compressed43":
+            assert all(blocks.dtype == np.float64 for _, blocks in factor.groups)
+
+
 def test_import_leaves_scipy_out():
     src = str(Path(pbtkit.__file__).resolve().parents[1])
     code = "import sys; sys.path.insert(0, sys.argv[1]); import pbtkit; print('scipy' in sys.modules)"
@@ -268,3 +342,29 @@ def test_import_leaves_scipy_out():
         [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "4", "--d", "3", "--engine", "amplified-V"],
+        ["simulate", "--n", "6", "--d", "2", "--engine", "dense-W"],
+        ["export", "kraus", "--n", "4", "--d", "2", "K.mat"],
+        ["fidelity", "--d", "2", "--n", "2..5"],
+    ],
+)
+def test_commands_leave_scipy_out(argv, tmp_path):
+    # only folding an honest branch chain loads scipy
+    src = str(Path(pbtkit.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from pbtkit.cli import main; "
+        "status = main(sys.argv[2:]); print(status, 'scipy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=tmp_path,
+    )
+    assert out.stdout.splitlines()[-1] == "0 False"

@@ -4,6 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from pbtkit.blockenc import encoding_spaces
 from pbtkit.partitions import Partition, dim_specht, dim_weyl, enumerate_partitions
 from pbtkit.schur import (
     build_schur,
@@ -15,6 +16,7 @@ from pbtkit.schur import (
     submatrix_U_nu_alpha,
 )
 from pbtkit.symrep import compose, identity_perm, standard_tableaux, transposition, yor
+from pbtkit.twisted import build_twisted
 
 RNG = np.random.default_rng(11)
 
@@ -230,3 +232,17 @@ def test_schur_transform_is_real(seed):
     for d in (2, 3):
         for m in range(0, 7):
             assert build_schur(m, d, seed).matrix.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "build,args,defaults",
+    [
+        (build_schur, (5, 2), {"gauge_seed": 0}),
+        (build_twisted, (4, 2), {"gauge_seed": 0}),
+        (encoding_spaces, (4, 2), {"mode": "tight", "gauge_seed": 0}),
+    ],
+)
+def test_every_spelling_of_a_call_shares_one_cache_entry(build, args, defaults):
+    first = build(*args)
+    assert build(*args, *defaults.values()) is first
+    assert build(*args, **defaults) is first

@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,8 @@ from pbtkit.pbt import (
     pgm_probabilities,
     principal_sqrt,
 )
+from pbtkit import simulate
+from pbtkit.registers import Gate
 from pbtkit.schur import permutation_operator
 from pbtkit.simulate import ProtocolReport, ProtocolRun, compressed_encodings, run, sample
 from pbtkit.symrep import transposition
@@ -204,6 +206,32 @@ def test_compressed_gates_are_port_swap_gathers_of_port_1(n, d, mode):
         s = permutation_operator(n, d, transposition(0, i - 1, n)).source_index()
         assert np.array_equal(b, b1[np.ix_(s, s)])
         assert np.array_equal(c, c1[np.ix_(s, s)])
+
+
+@pytest.mark.parametrize("n,d", [(4, 3), (6, 2)])
+def test_compressed_gates_are_real(monkeypatch, n, d):
+    # B and C are float64, so the gate is too; as a complex gate it gives the
+    # same residuals and the same report to the bit
+    encs = compressed_encodings(n, d, build_twisted(n, d))
+    assert all(enc.unitary.matrix.dtype == np.float64 for enc in encs)
+
+    def complex_gates(*args, **kwargs):
+        out = []
+        for enc in compressed_encodings(*args, **kwargs):
+            gate = Gate(enc.unitary.names, enc.unitary.matrix.astype(complex))
+            out.append(replace(enc, unitary=gate))
+        return out
+
+    spec = ProtocolRun(n, d, engine="amplified-V")
+    real = run(spec)
+    monkeypatch.setattr(simulate, "compressed_encodings", complex_gates)
+    assert [enc.verify() for enc in encs] == [
+        enc.verify() for enc in complex_gates(n, d, build_twisted(n, d))
+    ]
+    other = run(spec)
+    for field in fields(ProtocolReport):
+        got, want = getattr(real, field.name), getattr(other, field.name)
+        assert np.array_equal(got, want), field.name
 
 
 def _oracle_report(n, d, eta):
