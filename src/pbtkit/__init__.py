@@ -38,7 +38,6 @@ from .twisted import (
     mf_sqrt_pi,
     pseudo_scale,
     psi_vectors,
-    twisted_schur_block,
     z_matrix,
 )
 from .pbt import (

@@ -268,7 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="run the protocol and report outcomes")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--engine", choices=("dense-W", "amplified-V"), default="dense-W")
+    sp.add_argument(
+        "--engine",
+        choices=("dense-W", "amplified-V"),
+        default="dense-W",
+        help="dense-W: the closed-form PGM channel, built from the fidelity alone; "
+        "amplified-V: the block-encoded, amplified register pipeline",
+    )
     sp.add_argument("--variant", choices=("compressed", "honest"), default="compressed")
     sp.add_argument("--shots", type=int, default=0)
     sp.add_argument("--seed", type=int, default=0)

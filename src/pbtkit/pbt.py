@@ -7,10 +7,11 @@ operator sqrt(Pi_i) among them, from the irrep blocks.  The measurement is
 covariant under port permutations, Pi_i = V(1 i) Pi_1 V(1 i), so
 ``pgm_functions`` builds port 1's operator once and gathers every other
 port's from it by the port swap; ``measurement_functions`` runs it, size guard
-first, for the dense-W engine and the matrix exports.  With maximally
-entangled resource pairs the receiver's output for outcome i is a partial
-trace of Pi_i (``outcome_output``).  The dense brute-force POVM, channel and
-entanglement fidelity stay only as the oracle the closed forms are checked on.
+first, for the matrix exports.  With maximally entangled resource pairs the
+receiver's output for outcome i is a partial trace of Pi_i
+(``outcome_output``).  That output, the dense brute-force POVM, channel and
+entanglement fidelity stay only as the oracle the closed forms are checked
+on, the dense-W engine's depolarizing form among them.
 """
 
 from __future__ import annotations
@@ -171,11 +172,11 @@ def pgm_functions(
 
 
 def measurement_functions(n: int, d: int, g: Callable[[float], float]) -> Iterator[np.ndarray]:
-    """``pgm_functions`` on the twisted transform at (n, d), refused before it
-    is built when the one product does not fit: the real twisted blocks,
-    stacked f, fg and product, and the file's complex copy (traced peaks, in
-    complex d^n x d^n matrices: 3.1 at (8,2), 2.8 at (9,2), 2.4 at (6,3) and
-    2.7 at (5,3)); ports >= 2 are gathers."""
+    """``pgm_functions`` on the twisted transform at (n, d), for the matrix
+    exports, refused before it is built when the one product does not fit:
+    the real twisted blocks, stacked f, fg and product, and the file's
+    complex copy (traced peaks, in complex d^n x d^n matrices: 3.1 at (8,2),
+    2.8 at (9,2), 2.4 at (6,3) and 2.7 at (5,3)); ports >= 2 are gathers."""
     guard_dense(n, d, 6)
     return pgm_functions(n, d, build_twisted(n, d), g)
 

@@ -1,10 +1,11 @@
 """End-to-end teleportation runs.
 
-The dense engine takes the measurement operators from the closed form on the
-irrep blocks (``pbt.measurement_functions``, one guarded d^n x d^n product)
-and reads each outcome's probability and receiver state off a partial trace
-of its operator (``pbt.outcome_output``).  The amplified engine drives the
-full register pipeline: outcome-controlled Kraus encodings, the
+The dense engine reads its report from the closed form: every outcome has
+probability 1/(n-1) and acts on the input as a depolarizing map fixed by the
+entanglement fidelity ``pbt.pgm_fidelity``, so it builds no d^n x d^n matrix
+at any (n, d).  The dense measurement it stands for, ``pbt.pgm_dense`` read
+through ``pbt.outcome_output``, stays only as its oracle.  The amplified engine
+drives the full register pipeline: outcome-controlled Kraus encodings, the
 outcome-superposition preparer and the oblivious amplification sequence,
 applied to the physical initial state as a structured operator; its
 probabilities are conditioned on the block-encoding ancillas returning to
@@ -28,7 +29,7 @@ from .blockenc import (
     encoding_spaces,
     naimark_Uc,
 )
-from .pbt import measurement_functions, outcome_output, pgm_functions, pgm_probabilities
+from .pbt import pgm_fidelity, pgm_functions, pgm_probabilities
 from .registers import Gate, Layout, Op, Register
 from .twisted import TwistedSchur, build_twisted, maximally_entangled
 
@@ -44,11 +45,12 @@ class ProtocolRun:
     is not d x d, is not Hermitian, has a trace off one or an eigenvalue
     below zero, each beyond ``INPUT_TOL``, raises ``ValueError`` before
     anything is built.
-    ``engine``: "dense-W" or "amplified-V";  the amplified engine accepts a
-    ``variant`` of "honest" (the staged Kraus encodings at the weights of
-    ``blockenc.amplification_weights``, whose scale the phase sequence
-    removes exactly) or "compressed" (direct one-qubit dilations at scale
-    sqrt(d), giving a small phase count).
+    ``engine``: "dense-W", the closed-form channel of the PGM measurement,
+    which builds nothing dense and so runs at any (n, d), or "amplified-V",
+    which accepts a ``variant`` of "honest" (the staged Kraus encodings at
+    the weights of ``blockenc.amplification_weights``, whose scale the phase
+    sequence removes exactly) or "compressed" (direct one-qubit dilations at
+    scale sqrt(d), giving a small phase count).
     """
 
     n: int
@@ -126,31 +128,28 @@ def run(spec: ProtocolRun) -> ProtocolReport:
 
 
 def _run_dense(spec: ProtocolRun) -> ProtocolReport:
+    """Each outcome, at probability 1/(n-1), acts as the depolarizing map
+    X -> lam X + (1 - lam) I / dim X with lam = (d^2 F - 1)/(d^2 - 1) and
+    F = ``pgm_fidelity``, because the measurement commutes with
+    U^(x)(n-1) (x) conj(U) (Ishizaka & Hiroshima, arXiv:0807.4568).  X is the
+    input, or |phi+><phi+| on (receiver, reference) in the entangled mode,
+    where the state is F P + (1 - F)(I - P)/(d^2 - 1) and the fidelity is F;
+    for an input the fidelity is tr(X state).  At d = 1, F = 1 and d^2 - 1 is
+    taken as 1, so lam = 0 and the state is [[1]]."""
     n, d = spec.n, spec.d
     eta = _input_state(spec)
-    ops = measurement_functions(n, d, lambda x: x)
+    fid = pgm_fidelity(n, d)
     phi = maximally_entangled(d)
-    probs = []
-    states = []
-    fidelity = 0.0
-    for i, op in enumerate(ops, start=1):
-        out = outcome_output(n, d, op, i, eta)
-        p_i = float(np.trace(out).real)
-        probs.append(p_i)
-        states.append(out / max(p_i, 1e-30))
-        # teleporting half of a maximally entangled pair, the fidelity term is
-        # the joint output's overlap with that pair; else, with the input
-        if eta is None:
-            fidelity += float(np.real(phi.conj() @ out @ phi))
-        else:
-            fidelity += float(np.real(np.trace(eta @ out)))
+    target = np.outer(phi, phi) if eta is None else eta
+    lam = (d * d * fid - 1) / max(d * d - 1, 1)
+    state = lam * target + (1 - lam) / len(target) * np.eye(len(target))
     return ProtocolReport(
         n=n,
         d=d,
         engine=spec.engine,
-        probabilities=probs,
-        outcome_states=states,
-        fidelity=fidelity,
+        probabilities=pgm_probabilities(n).tolist(),
+        outcome_states=[state.copy() for _ in range(n - 1)],
+        fidelity=fid if eta is None else float(np.vdot(eta, state).real),
         discrepancy=0.0,
     )
 

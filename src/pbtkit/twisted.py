@@ -246,18 +246,6 @@ def _diagram_blocks(n: int, d: int, alpha: Partition, gauge_seed: int) -> tuple[
     return tuple(blocks)
 
 
-def twisted_schur_block(
-    n: int, d: int, alpha: Partition, r: int = 1, gauge_seed: int = 0
-) -> np.ndarray:
-    """The D_alpha x d^n isometry from the computational basis to the
-    (nu, xi, j)-labelled f basis of one irrep block, checked against the
-    factored form (see ``_diagram_blocks``)."""
-    blocks = _diagram_blocks(n, d, alpha, gauge_seed)
-    if not 1 <= r <= len(blocks):
-        raise ValueError(f"multiplicity copy r = {r} out of range for {alpha}")
-    return blocks[r - 1].f.T
-
-
 # ---------------------------------------------------------------------------
 # matrix forms of the algebra generators in the f basis
 

@@ -63,7 +63,7 @@ def _suite_fbasis(ns, ds, seed):
                 dim = blk.dim
                 worst = max(
                     worst,
-                    float(np.abs(blk.f.conj().T @ blk.f - np.eye(dim)).max()),
+                    float(np.abs(blk.f.T @ blk.f - np.eye(dim)).max()),
                 )
                 for _ in range(3):
                     sig = tuple(rng.permutation(n - 1))

@@ -15,7 +15,7 @@ from pbtkit.pbt import (
     pgm_probabilities,
     principal_sqrt,
 )
-from pbtkit import simulate
+from pbtkit import cli, simulate
 from pbtkit.registers import Gate
 from pbtkit.schur import permutation_operator
 from pbtkit.simulate import ProtocolReport, ProtocolRun, compressed_encodings, run, sample
@@ -270,18 +270,80 @@ def test_dense_engine_report_matches_the_dense_measurement(n, d, seed):
             assert np.abs(np.asarray(got) - np.asarray(want)).max() < 1e-14, field.name
 
 
-def test_dense_engine_never_builds_the_dense_measurement(monkeypatch):
-    from pbtkit import pbt
+@pytest.fixture
+def refuse_dense_builders(monkeypatch):
+    """Empty the transform caches and make every builder behind the twisted
+    transform, the Schur transform and the closed-form measurement raise."""
+    from pbtkit import pbt, schur, twisted
 
     def refuse(*args, **kwargs):
-        raise AssertionError("dense measurement built")
+        raise AssertionError("dense object built")
 
-    monkeypatch.setattr(pbt, "pgm_dense", refuse)
-    monkeypatch.setattr(pbt, "pgm_tilde_dense", refuse)
+    build_twisted.cache_clear()
+    schur.build_schur.cache_clear()
+    for module, name in [
+        (pbt, "pgm_dense"),
+        (pbt, "pgm_tilde_dense"),
+        (pbt, "pgm_function"),
+        (twisted, "_diagram_blocks"),
+        (schur, "_jucys_murphy_eigenspace"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+
+
+def test_dense_engine_never_builds_the_dense_measurement(refuse_dense_builders):
     report = run(ProtocolRun(5, 3, engine="dense-W"))
     assert report.fidelity == pytest.approx(pgm_fidelity(5, 3), abs=1e-12)
+    report = run(ProtocolRun(5, 3, input_state=_mixed_input(3, 1), engine="dense-W"))
+    assert sum(report.probabilities) == pytest.approx(1.0, abs=1e-12)
     report = run(ProtocolRun(4, 2, input_state=_mixed_input(2, 1), engine="dense-W"))
     assert sum(report.probabilities) == pytest.approx(1.0, abs=1e-12)
+
+
+def _depolarized(n, d, eta):
+    """The outcome state in closed form: F P + (1 - F)(I - P)/(d^2 - 1) on
+    (receiver, reference) in the entangled mode, lam eta + (1 - lam) I/d with
+    lam = (d^2 F - 1)/(d^2 - 1) for an input eta."""
+    f = pgm_fidelity(n, d)
+    if eta is None:
+        phi = maximally_entangled(d)
+        p = np.outer(phi, phi)
+        return f * p + (1 - f) * (np.eye(d * d) - p) / (d * d - 1)
+    lam = (d * d * f - 1) / (d * d - 1)
+    return lam * eta + (1 - lam) * np.eye(d) / d
+
+
+@pytest.mark.parametrize("seed", [None, 5], ids=["entangled", "mixed"])
+@pytest.mark.parametrize(
+    "n,d,variant",
+    [
+        (3, 2, "compressed"),
+        (4, 2, "compressed"),
+        (4, 3, "compressed"),
+        (6, 2, "compressed"),
+        (3, 2, "honest"),
+    ],
+)
+def test_amplified_engine_matches_the_closed_form(n, d, variant, seed):
+    eta = None if seed is None else _mixed_input(d, seed)
+    mode = "entangled" if eta is None else eta
+    report = run(ProtocolRun(n, d, input_state=mode, engine="amplified-V", variant=variant))
+    want = _depolarized(n, d, eta)
+    assert np.abs(np.array(report.probabilities) - pgm_probabilities(n)).max() < 1e-12
+    for state in report.outcome_states:
+        assert np.abs(state - want).max() < 1e-12
+    fidelity = pgm_fidelity(n, d) if eta is None else np.trace(eta @ want).real
+    assert report.fidelity == pytest.approx(fidelity, abs=1e-12)
+
+
+def test_dense_engine_at_one_dimension(capsys):
+    # d = 1: nothing to teleport, so every outcome leaves [[1]] and F = 1
+    report = run(ProtocolRun(4, 1, input_state=[[1]]))
+    assert report.probabilities == [1 / 3] * 3
+    assert all(np.array_equal(state, [[1]]) for state in report.outcome_states)
+    assert report.fidelity == 1.0
+    assert cli.main(["simulate", "--n", "3", "--d", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["fidelity"] == 1.0
 
 
 @pytest.mark.parametrize("n,d", [(5, 3), (8, 2)])
@@ -291,20 +353,19 @@ def test_dense_engine_matches_closed_forms(n, d):
     assert np.abs(np.array(report.probabilities) - pgm_probabilities(n)).max() < 1e-12
 
 
-def test_dense_engine_refused_by_the_measurement_guard():
+@pytest.mark.parametrize("n,d", [(13, 2), (60, 3)])
+def test_dense_engine_runs_past_the_dense_guard(refuse_dense_builders, n, d):
     import tracemalloc
-
-    from pbtkit.schur import DenseTooLarge
 
     tracemalloc.start()
     try:
-        # the guard of the one closed-form product, before the twisted transform
-        with pytest.raises(DenseTooLarge, match="6 dense 2\\^13 x 2\\^13"):
-            run(ProtocolRun(13, 2, engine="dense-W"))
+        report = run(ProtocolRun(n, d, engine="dense-W"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert report.fidelity == pgm_fidelity(n, d)
+    assert report.probabilities == pgm_probabilities(n).tolist()
 
 
 @pytest.mark.parametrize("engine", ["dense-W", "amplified-V"])
@@ -324,7 +385,7 @@ def test_invalid_input_state_rejected_before_building(engine, eta, problem, monk
     def refuse(*args, **kwargs):
         raise AssertionError("built before the input was checked")
 
-    monkeypatch.setattr(sim, "measurement_functions", refuse)
+    monkeypatch.setattr(sim, "pgm_fidelity", refuse)
     monkeypatch.setattr(sim, "build_pipeline", refuse)
     with pytest.raises(ValueError, match=problem):
         run(ProtocolRun(3, 2, input_state=eta, engine=engine))

@@ -422,13 +422,11 @@ def test_cli_bad_arguments_are_usage_errors(capsys, argv, message):
     [
         (["export", "kraus", "--n", "13", "--d", "2"], "6.0 GiB"),
         (["export", "povm", "--n", "13", "--d", "2"], "6.0 GiB"),
-        (["simulate", "--n", "13", "--d", "2"], "6.0 GiB"),
     ],
 )
 def test_cli_dense_too_large_is_usage_error(tmp_path, capsys, argv, gib):
     path = tmp_path / "out.mat"
-    if argv[0] == "export":
-        argv = argv + [str(path)]
+    argv = argv + [str(path)]
     tracemalloc.start()
     try:
         code = cli.main(argv)
@@ -439,3 +437,9 @@ def test_cli_dense_too_large_is_usage_error(tmp_path, capsys, argv, gib):
     assert gib in capsys.readouterr().err
     assert peak < 2**20  # nothing dense was built
     assert not path.exists()
+
+
+def test_cli_simulate_runs_where_the_exports_are_refused(capsys):
+    # the dense-W engine is the closed-form channel, so no size guard applies
+    assert cli.main(["simulate", "--n", "13", "--d", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 13

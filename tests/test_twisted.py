@@ -17,7 +17,6 @@ from pbtkit.twisted import (
     mf_rho,
     mf_sqrt_pi,
     psi_vectors,
-    twisted_schur_block,
     z_matrix,
     z_stacked,
 )
@@ -155,12 +154,12 @@ def test_f_basis_covariance(n, d):
 
 
 def test_twisted_block_factored_matches_direct():
-    # raises internally on factored/direct mismatch
+    # raises internally on factored/direct mismatch, so build afresh
+    build_twisted.cache_clear()
     for n, d in [(2, 2), (3, 2), (4, 2), (3, 3)]:
-        for alpha in enumerate_partitions(n - 2, d):
-            u = twisted_schur_block(n, d, alpha)
-            dim = block_dimension(alpha, d)
-            assert np.abs(u @ u.conj().T - np.eye(dim)).max() < 1e-10
+        for blk in build_twisted(n, d).blocks:
+            dim = block_dimension(blk.alpha, d)
+            assert np.abs(blk.f.T @ blk.f - np.eye(dim)).max() < 1e-10
 
 
 def test_blocks_mutually_orthogonal():
