@@ -142,9 +142,7 @@ class EndToEndResult:
     ancilla_zero_weight: float
 
 
-def end_to_end(
-    n: int, d: int, variant: str = "compressed", mode: str = "tight"
-) -> EndToEndResult:
+def end_to_end(n: int, d: int, variant: str = "compressed") -> EndToEndResult:
     """Drive the full pipeline at (n, d) and compare against the dense
     dilation: operator residuals, protocol-state trace distance and ancilla
     cleanliness; the outcome probabilities against their exact 1/(n-1)."""
@@ -156,7 +154,7 @@ def end_to_end(
     tw = build_twisted(n, d)
     kraus = [kraus_from_twisted(n, d, tw, i) for i in range(1, n)]
 
-    pipe = build_pipeline(n, d, variant, mode, tw=tw)
+    pipe = build_pipeline(n, d, variant, tw=tw)
     layout = pipe.layout
     psi0 = initial_state(pipe, maximally_entangled(d))
     v_out = pipe.v_amp.apply(psi0, layout)

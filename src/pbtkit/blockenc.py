@@ -19,7 +19,8 @@ qubit accounting assumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -174,7 +175,9 @@ def _pow2(x: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class EncodingSpaces:
-    """Register sizes, label maps and Schur register unitaries for one (n, d)."""
+    """Register sizes, label maps and Schur register unitaries for one (n, d).
+    The register unitaries are built on first read, so code that needs only
+    sizes and masks builds no Schur transform."""
 
     n: int
     d: int
@@ -190,8 +193,6 @@ class EncodingSpaces:
     n_k: int
     reuse_qudits: bool
     a13_dim: int
-    reg1: np.ndarray = field(repr=False)
-    reg2: np.ndarray = field(repr=False)
 
     @property
     def anc_dim(self) -> int:
@@ -208,6 +209,30 @@ class EncodingSpaces:
     @property
     def system_dim(self) -> int:
         return self.reg2_dim * self.d**2
+
+    def _label1(self, lam: Partition, r: int, tab) -> int:
+        # (r, nu, xi, j) registers, xi the diagram left by removing n-1
+        xi = tab.restricted_shape()
+        j = tableau_index(xi)[tab.growth[:-1]]
+        copy = (r - 1) * self.n_nu + self.parts1.index(lam)
+        return (copy * self.n_al + self.parts2.index(xi)) * self.n_ka + j
+
+    def _label2(self, lam: Partition, r: int, tab) -> int:
+        # (r, alpha, k_alpha) registers
+        k = tableau_index(lam)[tab.growth]
+        return ((r - 1) * self.n_al + self.parts2.index(lam)) * self.n_ka + k
+
+    @cached_property
+    def reg1(self) -> np.ndarray:
+        """The (n-1)-qudit Schur transform on the (r, nu, xi, j) registers."""
+        sch = build_schur(self.n - 1, self.d, self.gauge_seed)
+        return _register_schur(sch, self.reg1_dim, self._label1)
+
+    @cached_property
+    def reg2(self) -> np.ndarray:
+        """The (n-2)-qudit Schur transform on the (r, alpha, k_alpha) registers."""
+        sch = build_schur(self.n - 2, self.d, self.gauge_seed)
+        return _register_schur(sch, self.reg2_dim, self._label2)
 
     def nu_state(self, nu: Partition) -> int:
         return self.parts1.index(nu)
@@ -255,22 +280,7 @@ def encoding_spaces(n: int, d: int, mode: str = "tight", gauge_seed: int = 0) ->
     if mode == "padded":
         sizes = {k: _pow2(v) for k, v in sizes.items()}
     reuse = mode == "padded" and (d & (d - 1)) == 0
-    anc_dim = sizes["n_rnu"] * sizes["n_nu"]
-    a13 = anc_dim**2 // d**2 if reuse else 0
-    n_nu, n_al, n_ka = sizes["n_nu"], sizes["n_al"], sizes["n_ka"]
-
-    def label1(lam: Partition, r: int, tab) -> int:
-        # (r, nu, xi, j) registers, xi the diagram left by removing n-1
-        xi = tab.restricted_shape()
-        j = tableau_index(xi)[tab.growth[:-1]]
-        return (((r - 1) * n_nu + parts1.index(lam)) * n_al + parts2.index(xi)) * n_ka + j
-
-    def label2(lam: Partition, r: int, tab) -> int:
-        # (r, alpha, k_alpha) registers
-        return ((r - 1) * n_al + parts2.index(lam)) * n_ka + tableau_index(lam)[tab.growth]
-
-    reg1 = _register_schur(build_schur(n - 1, d, gauge_seed), anc_dim * n_al * n_ka, label1)
-    reg2 = _register_schur(build_schur(n - 2, d, gauge_seed), sizes["n_r2"] * n_al * n_ka, label2)
+    a13 = (sizes["n_rnu"] * sizes["n_nu"]) ** 2 // d**2 if reuse else 0
     return EncodingSpaces(
         n=n,
         d=d,
@@ -280,8 +290,6 @@ def encoding_spaces(n: int, d: int, mode: str = "tight", gauge_seed: int = 0) ->
         parts2=parts2,
         reuse_qudits=reuse,
         a13_dim=a13,
-        reg1=reg1,
-        reg2=reg2,
         **sizes,
     )
 

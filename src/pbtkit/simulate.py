@@ -59,7 +59,6 @@ class ProtocolRun:
     engine: str = "dense-W"
     seed: int = 0
     variant: str = "compressed"
-    mode: str = "tight"
 
 
 @dataclass(eq=False)
@@ -216,18 +215,17 @@ def build_pipeline(
     n: int,
     d: int,
     variant: str = "compressed",
-    mode: str = "tight",
     with_bob: bool = True,
     with_ref: bool = True,
     tw: TwistedSchur | None = None,
 ) -> Pipeline:
     """Assemble encodings, the dilation, the amplification plan and the
-    protocol layout."""
+    protocol layout, at tight register sizes."""
     tw = tw or build_twisted(n, d)
     if variant == "compressed":
-        encs = compressed_encodings(n, d, tw, mode)
+        encs = compressed_encodings(n, d, tw)
     elif variant == "honest":
-        encs = [encode_kraus(n, d, tw, i, mode=mode) for i in range(1, n)]
+        encs = [encode_kraus(n, d, tw, i) for i in range(1, n)]
     else:
         raise ValueError(f"unknown variant {variant!r}")
     delta = max(enc.verify() for enc in encs)
@@ -238,7 +236,7 @@ def build_pipeline(
     if with_ref:
         regs.append(Register("R", d))
     layout = Layout(regs)
-    spaces = encoding_spaces(n, d, mode)
+    spaces = encoding_spaces(n, d)
     start = _layout_mask(layout, ("I",) + nai.ancillas, spaces.system_mask())
     end = _layout_mask(layout, nai.ancillas)
     pl = plan(
@@ -296,7 +294,7 @@ def initial_state(pipe: Pipeline, branch: np.ndarray) -> np.ndarray:
 def _run_amplified(spec: ProtocolRun) -> ProtocolReport:
     n, d = spec.n, spec.d
     branches, with_ref = _input_branches(spec)
-    pipe = build_pipeline(n, d, spec.variant, spec.mode, with_ref=with_ref)
+    pipe = build_pipeline(n, d, spec.variant, with_ref=with_ref)
     layout = pipe.layout
     probs = np.zeros(n - 1)
     anc_weight = 0.0

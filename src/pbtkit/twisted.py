@@ -5,7 +5,10 @@ subspace spanned by product states maximally entangled between one of the
 first n-1 qudits and the last.  Each irrep block is labelled by a diagram
 ``alpha`` on n-2 boxes and a multiplicity copy ``r``; its spanning vectors,
 Gram spectrum, real orthonormal f basis and the matrix forms of the algebra
-generators are all computed here, each backed by a dense oracle check.
+generators are all computed here.  The f basis is built in one way only, the
+direct form f = psi z from the (n-2)-qudit Schur transform; its factored form
+through the (n-1)-qudit Schur transform is kept as an oracle
+(``factored_residual``), next to the Gram and pseudoprojector checks.
 """
 
 from __future__ import annotations
@@ -181,7 +184,8 @@ def z_stacked(n: int, d: int, alpha: Partition) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class IrrepBlock:
-    """One (alpha, r) irrep block: real orthonormal f basis and its row labels."""
+    """One (alpha, r) irrep block: the real orthonormal f basis of ``f_basis``
+    and its (nu, xi, j) labels."""
 
     n: int
     d: int
@@ -204,25 +208,25 @@ def _check_orthonormal(f: np.ndarray) -> None:
 def f_basis(n: int, d: int, alpha: Partition, r: int = 1, gauge_seed: int = 0) -> IrrepBlock:
     """Orthonormal basis decomposing one irrep block under S(n-1).
 
-    Columns are psi . z in (nu, xi, j) order; orthonormality is enforced.
+    Columns are psi . z in (nu, xi, j) order; orthonormality is checked to
+    ORTHO_TOL.
     """
     f = psi_vectors(n, d, alpha, r, gauge_seed) @ z_stacked(n, d, alpha)
     _check_orthonormal(f)
     return IrrepBlock(n, d, alpha, r, f, nu_index(n, d, alpha))
 
 
-def _diagram_blocks(n: int, d: int, alpha: Partition, gauge_seed: int) -> tuple[IrrepBlock, ...]:
-    """The f bases of every multiplicity copy r of diagram alpha, each
-    checked for orthonormality and against the factored form to FACTORED_TOL.
+def factored_residual(n: int, d: int, alpha: Partition, r: int = 1, gauge_seed: int = 0) -> float:
+    """max |f^T - inner psi^T|: how far the f basis is from its factored form.
 
-    What depends on alpha alone is built once: z, the port gathers and the
-    factored form's per-port Schur submatrix products
-    inner_k = sum_nu c_nu U_alpha V(k, n-1) U_nu^T on n-1 qudits.  For copy r
-    the factored block sum_k inner_k (Schur rows (x) phi+ bra) V(k, n-1) is
-    then one product of the stacked inner_k with psi^T.
+    The factored block is sum_k inner_k (Schur rows (x) phi+ bra) V(k, n-1),
+    with inner_k = sum_nu c_nu U_alpha V(k, n-1) U_nu^T on n-1 qudits, read
+    from the (n-1)-qudit Schur transform, and c_nu the z scale
+    sqrt(d_nu / lambda_nu) / sqrt((n-1) d_alpha); stacked over the ports it
+    is one product of inner with psi^T.
     """
     box = _validate_block_args(n, d, alpha)
-    sch, sch1 = build_schur(n - 2, d, gauge_seed), build_schur(n - 1, d, gauge_seed)
+    sch1 = build_schur(n - 1, d, gauge_seed)
     w = sum(
         np.sqrt(dim_specht(nu) / lambda_eigenvalue(n, d, alpha, nu))
         * submatrix_U_nu_alpha(sch1, nu, alpha)
@@ -230,20 +234,9 @@ def _diagram_blocks(n: int, d: int, alpha: Partition, gauge_seed: int) -> tuple[
     )
     ws = np.concatenate([w[:, src] for src in _port_gathers(n - 1, d, n)])
     inner = submatrix_U_alpha(sch1, alpha) @ ws.T / np.sqrt((n - 1) * dim_specht(alpha))
-    gathers, z, labels = _port_gathers(n, d, n), z_stacked(n, d, alpha), nu_index(n, d, alpha)
-    blocks = []
-    for r in range(1, dim_weyl(alpha, d) + 1):
-        psi_t = _spanning_rows(sch.block_rows(alpha, r), d, gathers)
-        f = psi_t.T @ z
-        _check_orthonormal(f)
-        err = np.abs(f.T - inner @ psi_t).max()
-        if err > FACTORED_TOL:
-            raise ArithmeticError(
-                f"factored/direct twisted transform mismatch {err:.2e} at "
-                f"n={n}, d={d}, alpha={alpha}, r={r}"
-            )
-        blocks.append(IrrepBlock(n, d, alpha, r, f, labels))
-    return tuple(blocks)
+    psi = psi_vectors(n, d, alpha, r, gauge_seed)
+    f = f_basis(n, d, alpha, r, gauge_seed).f
+    return float(np.abs(f.T - inner @ psi.T).max())
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +380,12 @@ class TwistedSchur:
 
 @value_cache
 def build_twisted(n: int, d: int, gauge_seed: int = 0) -> TwistedSchur:
-    """Build every (alpha, r) block, one diagram at a time, each checked
-    against its factored form."""
+    """Build every (alpha, r) block with ``f_basis``, each checked for
+    orthonormality; only the (n-2)-qudit Schur transform is built."""
     guard_dense(n, d, 3)  # the blocks, their stacked f and what is formed from it
     blocks = tuple(
-        block
+        f_basis(n, d, alpha, r, gauge_seed)
         for alpha in enumerate_partitions(n - 2, d)
-        for block in _diagram_blocks(n, d, alpha, gauge_seed)
+        for r in range(1, dim_weyl(alpha, d) + 1)
     )
     return TwistedSchur(n, d, blocks, gauge_seed)

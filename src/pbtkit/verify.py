@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .partitions import add_box, dim_specht, enumerate_partitions
+from .partitions import dim_weyl, enumerate_partitions
 from .symrep import compose, yor
 from .twisted import build_twisted, f_basis, gram_residual, mf_pi, pseudo_residual, pseudo_scale
 
@@ -53,29 +53,25 @@ def _suite_schur(ns, ds, seed):
 def _suite_fbasis(ns, ds, seed):
     from .schur import permutation_dense
     from .symrep import embed_perm
+    from .twisted import FACTORED_TOL, factored_residual, mf_generator
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = factored = 0.0
     for n in ns:
         for d in ds:
             for alpha in enumerate_partitions(n - 2, d):
                 blk = f_basis(n, d, alpha)
-                dim = blk.dim
-                worst = max(
-                    worst,
-                    float(np.abs(blk.f.T @ blk.f - np.eye(dim)).max()),
-                )
+                worst = max(worst, float(np.abs(blk.f.T @ blk.f - np.eye(blk.dim)).max()))
+                for r in range(1, dim_weyl(alpha, d) + 1):
+                    factored = max(factored, factored_residual(n, d, alpha, r))
                 for _ in range(3):
                     sig = tuple(rng.permutation(n - 1))
                     v = permutation_dense(n, d, embed_perm(sig, n))
-                    rep = np.zeros((dim, dim))
-                    pos = 0
-                    for nu in add_box(alpha, d).children:
-                        dn = dim_specht(nu)
-                        rep[pos : pos + dn, pos : pos + dn] = yor(nu, sig).matrix
-                        pos += dn
+                    rep = mf_generator(n, d, alpha, sig + (n - 1,), False)
                     worst = max(worst, float(np.abs(v @ blk.f - blk.f @ rep).max()))
-    return worst <= 1e-9, worst, "orthonormality + covariance"
+    ok = worst <= 1e-9 and factored <= FACTORED_TOL
+    detail = f"orthonormality + covariance, factored residual {factored:.2e} (every copy)"
+    return ok, max(worst, factored), detail
 
 
 def _suite_pseudo(ns, ds, seed):

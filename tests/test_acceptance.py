@@ -9,6 +9,7 @@ from pbtkit.twisted import (
     build_twisted,
     f_basis,
     lambda_eigenvalue,
+    mf_generator,
     mf_pi,
     psi_vectors,
 )
@@ -55,7 +56,7 @@ def test_criterion_2_induced_dimension():
 
 def test_criterion_3_f_basis_contract():
     from pbtkit.schur import permutation_dense
-    from pbtkit.symrep import embed_perm, yor
+    from pbtkit.symrep import embed_perm
 
     worst_orth = 0.0
     worst_cov = 0.0
@@ -70,12 +71,7 @@ def test_criterion_3_f_basis_contract():
             for _ in range(20):
                 sig = tuple(RNG.permutation(n - 1))
                 v = permutation_dense(n, d, embed_perm(sig, n))
-                rep = np.zeros((blk.dim, blk.dim))
-                pos = 0
-                for nu in add_box(alpha, d).children:
-                    dn = dim_specht(nu)
-                    rep[pos : pos + dn, pos : pos + dn] = yor(nu, sig).matrix
-                    pos += dn
+                rep = mf_generator(n, d, alpha, sig + (n - 1,), False)
                 worst_cov = max(worst_cov, float(np.abs(v @ blk.f - blk.f @ rep).max()))
     _report("3a f-basis orthonormality (n<=6, d=2)", worst_orth, 1e-10)
     _report("3b f-basis covariance, 20 random permutations", worst_cov, 1e-9)

@@ -149,6 +149,26 @@ def test_amplification_projectors_pin_ancillas_outcome_and_system():
     assert np.array_equal(pipe.plan.start_projector, anc_zero & (pos["I"] == 0) & physical)
 
 
+def test_compressed_pipeline_builds_only_the_smaller_schur_transform(monkeypatch):
+    # the twisted blocks need the (n-2)-qudit Schur transform; the encoding
+    # spaces' sizes and masks need none, so m = n-1 is never built
+    from pbtkit import schur
+    from pbtkit.simulate import build_pipeline
+
+    built = []
+    eigenspace = schur._jucys_murphy_eigenspace
+
+    def recording(m, d, contents):
+        built.append(m)
+        return eigenspace(m, d, contents)
+
+    for cached in (schur.build_schur, build_twisted, encoding_spaces):
+        cached.cache_clear()
+    monkeypatch.setattr(schur, "_jucys_murphy_eigenspace", recording)
+    build_pipeline(6, 2, "compressed")
+    assert set(built) == {4}
+
+
 @pytest.mark.parametrize(
     "n,d,mode", [(3, 2, "tight"), (5, 2, "tight"), (4, 3, "tight"), (4, 2, "padded")]
 )
@@ -285,7 +305,7 @@ def refuse_dense_builders(monkeypatch):
         (pbt, "pgm_dense"),
         (pbt, "pgm_tilde_dense"),
         (pbt, "pgm_function"),
-        (twisted, "_diagram_blocks"),
+        (twisted, "f_basis"),
         (schur, "_jucys_murphy_eigenspace"),
     ]:
         monkeypatch.setattr(module, name, refuse)

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from pbtkit import twisted
+from pbtkit import cli, twisted
 from pbtkit.partitions import Partition, add_box, dim_specht, dim_weyl, enumerate_partitions
 from pbtkit.schur import partial_transpose_last, permutation_dense
-from pbtkit.symrep import embed_perm, transposition, yor
+from pbtkit.symrep import embed_perm, transposition
 from pbtkit.twisted import (
     block_dimension,
     build_twisted,
     f_basis,
+    factored_residual,
     gram_spectrum,
     lambda_eigenvalue,
     maximally_entangled,
@@ -144,22 +145,27 @@ def test_f_basis_covariance(n, d):
         for _ in range(5):
             sig = tuple(RNG.permutation(n - 1))
             v = permutation_dense(n, d, embed_perm(sig, n))
-            rep = np.zeros((blk.dim, blk.dim))
-            pos = 0
-            for nu in add_box(alpha, d).children:
-                dn = dim_specht(nu)
-                rep[pos : pos + dn, pos : pos + dn] = yor(nu, sig).matrix
-                pos += dn
+            rep = mf_generator(n, d, alpha, sig + (n - 1,), False)
             assert np.abs(v @ blk.f - blk.f @ rep).max() < 1e-9
 
 
 def test_twisted_block_factored_matches_direct():
-    # raises internally on factored/direct mismatch, so build afresh
-    build_twisted.cache_clear()
     for n, d in [(2, 2), (3, 2), (4, 2), (3, 3)]:
         for blk in build_twisted(n, d).blocks:
             dim = block_dimension(blk.alpha, d)
             assert np.abs(blk.f.T @ blk.f - np.eye(dim)).max() < 1e-10
+            assert factored_residual(n, d, blk.alpha, blk.r) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "n,d", [(n, 2) for n in range(2, 9)] + [(n, 3) for n in range(2, 7)] + [(5, 4)]
+)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_factored_form_matches_every_block(n, d, seed):
+    # the (n-1)-qudit factored form is the oracle of the direct f = psi z
+    for alpha in enumerate_partitions(n - 2, d):
+        for r in range(1, dim_weyl(alpha, d) + 1):
+            assert factored_residual(n, d, alpha, r, seed) < twisted.FACTORED_TOL
 
 
 def test_blocks_mutually_orthogonal():
@@ -400,27 +406,31 @@ def recording_tolerance(value, seen):
 def test_build_twisted_checks_every_block(monkeypatch, n, d):
     copies = [dim_weyl(alpha, d) for alpha in enumerate_partitions(n - 2, d)]
     assert max(copies) > 1
-    ortho, factored = [], []
+    ortho = []
     monkeypatch.setattr(twisted, "ORTHO_TOL", recording_tolerance(1e-9, ortho))
-    monkeypatch.setattr(twisted, "FACTORED_TOL", recording_tolerance(1e-10, factored))
     build_twisted.cache_clear()
     try:
         tw = build_twisted(n, d)
-        assert len(tw.blocks) == len(ortho) == len(factored) == sum(copies)
-        assert 0 < max(ortho) < 1e-9 and 0 < max(factored) < 1e-10
-        monkeypatch.setattr(twisted, "FACTORED_TOL", -1.0)
+        assert len(tw.blocks) == len(ortho) == sum(copies)
+        assert 0 < max(ortho) < 1e-9
+        monkeypatch.setattr(twisted, "ORTHO_TOL", -1.0)
         build_twisted.cache_clear()
-        with pytest.raises(ArithmeticError, match="factored/direct"):
+        with pytest.raises(ArithmeticError, match="not orthonormal"):
             build_twisted(n, d)
     finally:
         build_twisted.cache_clear()
+        monkeypatch.undo()
+    # the factored form is compared by the fbasis verify suite, not the build
+    args = ["verify", "--suite", "fbasis", "--n", str(n), "--d", str(d)]
+    assert cli.main(args) == 0
+    monkeypatch.setattr(twisted, "FACTORED_TOL", -1.0)
+    assert cli.main(args) == 1
 
 
 @pytest.mark.parametrize("n,d", [(6, 2), (5, 3)])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_build_twisted_blocks_equal_f_basis(n, d, seed):
-    # the per-diagram builder and the one-block path share the spanning rows
-    # and z, so the blocks agree to the bit
+    # every block is f_basis of its own copy and gauge seed, to the bit
     tw = build_twisted(n, d, seed)
     assert any(blk.r > 1 for blk in tw.blocks)
     for blk in tw.blocks:
