@@ -65,7 +65,6 @@ from .blockenc import (
     encode_Phi,
     kraus_ledger,
     naimark_Uc,
-    product,
     unitary_complete,
 )
 from .amplify import AmplificationPlan, amplified_V, end_to_end, plan

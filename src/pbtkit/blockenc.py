@@ -48,7 +48,6 @@ from .schur import (
 from .symrep import embed_perm, tableau_index
 from .twisted import (
     TwistedSchur,
-    block_dimension,
     lambda_eigenvalue,
     maximally_entangled,
     port_cycle,
@@ -493,66 +492,6 @@ class BlockEncoding:
         return err
 
 
-def adjoint_encoding(enc: BlockEncoding) -> BlockEncoding:
-    tgt = None if enc.target is None else enc.target.conj().T
-    return BlockEncoding(
-        layout=enc.layout,
-        ancillas=enc.ancillas,
-        systems=enc.systems,
-        unitary=enc.unitary.adjoint(),
-        scale=enc.scale,
-        target=tgt,
-        valid_mask=enc.valid_mask,
-        name=enc.name + "+",
-    )
-
-
-def product(a: BlockEncoding, b: BlockEncoding) -> BlockEncoding:
-    """Encoding of (a.target @ b.target) with concatenated ancillas.
-
-    The scales multiply.
-    """
-    if a.systems != b.systems:
-        raise ValueError("system registers differ")
-    rename_a = {nm: f"a.{nm}" for nm in a.ancillas}
-    rename_b = {nm: f"b.{nm}" for nm in b.ancillas}
-    regs = (
-        [Register(rename_a[nm], a.layout.dim(nm)) for nm in a.ancillas]
-        + [Register(rename_b[nm], b.layout.dim(nm)) for nm in b.ancillas]
-        + [Register(nm, a.layout.dim(nm)) for nm in a.systems]
-    )
-    layout = Layout(regs)
-    op_a = _rename_op(a.unitary, rename_a)
-    op_b = _rename_op(b.unitary, rename_b)
-    tgt = None
-    if a.target is not None and b.target is not None:
-        tgt = a.target @ b.target
-    mask = a.valid_mask if a.valid_mask is not None else b.valid_mask
-    return BlockEncoding(
-        layout=layout,
-        ancillas=tuple(rename_a.values()) + tuple(rename_b.values()),
-        systems=a.systems,
-        unitary=Composite((op_b, op_a)),
-        scale=a.scale * b.scale,
-        target=tgt,
-        valid_mask=mask,
-        name=f"{a.name}*{b.name}",
-    )
-
-
-def _rename_op(op: Op, mapping: dict[str, str]) -> Op:
-    if isinstance(op, Gate):
-        return Gate(tuple(mapping.get(nm, nm) for nm in op.names), op.matrix)
-    if isinstance(op, Composite):
-        return Composite(tuple(_rename_op(o, mapping) for o in op.ops))
-    if isinstance(op, Branched):
-        return Branched(
-            tuple(mapping.get(nm, nm) for nm in op.controls),
-            tuple((k, _rename_op(o, mapping)) for k, o in op.branches),
-        )
-    raise TypeError(f"cannot rename {type(op)}")
-
-
 # ---------------------------------------------------------------------------
 # the concrete encodings
 
@@ -647,7 +586,6 @@ def _o_valid_mask(spaces: EncodingSpaces) -> np.ndarray:
 def encode_O(
     n: int,
     d: int,
-    tw: TwistedSchur | None,
     k: int,
     i: int,
     x: float,
@@ -852,9 +790,9 @@ def encode_kraus(
     x: float | None = None,
     xp: float | None = None,
     mode: str = "tight",
-    gauge_seed: int = 0,
 ) -> BlockEncoding:
-    """Full block-encoding of the Kraus operator for outcome ``i``.
+    """Full block-encoding of the Kraus operator for outcome ``i``, in the
+    multiplicity gauge of ``tw``.
 
     The three summand families (support part, complement superposition part,
     identity) are weighted by the 4-state mixers and the port-superposition
@@ -867,9 +805,9 @@ def encode_kraus(
         x_amp, xp_amp = amplification_weights(n, d)
         x = x_amp if x is None else x
         xp = xp_amp if xp is None else xp
-    spaces = encoding_spaces(n, d, mode, gauge_seed)
-    coeff = build_PL_PR(n, d, x, "C", mode, gauge_seed)
-    coeffp = build_PL_PR(n, d, xp, "Cprime", mode, gauge_seed)
+    spaces = encoding_spaces(n, d, mode, tw.gauge_seed)
+    coeff = build_PL_PR(n, d, x, "C", mode, tw.gauge_seed)
+    coeffp = build_PL_PR(n, d, xp, "Cprime", mode, tw.gauge_seed)
     ancillas = _kraus_ancillas(spaces)
     layout = Layout(ancillas + spaces.system_registers())
     u_l, u_r, _ = branch_mixers(n, d, x, xp)
@@ -1015,15 +953,3 @@ def naimark_Uc(n: int, d: int, encodings: list[BlockEncoding]) -> NaimarkDilatio
         n_outcomes=n - 1,
     )
 
-
-def naimark_W(kraus: list[np.ndarray], n_i: int) -> np.ndarray:
-    """Dense reference dilation unitary on (outcome register x system) whose
-    zero-outcome column block stacks the Kraus operators."""
-    dim = kraus[0].shape[0]
-    cols = np.zeros((n_i * dim, dim), dtype=complex)
-    for idx, k in enumerate(kraus):
-        cols[idx * dim : (idx + 1) * dim, :] = k
-    gram = cols.conj().T @ cols
-    if np.abs(gram - np.eye(dim)).max() > 1e-8:
-        raise ArithmeticError("Kraus columns are not isometric")
-    return unitary_complete(cols.conj().T).conj().T

@@ -54,9 +54,6 @@ class Partition:
         """All (row, col) box coordinates, 0-based, row-major."""
         return [(i, j) for i, r in enumerate(self.rows) for j in range(r)]
 
-    def contains_cell(self, i: int, j: int) -> bool:
-        return 0 <= i < len(self.rows) and 0 <= j < self.rows[i]
-
     def with_box_added(self, i: int) -> "Partition":
         """Add one box at the end of row ``i`` (may create row ``i == height``)."""
         if i == len(self.rows):

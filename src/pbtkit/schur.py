@@ -4,9 +4,11 @@ Young's orthogonal form.
 The rows are the Young (Gelfand-Tsetlin) basis of Okounkov and Vershik.  For
 each diagram the copies of its first last-letter tableau T1 span the joint
 eigenspace of the Jucys-Murphy elements ``X_k = sum_{j<k} V((j k))`` at the
-contents of T1; an orthonormal basis of that eigenspace supplies the
-multiplicity labels.  Every other tableau s is reached from one already built,
-t, by an adjacent transposition s_k, and Young's orthogonal form
+contents of T1, and the orthonormal basis that the eigenspace search
+returns (weight spaces highest weight first) is the multiplicity basis
+itself; a nonzero ``gauge_seed`` mixes it by a seeded orthogonal matrix.
+Every other tableau s is reached from one already built, t, by an adjacent
+transposition s_k, and Young's orthogonal form
 ``V(s_k) u_t = u_t / a + sqrt(1 - 1/a^2) u_s`` gives u_s.  So
 ``U V(sigma) U+`` is block diagonal with blocks ``I_m  (x)  yor(lambda,
 sigma)`` by construction, which is the property every formula downstream
@@ -40,7 +42,6 @@ from .symrep import (
 )
 
 DENSE_GUARD_BYTES = 2**31  # largest dense complex matrix built in one piece
-_RANK_TOL = 1e-9
 _SIGN_TOL = 1e-9
 
 
@@ -143,34 +144,6 @@ def _row_lookup(t: SchurTransform) -> dict:
     return {(lam, r, path.growth): i for i, (lam, r, path) in enumerate(t.index)}
 
 
-def _orthonormal_columns(mat: np.ndarray, rank: int, rng: np.random.Generator | None) -> np.ndarray:
-    """Deterministically pivoted orthonormal basis of the column range."""
-    work = mat.astype(float).copy()
-    basis: list[np.ndarray] = []
-    scale = np.linalg.norm(work, axis=0).max()
-    if scale == 0.0:
-        raise ValueError("zero matrix has no range")
-    for _ in range(rank):
-        norms = np.linalg.norm(work, axis=0)
-        pivot = int(np.argmax(norms))
-        if norms[pivot] <= _RANK_TOL * scale:
-            break
-        v = work[:, pivot] / norms[pivot]
-        for _ in range(2):  # re-orthogonalize for numerical safety
-            for b in basis:
-                v -= b * (b @ v)
-            v /= np.linalg.norm(v)
-        basis.append(v)
-        work -= np.outer(v, v @ work)
-    if len(basis) != rank:
-        raise ArithmeticError(f"range has rank {len(basis)}, expected {rank}")
-    out = np.stack(basis, axis=1)
-    if rng is not None:
-        mix = np.linalg.qr(rng.standard_normal((rank, rank)))[0]
-        out = out @ mix
-    return _fix_signs(out)
-
-
 def _fix_signs(cols: np.ndarray) -> np.ndarray:
     out = cols.copy()
     for j in range(out.shape[1]):
@@ -222,7 +195,8 @@ def _jucys_murphy_eigenspace(m: int, d: int, contents: tuple[int, ...]) -> np.nd
     counts = (_digit_table(m, d)[:, :, None] == np.arange(d)).sum(axis=1)
     weight = np.unique(counts, axis=0, return_inverse=True)[1].ravel()
     found = []
-    for w in range(weight.max() + 1):
+    # highest weight (most zeros) first, so the one-qudit transform is the identity
+    for w in range(weight.max(), -1, -1):
         members = np.flatnonzero(weight == w)
         basis = np.zeros((dim, members.size))
         basis[members, np.arange(members.size)] = 1.0
@@ -239,8 +213,11 @@ def _jucys_murphy_eigenspace(m: int, d: int, contents: tuple[int, ...]) -> np.nd
 def build_schur(m: int, d: int, gauge_seed: int = 0) -> SchurTransform:
     """Construct the m-qudit Schur transform as a dense real orthogonal matrix.
 
-    ``gauge_seed`` != 0 rotates each multiplicity basis by a seeded orthogonal
-    mix; all downstream scalar quantities must be independent of this gauge.
+    The multiplicity basis of each diagram is the Jucys-Murphy eigenspace
+    basis, highest weight first, with signs fixed.  ``gauge_seed`` != 0
+    applies a seeded orthogonal mix (the QR factor of a seeded m_lambda x
+    m_lambda Gaussian) to it; all downstream scalar quantities must be
+    independent of this gauge.
     """
     if m < 0 or d < 1:
         raise ValueError("need m >= 0 and d >= 1")
@@ -264,7 +241,9 @@ def build_schur(m: int, d: int, gauge_seed: int = 0) -> SchurTransform:
                 f"Jucys-Murphy eigenspace of {lam} has dimension {eigen.shape[1]}, "
                 f"expected {m_lam}"
             )
-        copies = {tabs[0].growth: _orthonormal_columns(eigen @ eigen.T, m_lam, rng)}
+        if rng is not None:
+            eigen = eigen @ np.linalg.qr(rng.standard_normal((m_lam, m_lam)))[0]
+        copies = {tabs[0].growth: _fix_signs(eigen)}
         # breadth-first over the tableau graph, edges by Young's orthogonal form
         queue = [tabs[0]]
         for tab in queue:

@@ -4,15 +4,9 @@ line with the worst measured residual at the stated tolerance."""
 import numpy as np
 import pytest
 
-from pbtkit.partitions import Partition, add_box, dim_specht, dim_weyl, enumerate_partitions
-from pbtkit.twisted import (
-    build_twisted,
-    f_basis,
-    lambda_eigenvalue,
-    mf_generator,
-    mf_pi,
-    psi_vectors,
-)
+from pbtkit.partitions import add_box, dim_specht, enumerate_partitions
+from pbtkit.twisted import build_twisted, f_basis, mf_generator, psi_vectors
+from pbtkit.verify import SUITES
 
 RNG = np.random.default_rng(2024)
 
@@ -24,21 +18,7 @@ def _report(name: str, residual: float, tol: float) -> None:
 
 
 def test_criterion_1_gram_spectrum():
-    worst = 0.0
-    for d in (2, 3):
-        for n in range(2, 8):
-            for alpha in enumerate_partitions(n - 2, d):
-                psi = psi_vectors(n, d, alpha)
-                gram = psi.conj().T @ psi
-                box = add_box(alpha, d)
-                expected = []
-                for nu in box.children:
-                    expected.extend(
-                        [lambda_eigenvalue(n, d, alpha, nu)] * dim_specht(nu)
-                    )
-                expected.extend([0.0] * box.theta_dim())
-                got = np.linalg.eigvalsh(gram)
-                worst = max(worst, float(np.abs(np.sort(np.array(expected)) - got).max()))
+    _, worst, _ = SUITES["gram"](range(2, 8), (2, 3), 0)
     _report("1 Gram spectrum identity (n<=7, d<=3)", worst, 1e-8)
 
 
@@ -78,16 +58,7 @@ def test_criterion_3_f_basis_contract():
 
 
 def test_criterion_4_pseudoprojector():
-    worst = 0.0
-    for d in (2, 3):
-        for n in range(3, 7):
-            for alpha in enumerate_partitions(n - 2, d):
-                scale = 1.0 - add_box(alpha, d).theta_dim() / (
-                    (n - 1) * dim_specht(alpha)
-                )
-                for i in range(1, n):
-                    m = mf_pi(n, d, alpha, i, check=False)
-                    worst = max(worst, float(np.abs(m @ m - scale * m).max()))
+    _, worst, _ = SUITES["pseudo"](range(3, 7), (2, 3), 0)
     _report("4 pseudoprojector identity (n<=6, d<=3)", worst, 1e-9)
 
 
@@ -192,14 +163,8 @@ def test_criterion_8_naimark_amplification(honest_end_to_end):
 
 
 def test_criterion_9_norm_bound():
-    from pbtkit.pbt import sqrt_tilde_norm
-
-    worst = 0.0
-    for d in (2, 3):
-        for n in range(2, 7):
-            for i in range(1, n):
-                worst = max(worst, sqrt_tilde_norm(n, d, i) - np.sqrt(d))
-    _report("9 support-part norm bound ||.|| <= sqrt(d)", max(worst, 0.0), 1e-10)
+    _, worst, _ = SUITES["norm"](range(2, 7), (2, 3), 0)
+    _report("9 support-part norm bound ||.|| <= sqrt(d)", worst, 1e-10)
 
 
 def test_criterion_10_gauge_robustness():
@@ -242,7 +207,7 @@ def test_criterion_10_gauge_robustness():
             for i in range(1, n)
         )
         residuals.append(res)
-        enc = encode_kraus(n, d, tw, 1, gauge_seed=seed)
+        enc = encode_kraus(n, d, tw, 1)
         residuals[-1] = max(residuals[-1], enc.verify())
     worst = max(worst, abs(fids[0] - fids[1]), abs(residuals[0] - residuals[1]))
     _report("10 gauge robustness of emitted scalars", worst, 1e-8)

@@ -3,8 +3,6 @@ import pytest
 
 from pbtkit.partitions import Partition, add_box, enumerate_partitions
 from pbtkit.blockenc import (
-    BlockEncoding,
-    adjoint_encoding,
     amplification_weights,
     branch_mixers,
     build_PL_PR,
@@ -17,8 +15,6 @@ from pbtkit.blockenc import (
     kraus_ledger,
     kraus_scale,
     naimark_Uc,
-    naimark_W,
-    product,
     unitary_complete,
     weight_range,
 )
@@ -116,14 +112,14 @@ def test_pl_pr_rejects_small_x():
 def test_marker_collisions_flagged_and_harmless():
     cm = build_PL_PR(3, 2, SQ2, "C")
     assert cm.collisions  # copy 2 of the first diagram exists at n=3, d=2
-    enc = encode_O(3, 2, None, 1, 1, SQ2)
+    enc = encode_O(3, 2, 1, 1, SQ2)
     assert enc.verify() < 1e-10
 
 
 @pytest.mark.parametrize("mode", ["tight", "padded"])
 @pytest.mark.parametrize("n,d,k,i", [(3, 2, 1, 1), (3, 2, 2, 1), (4, 2, 2, 1), (4, 2, 3, 2)])
 def test_encode_O_block(mode, n, d, k, i):
-    enc = encode_O(n, d, None, k, i, SQ2, mode)
+    enc = encode_O(n, d, k, i, SQ2, mode)
     assert enc.verify() < 1e-8
     assert enc.scale == SQ2**2
     mat = to_matrix(enc.unitary, enc.layout)
@@ -133,7 +129,7 @@ def test_encode_O_block(mode, n, d, k, i):
 def test_encode_O_identity_port_case():
     # k = i = n-1 makes both permutations the identity
     n, d = 3, 2
-    enc = encode_O(n, d, None, n - 1, n - 1, SQ2)
+    enc = encode_O(n, d, n - 1, n - 1, SQ2)
     spaces = encoding_spaces(n, d)
     tgt = dense_O(spaces, port_cycle(n - 1, n), port_cycle(n - 1, n), "C")
     alpha = Partition((1,))
@@ -147,44 +143,6 @@ def test_encode_O_scale_bookkeeping():
     first = rows[0]
     assert first.scale == SQ2**2
     assert first.ancilla_qubits == 3  # log 4 + log 2 + log 1
-
-
-def test_product_of_identity_encodings():
-    from pbtkit.registers import Gate, Layout, Register
-
-    lay = Layout([Register("a", 2), Register("s", 3)])
-    ident = BlockEncoding(
-        layout=lay,
-        ancillas=("a",),
-        systems=("s",),
-        unitary=Gate(("s",), np.eye(3, dtype=complex)),
-        scale=1.0,
-        target=np.eye(3, dtype=complex),
-        name="I",
-    )
-    prod = product(ident, ident)
-    assert prod.scale == 1.0
-    assert prod.verify() < 1e-14
-
-
-def test_product_rule():
-    eye_enc = encode_Phi(3, 2)
-    prod = product(eye_enc, adjoint_encoding(eye_enc))
-    assert prod.scale == pytest.approx(2.0)
-    # the product encodes Phi Phi+ = d I on the label registers
-    blk = prod.post_selected_block()
-    expected = prod.scale * np.kron(np.eye(2), np.diag([1.0, 0, 0, 0]))
-    assert np.abs(blk - expected).max() < 1e-9
-
-
-def test_product_encodes_central_operator():
-    n, d = 3, 2
-    a = encode_O(n, d, None, 1, 1, SQ2)
-    b = adjoint_encoding(encode_O(n, d, None, 2, 1, SQ2))
-    prod = product(a, b)
-    assert prod.scale == pytest.approx(4.0)
-    err = prod.verify()
-    assert err < 1e-8
 
 
 def test_encode_Phi():
@@ -313,18 +271,6 @@ def test_naimark_padding_identity_branch():
     vec = layout.basis_state({"I": 3, "qm": 1})
     moved = nai.uc_op.apply(vec, layout)
     assert np.abs(moved - vec).max() < 1e-12
-
-
-def test_naimark_W_reference():
-    n, d = 3, 2
-    tw = build_twisted(n, d)
-    from pbtkit.pbt import kraus_from_twisted
-
-    kraus = [kraus_from_twisted(n, d, tw, i) for i in (1, 2)]
-    w = naimark_W(kraus, n - 1)
-    assert np.abs(w @ w.conj().T - np.eye(2 * 8)).max() < 1e-10
-    for i, k in enumerate(kraus):
-        assert np.abs(w[i * 8 : (i + 1) * 8, :8] - k).max() < 1e-10
 
 
 def test_batch_guard_raises_before_allocating():

@@ -1,9 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pbtkit import schur
 from pbtkit.blockenc import encoding_spaces
 from pbtkit.partitions import Partition, dim_specht, dim_weyl, enumerate_partitions
 from pbtkit.schur import (
@@ -100,9 +106,17 @@ def test_build_schur_m3_block_sizes():
     assert t.matrix.shape == (8, 8)
 
 
-@pytest.mark.parametrize("m,d", [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (7, 2), (2, 3), (3, 3), (4, 3)])
-def test_covariance(m, d):
-    t = build_schur(m, d)
+@pytest.mark.parametrize(
+    "m,d,seed",
+    [
+        pytest.param(m, d, 0, id=f"{m}-{d}")
+        for m, d in [(2, 2), (3, 2), (4, 2), (5, 2), (6, 2), (7, 2), (2, 3), (3, 3), (4, 3)]
+    ]
+    # weight spaces holding several copies, where eigh picks the multiplicity basis
+    + [(m, d, seed) for m, d in [(5, 3), (6, 3), (4, 4)] for seed in (0, 3)],
+)
+def test_covariance(m, d, seed):
+    t = build_schur(m, d, seed)
     worst = 0.0
     for k in range(1, m):
         worst = max(worst, covariance_residual(t, transposition(k - 1, k, m)))
@@ -212,6 +226,40 @@ def test_submatrix_orthogonality_larger():
     assert np.abs(mats[0] @ mats[1].conj().T).max() < 1e-10
     u_a = submatrix_U_alpha(t, alpha)
     assert u_a.shape[0] == sum(dim_specht(nu) for nu in children)
+
+
+@pytest.mark.parametrize("m,d", [(6, 3), (8, 2)])
+def test_cold_build_peak_stays_below_four_dense_matrices(m, d):
+    # the multiplicity basis comes from the eigenspace search itself, with no
+    # d^m x d^m projector beside the transform being assembled
+    schur._perm_source_index.cache_clear()
+    schur._digit_table.cache_clear()
+    tracemalloc.start()
+    try:
+        build_schur.__wrapped__(m, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * d ** (2 * m)
+
+
+def test_export_bytes_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(schur.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from pbtkit.cli import main; "
+        "sys.exit(main(sys.argv[2:]))"
+    )
+    files = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"schur{threads}.mat"
+        subprocess.run(
+            [sys.executable, "-c", code, src, "export", "schur", "--n", "6", "--d", "3", str(path)],
+            check=True,
+            capture_output=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        )
+        files.append((path.read_bytes(), Path(str(path) + ".json").read_bytes()))
+    assert files[0] == files[1]
 
 
 def test_dense_guard():
