@@ -9,14 +9,14 @@ acts on; nothing here ever builds the full-space matrix unless asked to.
 The op tree is the one definition of an operator.
 
 ``Support`` reads an op tree as a product of sparse factors, folding each
-controlled gate chain into one matrix per branch, and finds S, the smallest
-set of flat indices that holds a start mask's support and is closed under
-the nonzero pattern of every factor and of its adjoint.  No entry links S to
-its complement, so every factor splits exactly into an S block and an S^c
-block, and a state that starts in S can be run through the S x S blocks
-alone (``RestrictedProduct``, which rejects a state with amplitude off S).
-Each S x S block is held as dense component blocks (``BlockFactor``), so only
-folding a gate chain needs ``scipy.sparse``.
+controlled gate chain into one matrix per branch as a sum over the paths
+through its gates, and finds S, the smallest set of flat indices that holds
+a start mask's support and is closed under the nonzero pattern of every
+factor and of its adjoint.  No entry links S to its complement, so every
+factor splits exactly into an S block and an S^c block, and a state that
+starts in S can be run through the S x S blocks alone (``RestrictedProduct``,
+which rejects a state with amplitude off S).  Each S x S block is held as
+dense component blocks (``BlockFactor``).  Nothing here needs more than numpy.
 """
 
 from __future__ import annotations
@@ -188,8 +188,8 @@ def controlled_not_gate(flag_dim: int, cond_dims: list[int]) -> np.ndarray:
 
 class Csr(NamedTuple):
     """The nonzeros of a square matrix, row after row: row r holds
-    ``data[indptr[r]:indptr[r + 1]]`` in the columns ``indices[...]``; the
-    index arrays are int32, as ``scipy.sparse`` keeps them."""
+    ``data[indptr[r]:indptr[r + 1]]`` in the columns ``indices[...]``, each
+    column at most once; the index arrays are int32."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -208,12 +208,50 @@ def _is_gate_chain(op: Op) -> bool:
     )
 
 
-def _fold_branches(op: Branched, layout: Layout) -> list[tuple[dict, tuple[str, ...], Csr]]:
-    """Multiply each body's gates, each embedded as a sparse matrix on the
-    touched registers (in layout order), into one matrix per branch key: the
-    pieces of one factor, as ``_factors`` gives them."""
-    import scipy.sparse as sparse  # only folding needs it; keeps `import pbtkit` light
+def _move(gate: Gate, loc: np.ndarray, offset: np.ndarray, row, col, val):
+    """The entries (row, col, val) of a folded matrix on the flat index of
+    the touched registers, multiplied by ``gate``: an entry on row
+    (l, rest), l = ``loc[row]`` the gate's register state, becomes one entry
+    on row (l', rest) with value g[l', l] * val for each kept g[l', l], and
+    keeps its col and its place in the order of the entries.  ``offset`` is
+    the flat index of each gate state with every other register at 0."""
+    # entries at rounding level of the largest one are residue of how the
+    # gate was built; dropping them keeps the folded product sparse
+    mag = np.abs(gate.matrix)
+    to, frm = np.nonzero((mag > np.finfo(float).eps * mag.max()).T)  # column by column
+    g = gate.matrix[frm, to]
+    g = g if g.imag.any() else g.real
+    shift = offset[frm] - offset[to]
+    count = np.bincount(to, minlength=offset.size)
+    if count.max() <= 1:
+        # each entry is moved and scaled in place; one in a column that holds
+        # no entry is scaled to 0, and exact zeros are dropped at the end
+        step, scale = np.zeros(offset.size, np.intp), np.zeros(offset.size, g.dtype)
+        step[to], scale[to] = shift, g
+        local = loc[row]
+        return row + step[local], col, val * scale[local]
+    first = np.cumsum(count) - count
+    local = loc[row]
+    fan = count[local]  # how many entries each one becomes
+    ends = np.cumsum(fan)
+    rep = np.repeat(np.arange(row.size), fan)  # the entry each new one comes from
+    at = np.arange(rep.size)
+    at += (first[local] - ends + fan)[rep]  # and the kept gate entry it takes
+    del local, fan, ends
+    row = row[rep]
+    row += shift[at]
+    return row, col[rep], val[rep] * g[at]
 
+
+def _fold_branches(op: Branched, layout: Layout) -> list[tuple[dict, tuple[str, ...], Csr]]:
+    """Multiply each body's gates into one matrix per branch key on the
+    touched registers (in layout order), as a sum over paths: the pieces of
+    one factor, as ``_factors`` gives them.
+
+    Each body starts from the identity's entries (row, col, val), ordered
+    by col, and each gate moves them (``_move``), which keeps that order.
+    The entries that end on one (row, col) are summed once, after the last
+    gate, and exact zeros are dropped."""
     names = {nm for _, body in op.branches for gate in body.ops for nm in gate.names}
     if names & set(op.controls):
         raise ValueError("branch bodies must not touch their control registers")
@@ -221,28 +259,40 @@ def _fold_branches(op: Branched, layout: Layout) -> list[tuple[dict, tuple[str, 
     dims = tuple(layout.dim(nm) for nm in touched)
     size = prod(dims)
     index = np.arange(size).reshape(dims)
+    places = {}  # (loc, offset) of each set of gate registers
     pieces = []
     for key, body in op.branches:
-        acc = sparse.identity(size, dtype=complex, format="csr")
+        row, col, val = np.arange(size), np.arange(size), np.ones(size)
         for gate in body.ops:
-            axes = [touched.index(nm) for nm in gate.names]
-            # flat touched index of (gate state, state of the other registers)
-            flat = np.moveaxis(index, axes, range(len(axes))).reshape(gate.matrix.shape[0], -1)
-            # entries at rounding level of the largest one are residue of how
-            # the gate was built; dropping them keeps the folded product sparse
-            mag = np.abs(gate.matrix)
-            rows, cols = np.nonzero(mag > np.finfo(float).eps * mag.max())
-            factor = sparse.csr_matrix(
-                (
-                    np.repeat(gate.matrix[rows, cols], flat.shape[1]),
-                    (flat[rows].ravel(), flat[cols].ravel()),
-                ),
-                shape=(size, size),
-            )
-            acc = factor @ acc
-        acc.eliminate_zeros()
-        data = acc.data if acc.data.imag.any() else acc.data.real
-        pieces.append((dict(zip(op.controls, key)), touched, Csr(acc.indptr, acc.indices, data)))
+            if gate.names not in places:
+                axes = [touched.index(nm) for nm in gate.names]
+                # flat index of (gate state, state of the other registers)
+                flat = np.moveaxis(index, axes, range(len(axes))).reshape(gate.matrix.shape[0], -1)
+                loc = np.empty(size, np.intp)
+                loc[flat] = np.arange(flat.shape[0])[:, None]
+                places[gate.names] = loc, flat[:, 0]
+            row, col, val = _move(gate, *places[gate.names], row, col, val)
+        # sort by row, ties by place, so that each row's cols stay ascending
+        # and equal (row, col) entries meet; (row, place) packs into one
+        # int64 while size * places < 2**62
+        bits = row.size.bit_length()
+        row <<= bits
+        row |= np.arange(row.size)
+        row.sort()
+        order = row & ((1 << bits) - 1)
+        row >>= bits
+        col, val = col[order], val[order]
+        del order
+        new = np.ones(row.size, bool)
+        new[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+        starts = np.flatnonzero(new)
+        data = np.add.reduceat(val, starts)
+        nonzero = data != 0
+        row, col, data = row[starts[nonzero]], col[starts[nonzero]], data[nonzero]
+        indptr = np.searchsorted(row, np.arange(size + 1)).astype(np.int32)
+        data = data if data.imag.any() else data.real
+        csr = Csr(indptr, col.astype(np.int32), data)
+        pieces.append((dict(zip(op.controls, key)), touched, csr))
     return pieces
 
 

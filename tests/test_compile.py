@@ -22,6 +22,7 @@ from pbtkit.registers import (
     Register,
     Support,
     _factors,
+    _fold_branches,
     _is_gate_chain,
     to_matrix,
 )
@@ -351,10 +352,11 @@ def test_import_leaves_scipy_out():
         ["simulate", "--n", "6", "--d", "2", "--engine", "dense-W"],
         ["export", "kraus", "--n", "4", "--d", "2", "K.mat"],
         ["fidelity", "--d", "2", "--n", "2..5"],
+        ["simulate", "--n", "3", "--d", "2", "--engine", "amplified-V", "--variant", "honest"],
     ],
 )
 def test_commands_leave_scipy_out(argv, tmp_path):
-    # only folding an honest branch chain loads scipy
+    # no command loads scipy, the honest run's gate-chain fold included
     src = str(Path(pbtkit.__file__).resolve().parents[1])
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); from pbtkit.cli import main; "
@@ -368,3 +370,120 @@ def test_commands_leave_scipy_out(argv, tmp_path):
         cwd=tmp_path,
     )
     assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def scipy_fold(op, layout):
+    """Reference for ``_fold_branches``: each body's gates embedded as
+    scipy.sparse matrices on the touched registers and multiplied, with the
+    same rounding-level drop per gate."""
+    names = {nm for _, body in op.branches for gate in body.ops for nm in gate.names}
+    touched = tuple(nm for nm in layout.names if nm in names)
+    dims = tuple(layout.dim(nm) for nm in touched)
+    size = prod(dims)
+    index = np.arange(size).reshape(dims)
+    pieces = []
+    for key, body in op.branches:
+        acc = sparse.identity(size, dtype=complex, format="csr")
+        for gate in body.ops:
+            axes = [touched.index(nm) for nm in gate.names]
+            flat = np.moveaxis(index, axes, range(len(axes))).reshape(gate.matrix.shape[0], -1)
+            mag = np.abs(gate.matrix)
+            rows, cols = np.nonzero(mag > EPS * mag.max())
+            factor = sparse.csr_matrix(
+                (
+                    np.repeat(gate.matrix[rows, cols], flat.shape[1]),
+                    (flat[rows].ravel(), flat[cols].ravel()),
+                ),
+                shape=(size, size),
+            )
+            acc = factor @ acc
+        acc.eliminate_zeros()
+        data = acc.data if acc.data.imag.any() else acc.data.real
+        csr = sparse.csr_matrix((data, acc.indices, acc.indptr), acc.shape)
+        pieces.append((dict(zip(op.controls, key)), touched, csr))
+    return pieces
+
+
+def folded_branches(op):
+    """Every Branched of the tree that ``_factors`` folds."""
+    if isinstance(op, Composite):
+        for o in op.ops:
+            yield from folded_branches(o)
+    elif isinstance(op, Branched):
+        if all(_is_gate_chain(body) for _, body in op.branches):
+            yield op
+        else:
+            for _, body in op.branches:
+                yield from folded_branches(body)
+
+
+def fold_case(case):
+    if case == "mixed":
+        return mixed_tree()
+    if case == "block":
+        return block_tree()[:2]
+    pipe = bare_pipeline("honest", 3, 2)
+    return pipe.layout, pipe.naimark.v_op
+
+
+@pytest.mark.parametrize("case", ["honest32", "mixed", "block"])
+def test_fold_matches_scipy_product(case):
+    layout, tree = fold_case(case)
+    branched = list(folded_branches(tree))
+    assert branched
+    for op in branched:
+        got, want = _fold_branches(op, layout), scipy_fold(op, layout)
+        assert len(got) == len(want)
+        for (ctl, names, mat), (ref_ctl, ref_names, ref) in zip(got, want):
+            assert (ctl, names) == (ref_ctl, ref_names)
+            assert mat.indptr.dtype == mat.indices.dtype == np.int32
+            assert mat.data.dtype == ref.data.dtype
+            assert np.array_equal(mat.indptr, ref.indptr)
+            # the same entries, each stored once, row by row
+            size = mat.indptr.size - 1
+            key = mat.rows().astype(np.int64) * size + mat.indices
+            ref_rows = np.repeat(np.arange(size, dtype=np.int64), np.diff(ref.indptr))
+            ref_key = ref_rows * size + ref.indices
+            assert np.unique(key).size == key.size
+            assert np.array_equal(np.sort(key), np.sort(ref_key))
+            diff = mat.data[np.argsort(key)] - ref.data[np.argsort(ref_key)]
+            assert np.abs(diff).max(initial=0) <= 8 * EPS * np.abs(ref.data).max()
+
+
+def fold_chain(*gates, dim):
+    """The one piece ``_fold_branches`` makes of a one-key Branched whose
+    body is ``gates`` on a register of ``dim`` states, as a dense matrix and
+    its stored entries."""
+    layout = Layout([Register("c", 2), Register("t", dim)])
+    op = Branched(("c",), (((1,), Composite(tuple(Gate(("t",), g) for g in gates))),))
+    ((ctl, names, mat),) = _fold_branches(op, layout)
+    assert (ctl, names) == ({"c": 1}, ("t",))
+    rows, cols = mat.rows(), mat.indices
+    dense = np.zeros((dim, dim), mat.data.dtype)
+    dense[rows, cols] = mat.data
+    return dense, set(zip(rows.tolist(), cols.tolist()))
+
+
+def test_fold_drops_cancelled_paths():
+    # H then H: the two paths to each off-diagonal entry cancel exactly
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    dense, pattern = fold_chain(h, h, dim=2)
+    assert pattern == {(0, 0), (1, 1)}
+    assert np.abs(dense - np.eye(2)).max() <= 2 * EPS
+
+
+def test_fold_keeps_rounding_level_entries_out():
+    gate = np.array([[1, 1e-18], [0, 1]])
+    dense, pattern = fold_chain(gate, np.eye(2), dim=2)
+    assert pattern == {(0, 0), (1, 1)}
+    assert np.array_equal(dense, np.eye(2))
+
+
+def test_fold_ends_paths_at_an_empty_column():
+    # the first gate has one entry per column (a relabel) and nothing in
+    # column 2, the second spreads and has nothing in column 1
+    relabel = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    spread = np.array([[1, 0, 2], [3, 0, 4], [5, 0, 6]])
+    dense, pattern = fold_chain(relabel, spread, dim=3)
+    assert pattern == {(0, 1), (1, 1), (2, 1)}
+    assert np.array_equal(dense, spread @ relabel)
