@@ -14,7 +14,10 @@ its adjoint and two diagonal reflections, so the input never leaves S, the
 support the start projector reaches under the nonzero pattern of V's factors
 and their adjoints (``registers.Support``).  The amplified product is built
 and run on S alone, at honest (3,2) 6,144 of the 147,456 indices of the
-registers V touches, and rejects an input with any amplitude off S.
+registers V touches: ``amplified_V`` returns a ``RestrictedProduct`` at every
+m, whose ``run`` takes a state's S rows and whose ``apply`` rejects a
+layout-shaped input with any amplitude off S.  ``end_to_end`` alone scatters
+the output back to the whole layout, to compare it with the dense dilation.
 """
 
 from __future__ import annotations
@@ -78,31 +81,32 @@ def plan(
     )
 
 
-def amplified_V(v: Op, plan_: AmplificationPlan, layout: Layout) -> Op:
+def amplified_V(v: Op, plan_: AmplificationPlan, layout: Layout) -> RestrictedProduct:
     """The phase-modulated product boosting the post-selected amplitude.
 
     v is applied m times in alternation with its adjoint and reflections
     about the start and end projectors; all interior phases are pi/2 and the
-    leading end-reflection carries (1-m) pi/2 and the overall sign.  m = 1
-    returns v unchanged.
+    leading end-reflection carries (1-m) pi/2 and the overall sign.  At
+    m = 1 the product is v's chain alone.
 
     A start-subspace input only ever meets v, v^dagger and the diagonals, so
     it stays in S, the support the start projector reaches under the nonzero
     pattern of v's factors and their adjoints.  The product runs on S alone:
     the v chain is ``Support``'s S x S dense component blocks, the v^dagger
     chain their conjugate transposes in reverse, and each diagonal its S
-    rows, all shared across phases.  The returned op takes states supported
-    on S and raises ValueError on any other.
+    rows, all shared across phases.  Its ``run`` takes the S rows of a
+    state; its ``apply`` takes layout-shaped states supported on S and
+    raises ValueError on any other.
     """
-    if plan_.m == 1:
-        return v
     if plan_.start_projector is None or plan_.end_projector is None:
         raise ValueError("plan carries no projectors")
-    start = plan_.start_projector.astype(bool).reshape(layout.dims)
-    end = plan_.end_projector.astype(bool).reshape(layout.dims)
+    start = np.asarray(plan_.start_projector, bool).reshape(layout.dims)
+    end = np.asarray(plan_.end_projector, bool).reshape(layout.dims)
     m = plan_.m
     support = Support(v, layout, start)
     v_chain = support.chain
+    if m == 1:
+        return RestrictedProduct(support, (v_chain,))
     vdag_chain = tuple(f.adjoint() for f in reversed(v_chain))
 
     def reflection(mask: np.ndarray, phase: float, sign: float = 1.0) -> np.ndarray:
@@ -148,7 +152,7 @@ def end_to_end(n: int, d: int, variant: str = "compressed") -> EndToEndResult:
     cleanliness; the outcome probabilities against their exact 1/(n-1)."""
     from .blockenc import SYSTEM
     from .pbt import kraus_from_twisted, pgm_probabilities
-    from .simulate import _post_select, build_pipeline, initial_state, outcome_probabilities
+    from .simulate import build_pipeline, initial_state, outcome_probabilities
     from .twisted import build_twisted, maximally_entangled
 
     tw = build_twisted(n, d)
@@ -185,7 +189,8 @@ def end_to_end(n: int, d: int, variant: str = "compressed") -> EndToEndResult:
 
     discrepancy = _reduced_trace_distance(pipe, w_out, v_out)
 
-    prob_err = float(np.abs(pgm_probabilities(n) - outcome_probabilities(pipe, v_out)).max())
+    v_rows = pipe.v_amp.support.rows(v_out, layout)
+    prob_err = float(np.abs(pgm_probabilities(n) - outcome_probabilities(pipe, v_rows)).max())
 
     purity, zero_weight = _ancilla_cleanliness(pipe, v_out)
     return EndToEndResult(
@@ -204,6 +209,12 @@ def end_to_end(n: int, d: int, variant: str = "compressed") -> EndToEndResult:
         ancilla_purity=purity,
         ancilla_zero_weight=zero_weight,
     )
+
+
+def _post_select(pipe, state: np.ndarray) -> np.ndarray:
+    """A state on the protocol layout with the block-encoding ancillas
+    projected onto zero, the event the amplification boosts."""
+    return np.where(pipe.plan.end_projector.reshape(pipe.layout.dims), state, 0)
 
 
 def _ancilla_rows(pipe, state: np.ndarray) -> np.ndarray:

@@ -469,14 +469,19 @@ class BlockEncoding:
         return self.scale * rows[cols_in, :]
 
     def verify(self) -> float:
-        """Residual ||target - scale * block||.
+        """Residual ||target - scale * block|| of the dense
+        ``post_selected_block`` (``residual``)."""
+        return self.residual(self.post_selected_block())
+
+    def residual(self, block: np.ndarray) -> float:
+        """Residual ||target - block|| of a post-selected block, scale
+        included, over the valid system states.
 
         Also enforces the declared-scale bound: the scale may exceed the
         target norm but never undercut it by more than the residual.
         """
         if self.target is None:
             raise ValueError("no target stored on this encoding")
-        block = self.post_selected_block()
         mask = (
             self.valid_mask
             if self.valid_mask is not None

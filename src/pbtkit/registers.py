@@ -491,38 +491,54 @@ class Support:
         groups = tuple(_group(parts) for _, parts in sorted(by_size.items()))
         return BlockFactor(self.index.size, groups)
 
+    def digits(self, name: str) -> np.ndarray:
+        """The value of the register ``name`` in each S row."""
+        return self._digit(self.index, name)
+
     def rows(self, arr: np.ndarray, layout: Layout) -> np.ndarray:
         """The S rows of a layout-shaped array viewed as (``names``, rest)."""
         return layout.block(arr, self.names)[0, self.index]
 
+    def scatter(self, x: np.ndarray, layout: Layout, batch: tuple[int, ...] = ()) -> np.ndarray:
+        """The layout-shaped array (trailing ``batch`` axes) whose S rows are
+        ``x`` and which is 0 off S: the inverse of ``rows``."""
+        # unlike zeros_like, np.zeros leaves the pages no S row lands on
+        # unwritten, so they take no memory
+        out = np.zeros(layout.dims + batch, dtype=complex)
+        layout.block(out, self.names)[0, self.index] = x
+        return out
+
 
 class RestrictedProduct(Op):
-    """A product run on the support S of ``Support``: the S rows of a state
-    are gathered, taken through ``steps`` (a chain of ``BlockFactor``s or
-    an (|S|, rest) diagonal each, ``[0]`` first) and scattered back.  The
-    product is defined on states supported on S; one with a nonzero
-    amplitude off S raises ValueError."""
+    """A product run on the support S of ``Support``: ``run`` takes the S
+    rows of a state, (|S|, rest), through ``steps`` (a chain of
+    ``BlockFactor``s or an (|S|, rest) diagonal each, ``[0]`` first).
+    ``apply`` gathers the S rows of a layout-shaped state, runs them and
+    scatters them back; it is defined on states supported on S, and one with
+    a nonzero amplitude off S raises ValueError."""
 
     def __init__(self, support: Support, steps: tuple):
         self.support = support
         self.steps = steps
 
-    def apply(self, arr: np.ndarray, layout: Layout) -> np.ndarray:
-        arr = np.ascontiguousarray(arr, dtype=complex)
-        x = self.support.rows(arr, layout)
-        if np.count_nonzero(arr) > np.count_nonzero(x):
-            raise ValueError("state has nonzero amplitudes off the support S")
+    def run(self, x: np.ndarray) -> np.ndarray:
+        """The product applied in place to the C-contiguous complex S rows
+        ``x`` (|S|, rest), the rest axis a multiple of the diagonals'."""
         for step in self.steps:
             if isinstance(step, np.ndarray):
-                x = (x.reshape(step.shape + (-1,)) * step[..., None]).reshape(x.shape)
+                view = x.reshape(step.shape + (-1,))
+                view *= step[..., None]
             else:
                 for factor in step:
                     factor.apply(x)
-        # unlike zeros_like, np.zeros leaves the pages no S row lands on
-        # unwritten, so they take no memory
-        out = np.zeros(arr.shape, dtype=complex)
-        layout.block(out, self.support.names)[0, self.support.index] = x
-        return out
+        return x
+
+    def apply(self, arr: np.ndarray, layout: Layout) -> np.ndarray:
+        arr = np.asarray(arr, dtype=complex)
+        x = self.support.rows(arr, layout)
+        if np.count_nonzero(arr) > np.count_nonzero(x):
+            raise ValueError("state has nonzero amplitudes off the support S")
+        return self.support.scatter(self.run(x), layout, arr.shape[len(layout.dims) :])
 
 
 def to_matrix(op: Op, layout: Layout) -> np.ndarray:

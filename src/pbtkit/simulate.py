@@ -10,6 +10,12 @@ outcome-superposition preparer and the oblivious amplification sequence,
 applied to the physical initial state as a structured operator; its
 probabilities are conditioned on the block-encoding ancillas returning to
 zero, which is the event the amplification boosts to near certainty.
+
+The amplified engine holds no array of the protocol layout's size past its
+masks.  The state lives on the S rows of the amplified product's support
+from ``initial_rows`` to the receiver states, and each encoding's residual
+is read from one pass of V's S x S chain over the start columns; the dense
+``BlockEncoding.verify`` is the oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from .blockenc import (
     naimark_Uc,
 )
 from .pbt import pgm_fidelity, pgm_functions, pgm_probabilities
-from .registers import Gate, Layout, Op, Register
+from .registers import Gate, Layout, Register, RestrictedProduct
+from .schur import DENSE_GUARD_BYTES, DenseTooLarge
 from .twisted import TwistedSchur, build_twisted, maximally_entangled
 
 INPUT_TOL = 1e-9
@@ -197,7 +204,10 @@ def compressed_encodings(
 
 @dataclass(eq=False)
 class Pipeline:
-    """Everything needed to drive the amplified engine."""
+    """Everything needed to drive the amplified engine.  The protocol state
+    is held as its S rows, (|S|, rest), S the support of ``v_amp`` and rest
+    running over the registers after it (the receiver ports and the
+    reference)."""
 
     n: int
     d: int
@@ -205,10 +215,13 @@ class Pipeline:
     naimark: NaimarkDilation
     layout: Layout  # protocol layout: naimark registers + receiver ports (+ ref)
     plan: AmplificationPlan
-    v_amp: Op
+    v_amp: RestrictedProduct
     epsilon: float
     with_ref: bool
     system_mask: np.ndarray
+    delta: float  # the largest encoding residual, read from V's restricted chain
+    row_outcome: np.ndarray  # each S row's I digit at ancilla zero, -1 elsewhere
+    row_system: np.ndarray  # each S row's flat index on the system registers
 
 
 def build_pipeline(
@@ -220,7 +233,9 @@ def build_pipeline(
     tw: TwistedSchur | None = None,
 ) -> Pipeline:
     """Assemble encodings, the dilation, the amplification plan and the
-    protocol layout, at tight register sizes."""
+    protocol layout, at tight register sizes.  Raises DenseTooLarge, before
+    any array over the protocol layout is built, when one would exceed the
+    dense guard."""
     tw = tw or build_twisted(n, d)
     if variant == "compressed":
         encs = compressed_encodings(n, d, tw)
@@ -228,7 +243,6 @@ def build_pipeline(
         encs = [encode_kraus(n, d, tw, i) for i in range(1, n)]
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    delta = max(enc.verify() for enc in encs)
     nai = naimark_Uc(n, d, encs)
     regs = list(nai.layout.registers)
     if with_bob:
@@ -236,6 +250,13 @@ def build_pipeline(
     if with_ref:
         regs.append(Register("R", d))
     layout = Layout(regs)
+    # the start and end masks, one byte per amplitude, are the largest arrays
+    # over the whole layout that the pipeline or a run of it forms
+    if layout.size > DENSE_GUARD_BYTES:
+        raise DenseTooLarge(
+            f"a mask over the {layout.size} amplitudes of the protocol layout needs "
+            f"{layout.size / 2**30:.1f} GiB, above the {DENSE_GUARD_BYTES / 2**30:.0f} GiB guard"
+        )
     spaces = encoding_spaces(n, d)
     start = _layout_mask(layout, ("I",) + nai.ancillas, spaces.system_mask())
     end = _layout_mask(layout, nai.ancillas)
@@ -246,6 +267,14 @@ def build_pipeline(
         end_projector=end,
     )
     v_amp = amplified_V(nai.v_op, pl, layout)
+    support = v_amp.support
+    row_outcome = support.digits("I")
+    for name in nai.ancillas:
+        row_outcome[support.digits(name) != 0] = -1
+    row_system = np.ravel_multi_index(
+        [support.digits(nm) for nm in SYSTEM], [layout.dim(nm) for nm in SYSTEM]
+    )
+    delta = max(_chain_residuals(encs, nai, support.chain, row_outcome, row_system))
     slack = 1.0 / (nai.scale * np.sqrt(n - 1)) - 1.0 / pl.inflated_total
     eps = float(np.sqrt(n - 1) * delta / nai.scale + max(slack, 0.0))
     return Pipeline(
@@ -259,7 +288,37 @@ def build_pipeline(
         epsilon=eps,
         with_ref=with_ref,
         system_mask=spaces.system_mask(),
+        delta=delta,
+        row_outcome=row_outcome,
+        row_system=row_system,
     )
+
+
+def _chain_residuals(
+    encs: list[BlockEncoding],
+    nai: NaimarkDilation,
+    v_chain: tuple,
+    row_outcome: np.ndarray,
+    row_system: np.ndarray,
+) -> list[float]:
+    """Each encoding's ``BlockEncoding.residual``, its post-selected block
+    read from one pass of V's restricted chain over the valid start columns.
+    V takes |0>_I |0>_anc |s> to sum_i u0[i, 0] |i> U_i |0>_anc |s>, so the
+    ancilla-zero rows of outcome i, over u0[i, 0], are U_i's block; a row
+    off S is one the chain never reaches, and it is 0."""
+    valid = np.flatnonzero(encs[0].valid_mask)
+    first = np.flatnonzero(row_outcome == 0)
+    x = np.zeros((row_system.size, valid.size), dtype=complex)
+    x[first] = row_system[first, None] == valid
+    for factor in v_chain:
+        factor.apply(x)
+    residuals = []
+    for i, enc in enumerate(encs):
+        rows = np.flatnonzero(row_outcome == i)
+        block = np.zeros((enc.system_dim(), valid.size), dtype=complex)
+        block[row_system[rows]] = x[rows]
+        residuals.append(enc.residual(enc.scale * block[valid] / nai.u0[i, 0]))
+    return residuals
 
 
 def _layout_mask(
@@ -275,41 +334,47 @@ def _layout_mask(
     return mask.ravel()
 
 
-def initial_state(pipe: Pipeline, branch: np.ndarray) -> np.ndarray:
-    """|0>_I |0>_anc (x) Bell pairs between ports and receiver ports (x) the
-    input branch on the last qudit (entangled with the reference when the
-    branch is a two-qudit vector)."""
+def initial_rows(pipe: Pipeline, branch: np.ndarray) -> np.ndarray:
+    """The S rows of |0>_I |0>_anc (x) Bell pairs between ports and receiver
+    ports (x) the input branch on the last qudit (entangled with the
+    reference when the branch is a two-qudit vector)."""
     n, d = pipe.n, pipe.d
-    layout = pipe.layout
     pairs = np.eye(d ** (n - 1)) / np.sqrt(d ** (n - 1))
     # physical (ports, input) against (receivers, reference)
     phys = np.einsum("ab,kr->akbr", pairs, branch.reshape(d, -1)).reshape(d**n, -1)
     cols = np.zeros((pipe.system_mask.size, phys.shape[1]), dtype=complex)
     cols[pipe.system_mask] = phys
-    # the system block runs on through the receivers and the reference
-    tail = layout.names[layout.axis(SYSTEM[0]) :]
-    return layout.embed(tail, cols.reshape(-1, 1))[..., 0]
+    # the rows at I and the ancillas zero, whose system states hold every
+    # physical one
+    first = np.flatnonzero(pipe.row_outcome == 0)
+    x = np.zeros((pipe.row_system.size, phys.shape[1]), dtype=complex)
+    x[first] = cols[pipe.row_system[first]]
+    return x
+
+
+def initial_state(pipe: Pipeline, branch: np.ndarray) -> np.ndarray:
+    """``initial_rows`` on the whole protocol layout."""
+    return pipe.v_amp.support.scatter(initial_rows(pipe, branch), pipe.layout)
 
 
 def _run_amplified(spec: ProtocolRun) -> ProtocolReport:
     n, d = spec.n, spec.d
     branches, with_ref = _input_branches(spec)
     pipe = build_pipeline(n, d, spec.variant, with_ref=with_ref)
-    layout = pipe.layout
     probs = np.zeros(n - 1)
     anc_weight = 0.0
     states = [np.zeros((d, d) if not with_ref else (d * d, d * d), dtype=complex) for _ in range(n - 1)]
     fidelity = 0.0
     phi = maximally_entangled(d)
     for weight, branch in branches:
-        vec = initial_state(pipe, branch)
-        good = _post_select(pipe, pipe.v_amp.apply(vec, layout))
+        x = pipe.v_amp.run(initial_rows(pipe, branch))
+        good = x[pipe.row_outcome >= 0]
         anc_weight += weight * float(np.vdot(good, good).real)
         for i in range(1, n):
-            sel = _select_outcome(layout, good, i)
+            sel = x[pipe.row_outcome == i - 1]
             p_i = float(np.vdot(sel, sel).real)
             probs[i - 1] += weight * p_i
-            rho = _receiver_state(pipe, layout, sel, i)
+            rho = _receiver_state(pipe, sel, i)
             states[i - 1] += weight * rho
     probs_cond = probs / anc_weight
     for i in range(1, n):
@@ -338,36 +403,24 @@ def _run_amplified(spec: ProtocolRun) -> ProtocolReport:
     )
 
 
-def _post_select(pipe: Pipeline, out: np.ndarray) -> np.ndarray:
-    """The amplified output with the block-encoding ancillas projected onto
-    zero, the event the amplification boosts."""
-    return np.where(pipe.plan.end_projector.reshape(pipe.layout.dims), out, 0)
-
-
-def outcome_probabilities(pipe: Pipeline, out: np.ndarray) -> np.ndarray:
-    """Outcome probabilities of an amplified output, conditioned on the
-    ancillas returning to zero."""
-    good = _post_select(pipe, out)
+def outcome_probabilities(pipe: Pipeline, x: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of the S rows ``x`` of an amplified output,
+    conditioned on the ancillas returning to zero."""
+    good = x[pipe.row_outcome >= 0]
     weights = [
-        np.vdot(sel, sel).real
-        for sel in (_select_outcome(pipe.layout, good, i) for i in range(1, pipe.n))
+        np.vdot(sel, sel).real for sel in (x[pipe.row_outcome == i] for i in range(pipe.n - 1))
     ]
     return np.array(weights) / np.vdot(good, good).real
 
 
-def _select_outcome(layout: Layout, arr: np.ndarray, i: int) -> np.ndarray:
-    idx: list = [slice(None)] * arr.ndim
-    idx[layout.axis("I")] = i - 1
-    return arr[tuple(idx)]
-
-
-def _receiver_state(pipe: Pipeline, layout: Layout, sel: np.ndarray, i: int) -> np.ndarray:
-    """Reduced state on (port B_i, reference if present), unnormalized."""
-    names = [nm for nm in layout.names if nm != "I"]
-    keep = [f"B{i}"] + (["R"] if pipe.with_ref else [])
-    axes_keep = [names.index(nm) for nm in keep]
-    perm = axes_keep + [a for a in range(len(names)) if a not in axes_keep]
-    moved = np.transpose(sel, perm)
+def _receiver_state(pipe: Pipeline, sel: np.ndarray, i: int) -> np.ndarray:
+    """Reduced state on (port B_i, reference if present), unnormalized, of
+    the S rows ``sel``, whose rest axis runs over the registers after S."""
+    layout = pipe.layout
+    after = len(pipe.v_amp.support.names)
+    names = layout.names[after:]
+    keep = [1 + names.index(nm) for nm in [f"B{i}"] + (["R"] if pipe.with_ref else [])]
+    moved = np.moveaxis(sel.reshape((len(sel),) + layout.dims[after:]), keep, range(len(keep)))
     kd = prod(moved.shape[: len(keep)])
     rest = moved.reshape(kd, -1)
     return rest @ rest.conj().T

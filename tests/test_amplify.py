@@ -68,10 +68,15 @@ def test_plan_rejects_subunit_scale():
         plan(0.5)
 
 
-def test_amplified_m1_is_identity_wrap():
-    lay, v, mask = one_qubit_setup(np.eye(2), 1.0)
+def test_amplified_m1_is_v_on_start_columns():
+    # m = 1 runs V's restricted chain alone, which is V on the start columns
+    lay, v, mask = one_qubit_setup(random_unitary(2), 2.0)
     p = plan(1.0, 1, mask, mask)
-    assert amplified_V(v, p, lay) is v
+    assert p.m == 1
+    amplified = amplified_V(v, p, lay)
+    assert amplified.steps == (amplified.support.chain,)
+    start = np.eye(lay.size, dtype=complex)[:, mask].reshape(lay.dims + (-1,))
+    assert np.array_equal(amplified.apply(start, lay), v.apply(start, lay))
 
 
 def test_amplified_exact_case():
@@ -169,6 +174,7 @@ def test_end_to_end_builds_one_pipeline_and_amplifies_once(monkeypatch):
     class Counted(Op):
         def __init__(self, op):
             self.op = op
+            self.support = op.support  # initial_state scatters onto its rows
 
         def apply(self, arr, layout):
             calls["v_amp.apply"] += 1

@@ -149,6 +149,57 @@ def test_amplification_projectors_pin_ancillas_outcome_and_system():
     assert np.array_equal(pipe.plan.start_projector, anc_zero & (pos["I"] == 0) & physical)
 
 
+@pytest.mark.parametrize(
+    "variant,n,d", [("honest", 3, 2), ("compressed", 3, 2), ("compressed", 4, 3), ("compressed", 6, 2)]
+)
+def test_chain_read_residual_is_the_dense_residual(monkeypatch, variant, n, d):
+    # the pipeline reads every encoding's block from one pass of V's
+    # restricted chain; the dense verify pushes each through its own layout
+    tw = build_twisted(n, d)
+    name = "compressed_encodings" if variant == "compressed" else "encode_kraus"
+    build = getattr(simulate, name)
+
+    def residuals(factor):
+        """(the pipeline's delta, the dense one) with port 1's target scaled."""
+        made = []
+
+        def kept(*args, **kwargs):
+            out = build(*args, **kwargs)
+            encs = out if isinstance(out, list) else [out]
+            if not made:
+                encs = [replace(encs[0], target=encs[0].target * factor)] + encs[1:]
+            made.extend(encs)
+            return encs if isinstance(out, list) else encs[0]
+
+        monkeypatch.setattr(simulate, name, kept)
+        pipe = simulate.build_pipeline(n, d, variant, tw=tw)
+        return pipe.delta, max(enc.verify() for enc in made)
+
+    chain, dense = residuals(1.0)
+    assert abs(chain - dense) < 1e-14
+    # a target off by 1e-6 grows both alike, so the chain read is a check
+    grown_chain, grown_dense = residuals(1 + 1e-6)
+    assert grown_dense > dense + 1e-7
+    assert abs(grown_chain - grown_dense) < 1e-12
+
+
+def test_amplified_run_keeps_no_whole_layout_state(monkeypatch):
+    # past the pipeline, the run holds S rows only: at honest (3,2) 6,144
+    # rows against 147,456 indices, each row the 8 amplitudes of (B1, B2, R)
+    import tracemalloc
+
+    pipe = simulate.build_pipeline(3, 2, "honest")
+    monkeypatch.setattr(simulate, "build_pipeline", lambda *args, **kwargs: pipe)
+    tracemalloc.start()
+    try:
+        report = run(ProtocolRun(3, 2, engine="amplified-V", variant="honest"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pipe.layout.size * 16 / 4
+    assert report.ancilla_weight > 1 - 1e-9
+
+
 def test_compressed_pipeline_builds_only_the_smaller_schur_transform(monkeypatch):
     # the twisted blocks need the (n-2)-qudit Schur transform; the encoding
     # spaces' sizes and masks need none, so m = n-1 is never built

@@ -439,6 +439,22 @@ def test_cli_dense_too_large_is_usage_error(tmp_path, capsys, argv, gib):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("n,d", [(5, 2), (4, 3)])
+def test_cli_amplified_layout_past_the_guard_is_usage_error(monkeypatch, capsys, n, d):
+    # the honest protocol layout holds 7.5e9 amplitudes at (5,2) and 5.4e10
+    # at (4,3): it is refused before its masks or its support are built
+    from pbtkit import simulate
+
+    def refused(*args, **kwargs):
+        raise AssertionError("built past the guard")
+
+    monkeypatch.setattr(simulate, "_layout_mask", refused)
+    monkeypatch.setattr(simulate, "amplified_V", refused)
+    argv = ["simulate", "--n", str(n), "--d", str(d), "--engine", "amplified-V"]
+    assert cli.main(argv + ["--variant", "honest"]) == 2
+    assert "guard" in capsys.readouterr().err
+
+
 def test_cli_simulate_runs_where_the_exports_are_refused(capsys):
     # the dense-W engine is the closed-form channel, so no size guard applies
     assert cli.main(["simulate", "--n", "13", "--d", "2"]) == 0
