@@ -11,13 +11,16 @@ involution identity, so no matrix exponentials are ever formed.
 
 The sequence only ever moves a start-subspace input through the dilation V,
 its adjoint and two diagonal reflections, so the input never leaves S, the
-support the start projector reaches under the nonzero pattern of V's factors
-and their adjoints (``registers.Support``).  The amplified product is built
-and run on S alone, at honest (3,2) 6,144 of the 147,456 indices of the
-registers V touches: ``amplified_V`` returns a ``RestrictedProduct`` at every
-m, whose ``run`` takes a state's S rows and whose ``apply`` rejects a
-layout-shaped input with any amplitude off S.  ``end_to_end`` alone scatters
-the output back to the whole layout, to compare it with the dense dilation.
+support the start projector reaches forward under the nonzero pattern of V's
+factors (``registers.Support``).  V is unitary, so no entry of a factor leads
+into S from off it either, and V^dagger keeps S too; ``Support`` certifies
+that rather than folding V's gate chains off S, and it folds their columns
+in S alone.  The amplified product is built and run on S alone, at honest
+(3,2) 6,144 of the 147,456 indices of the registers V touches:
+``amplified_V`` returns a ``RestrictedProduct`` at every m, whose ``run``
+takes a state's S rows and whose ``apply`` rejects a layout-shaped input
+with any amplitude off S.  ``end_to_end`` alone scatters the output back to
+the whole layout, to compare it with the dense dilation.
 """
 
 from __future__ import annotations
@@ -90,13 +93,15 @@ def amplified_V(v: Op, plan_: AmplificationPlan, layout: Layout) -> RestrictedPr
     m = 1 the product is v's chain alone.
 
     A start-subspace input only ever meets v, v^dagger and the diagonals, so
-    it stays in S, the support the start projector reaches under the nonzero
-    pattern of v's factors and their adjoints.  The product runs on S alone:
-    the v chain is ``Support``'s S x S dense component blocks, the v^dagger
-    chain their conjugate transposes in reverse, and each diagonal its S
-    rows, all shared across phases.  Its ``run`` takes the S rows of a
-    state; its ``apply`` takes layout-shaped states supported on S and
-    raises ValueError on any other.
+    it stays in S, the support the start projector reaches forward under the
+    nonzero pattern of v's factors; ``Support`` certifies that v's factors
+    are unitary on it, so v^dagger keeps S too, and raises ValueError if
+    they are not.  The product runs on S alone: the v chain is ``Support``'s
+    S x S dense component blocks, the v^dagger chain their conjugate
+    transposes in reverse, and each diagonal its S rows, all shared across
+    phases.  Its ``run`` takes the S rows of a state and allocates one
+    workspace for every phase; its ``apply`` takes layout-shaped states
+    supported on S and raises ValueError on any other.
     """
     if plan_.start_projector is None or plan_.end_projector is None:
         raise ValueError("plan carries no projectors")

@@ -310,8 +310,9 @@ def _chain_residuals(
     first = np.flatnonzero(row_outcome == 0)
     x = np.zeros((row_system.size, valid.size), dtype=complex)
     x[first] = row_system[first, None] == valid
+    work = np.empty(2 * x.size, complex)
     for factor in v_chain:
-        factor.apply(x)
+        factor.apply(x, work)
     residuals = []
     for i, enc in enumerate(encs):
         rows = np.flatnonzero(row_outcome == i)

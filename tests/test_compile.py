@@ -3,6 +3,7 @@ the op tree they are read from."""
 
 import subprocess
 import sys
+import tracemalloc
 from functools import cache
 from math import pi, prod
 from pathlib import Path
@@ -14,16 +15,21 @@ import scipy.sparse as sparse
 import pbtkit
 from pbtkit.amplify import amplified_V, plan
 from pbtkit.registers import (
+    BlockFactor,
     Branched,
     Composite,
     Gate,
     Layout,
     Op,
     Register,
+    RestrictedProduct,
     Support,
+    _ChainFold,
+    _components,
     _factors,
     _fold_branches,
     _is_gate_chain,
+    _unit_tolerance,
     to_matrix,
 )
 from pbtkit.simulate import build_pipeline
@@ -487,3 +493,126 @@ def test_fold_ends_paths_at_an_empty_column():
     dense, pattern = fold_chain(relabel, spread, dim=3)
     assert pattern == {(0, 1), (1, 1), (2, 1)}
     assert np.array_equal(dense, spread @ relabel)
+
+
+def full_fold_chain(support, layout, tree):
+    """Oracle: the chain restricted to S from the full ``_factors`` fold,
+    every column of every gate chain folded."""
+    return tuple(
+        support._restrict([(ctl, names, mat, _components(mat), False) for ctl, names, mat in f])
+        for f in _factors(tree, layout)
+    )
+
+
+@pytest.mark.parametrize("case", ["honest32", "block"])
+def test_lazy_chain_is_the_full_fold_chain_bit_for_bit(case):
+    if case == "block":
+        layout, tree, plan_ = block_tree()
+        support = amplified_V(tree, plan_, layout).support
+    else:
+        pipe = bare_pipeline("honest", 3, 2)
+        layout, tree, support = pipe.layout, pipe.naimark.v_op, pipe.v_amp.support
+    want = full_fold_chain(support, layout, tree)
+    assert len(support.chain) == len(want)
+    for got, ref in zip(support.chain, want):
+        assert got.views == ref.views and len(got.groups) == len(ref.groups)
+        for (idx, blocks), (ref_idx, ref_blocks) in zip(got.groups, ref.groups):
+            assert np.array_equal(idx, ref_idx)
+            assert blocks.dtype == ref_blocks.dtype and blocks.tobytes() == ref_blocks.tobytes()
+    if case == "honest32":
+        # the folds formed S's 4,096 columns, not the 16 keys' 73,728
+        assert (support.folded_columns, support.folded_entries) == (4096, 78400)
+
+
+def one_key_chain(*gates):
+    layout = Layout([Register("c", 2), Register("t", 3)])
+    body = Composite(tuple(Gate(("t",), g) for g in gates))
+    return layout, Branched(("c",), (((0,), body),))
+
+
+def test_support_rejects_a_folded_chain_with_a_gate_that_is_not_unitary():
+    layout, tree = one_key_chain(random_unitary(3), 1.001 * random_unitary(3))
+    with pytest.raises(ValueError, match="not unitary"):
+        Support(tree, layout, np.ones(layout.size, bool))
+    # the same chain of unitaries passes
+    layout, tree = one_key_chain(random_unitary(3), random_unitary(3))
+    assert Support(tree, layout, np.ones(layout.size, bool)).index.size == layout.size
+
+
+def test_support_rejects_a_reach_that_skips_a_column(monkeypatch):
+    layout, tree, plan_ = block_tree()
+    start = plan_.start_projector.reshape(layout.dims)
+    Support(tree, layout, start)
+    fold = _ChainFold.fold
+
+    def skipping(self, steps, cols):
+        # the last column asked for is left empty, as if never folded
+        row, col, val = fold(self, steps, cols)
+        keep = col != cols[-1]
+        return row[keep], col[keep], val[keep]
+
+    monkeypatch.setattr(_ChainFold, "fold", skipping)
+    with pytest.raises(ValueError, match="S row|part of a component"):
+        Support(tree, layout, start)
+
+
+def test_support_records_its_row_norm_residual():
+    support = bare_pipeline("honest", 3, 2).v_amp.support
+    # every S row of the folded factor's blocks keeps unit norm to rounding,
+    # far under the tolerance of its smallest blocks (k = 2)
+    assert 0 < support.row_norm_residual <= 8 * EPS < _unit_tolerance(2)
+
+
+def test_shared_one_register_factors_run_on_views():
+    chain = bare_pipeline("honest", 3, 2).v_amp.support.chain
+    views = [view for factor in chain for view in factor.views if view is not None]
+    assert len(views) == 7
+    assert {view[1] for view in views} == {2, 3}
+
+
+def gathered(factor):
+    """``factor`` with every group on the gather path."""
+    out = BlockFactor(factor.size, factor.groups)
+    object.__setattr__(out, "views", (None,) * len(factor.groups))
+    return out
+
+
+@pytest.mark.parametrize("case", ["mixed", "block", "compressed43"])
+def test_view_and_gather_paths_match_the_dense_factor(case):
+    _, _, support = chain_case(case)
+    viewed = 0
+    for factor in support.chain + tuple(f.adjoint() for f in support.chain):
+        x = RNG.standard_normal((factor.size, 3)) + 1j * RNG.standard_normal((factor.size, 3))
+        want = scattered(factor) @ x
+        tol = 1000 * EPS * factor.size
+        assert np.abs(factor.apply(x.copy()) - want).max() <= tol
+        assert np.abs(gathered(factor).apply(x.copy()) - want).max() <= tol
+        viewed += sum(view is not None for view in factor.views)
+    assert viewed > 0
+
+
+def test_amplified_run_allocates_one_workspace():
+    pipe = bare_pipeline("honest", 3, 2)
+    x0 = RNG.standard_normal((pipe.v_amp.support.index.size, 8)) + 0j
+    # the same peak however many phases run: the workspace is allocated once
+    for steps in (pipe.v_amp.steps, pipe.v_amp.steps * 3):
+        x = x0.copy()
+        tracemalloc.start()
+        RestrictedProduct(pipe.v_amp.support, steps).run(x)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 3 * x.nbytes
+
+
+@pytest.mark.scale
+def test_forward_support_is_the_two_sided_support_at_honest_33():
+    # S holds the start and no entry of the full fold or of its adjoint
+    # leaves it, so it holds the two-sided closure, which holds it
+    test_support_holds_start_and_is_closed(bare_pipeline("honest", 3, 3))
+
+
+@pytest.mark.scale
+def test_simulate_runs_honest_42():
+    from pbtkit.cli import main
+
+    assert main(["simulate", "--n", "4", "--d", "2", "--engine", "amplified-V", "--variant", "honest"]) == 0
