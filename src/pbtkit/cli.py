@@ -179,39 +179,49 @@ def cmd_encode(args) -> int:
 
 
 def cmd_export(args) -> int:
-    from .store import save_matrix, schur_labels
+    from .store import MatrixWriter, schur_labels
 
     _check_dims(args.n, args.d)
-    if args.object == "schur":
-        from .schur import build_schur
+    with _open_output(MatrixWriter, args.path) as out:  # before anything is built
+        if args.object == "schur":
+            from .schur import build_schur
 
-        t = build_schur(args.n, args.d)
-        save_matrix(args.path, t.matrix, schur_labels(t.index))
-    elif args.object == "twisted":
-        from .twisted import build_twisted
+            t = build_schur(args.n, args.d)
+            out.write(t.matrix, schur_labels(t.index))
+        elif args.object == "twisted":
+            from .twisted import build_twisted
 
-        tw = build_twisted(args.n, args.d)
-        labels = [
-            {"alpha": list(b.alpha.rows), "copy": b.r, "dim": b.dim} for b in tw.blocks
-        ]
-        save_matrix(args.path, (b.f.T for b in tw.blocks), labels)
-    else:  # the Kraus operators sqrt(Pi_i) or the POVM Pi_i, from the closed form
-        import numpy as np
+            tw = build_twisted(args.n, args.d)
+            labels = [
+                {"alpha": list(b.alpha.rows), "copy": b.r, "dim": b.dim} for b in tw.blocks
+            ]
+            out.write((b.f.T for b in tw.blocks), labels)
+        else:  # the Kraus operators sqrt(Pi_i) or the POVM Pi_i, from the closed form
+            import numpy as np
 
-        from .pbt import measurement_functions
+            from .pbt import measurement_functions
 
-        g = np.sqrt if args.object == "kraus" else (lambda x: x)
-        save_matrix(args.path, measurement_functions(args.n, args.d, g))
+            g = np.sqrt if args.object == "kraus" else (lambda x: x)
+            out.write(measurement_functions(args.n, args.d, g))
     print(f"wrote {args.path}")
     return 0
 
 
 def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
+        with _open_output(open, args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _open_output(opener, path: str, *mode):
+    """``opener(path, *mode)``; a path that cannot be opened for writing is
+    a usage error."""
+    try:
+        return opener(path, *mode)
+    except OSError as exc:
+        _usage_error(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _check_dims(n: int, d: int, min_n: int = 2) -> None:

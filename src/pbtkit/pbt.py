@@ -5,10 +5,10 @@ and so does every function of a measurement operator: each port block is a
 multiple of a projector, so ``pgm_function`` builds g(Pi_i), the Kraus
 operator sqrt(Pi_i) among them, from the irrep blocks.  The measurement is
 covariant under port permutations, Pi_i = V(1 i) Pi_1 V(1 i), so
-``pgm_functions`` builds port 1's operator once and gathers every other
-port's from it by the port swap; ``measurement_functions`` runs it, size guard
-first, for the matrix exports.  With maximally entangled resource pairs the
-receiver's output for outcome i is a partial trace of Pi_i
+``pgm_functions`` builds port 1's operator once and copies every other
+port's from it by the port swap, a transpose of qudit axes;
+``measurement_functions`` runs it, size guard first, for the matrix exports.
+With maximally entangled resource pairs the receiver's output for outcome i is a partial trace of Pi_i
 (``outcome_output``).  That output, the dense brute-force POVM, channel and
 entanglement fidelity stay only as the oracle the closed forms are checked
 on, the dense-W engine's depolarizing form among them.
@@ -23,7 +23,7 @@ from math import sqrt
 import numpy as np
 
 from .partitions import add_box, dim_specht, dim_weyl, enumerate_partitions
-from .schur import guard_dense, partial_transpose_last, permutation_dense, permutation_operator
+from .schur import guard_dense, partial_transpose_last, permutation_dense
 from .symrep import transposition
 from .twisted import TwistedSchur, build_twisted, mf_pi, mf_sqrt_pi, pseudo_scale
 
@@ -162,21 +162,26 @@ def pgm_functions(
 ) -> Iterator[np.ndarray]:
     """g(Pi_i) for ports i = 1..n-1, one at a time: g(Pi_1) from the irrep
     blocks, and every other port's by port covariance,
-    g(Pi_i) = V(1 i) g(Pi_1) V(1 i), an exact gather of rows and columns.
-    The first operator yielded is the one the others are gathered from."""
+    g(Pi_i) = V(1 i) g(Pi_1) V(1 i), which exchanges qudits 1 and i on the
+    row and the column side: an exact transpose copy of port 1's operator
+    over its qudit axes.  The first operator yielded is the one the others
+    are copied from."""
     first = pgm_function(n, d, tw, 1, g)
     yield first
     for i in range(2, n):
-        s = permutation_operator(n, d, transposition(0, i - 1, n)).source_index()
-        yield first[np.ix_(s, s)]
+        # axes (qudit 1, qudits 2..i-1, qudit i, qudits i+1..n), rows then columns
+        split = first.reshape((d, d ** (i - 2), d, d ** (n - i)) * 2)
+        yield split.transpose(2, 1, 0, 3, 6, 5, 4, 7).reshape(first.shape)
 
 
 def measurement_functions(n: int, d: int, g: Callable[[float], float]) -> Iterator[np.ndarray]:
     """``pgm_functions`` on the twisted transform at (n, d), for the matrix
     exports, refused before it is built when the one product does not fit:
     the real twisted blocks, stacked f, fg and product, and the file's
-    complex copy (traced peaks, in complex d^n x d^n matrices: 3.1 at (8,2),
-    2.8 at (9,2), 2.4 at (6,3) and 2.7 at (5,3)); ports >= 2 are gathers."""
+    complex copy (traced peaks of ``pbt export kraus``, in complex d^n x d^n
+    matrices: 2.9 at (8,2), 2.7 at (9,2), 2.3 at (6,3) and 2.6 at (5,3);
+    the store's hasher thread is joined before the next block is copied, so
+    it adds none); ports >= 2 are transpose copies of port 1's operator."""
     guard_dense(n, d, 6)
     return pgm_functions(n, d, build_twisted(n, d), g)
 

@@ -169,7 +169,8 @@ def compressed_encodings(
     swap for the others, B = 0 and C = I on pad states.  B and C are
     commuting Hermitian functions of Pi_i, so the gate is unitary when
     B^2 + C^2 = I and BC = CB, which is checked on port 1's gate only: every
-    other port's B and C are exact gathers of port 1's, so would repeat it."""
+    other port's B and C are exact qudit transposes of port 1's, so would
+    repeat it."""
     spaces = encoding_spaces(n, d, mode)
     encs = []
     layout = Layout([Register("danc", 2), Register("kl", spaces.n_k)] + spaces.system_registers())

@@ -5,9 +5,16 @@ followed by interleaved (re, im) float64 pairs, with a JSON sidecar holding
 row labels and a payload checksum.  Round-trips are bit-exact.
 
 Writes are streamed: a matrix may be given as an iterable of row blocks, and
-each block is written and hashed as it arrives, so a stack of operators built
-one at a time is never held whole.  The header's row count is filled in at
-the end.  Reads go straight into the returned array.
+each block is written as it arrives, so a stack of operators built one at a
+time is never held whole.  The checksum runs beside the writes: each block's
+digest update goes to a hasher thread, started before the block is written,
+so the block is hashed while it is written and while the next one is built.
+That thread is joined before the next block is copied for the file, so the
+digest takes the blocks in order, at most one thread hashes at a time, and
+no more blocks are held than without it.  The header's row count is filled
+in at the end.  A ``MatrixWriter`` opens its file when it is made, so a
+caller can learn that a path is unwritable before building what goes in it.
+Reads go straight into the returned array.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import hashlib
 import json
 import os
 import struct
+import threading
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -27,24 +35,45 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")
 
 
-def save_matrix(
-    path: str | os.PathLike, matrix: np.ndarray | Iterable[np.ndarray], labels: list | None = None
-) -> None:
-    """Write a complex matrix and its JSON sidecar.
+class MatrixWriter:
+    """One matrix file, created when the writer is made.
 
-    ``matrix`` is one 2-D array or an iterable of 2-D row blocks of equal
-    width, stored as their concatenation.  A failed write leaves neither file.
+    ``write`` streams the matrix and writes the sidecar.  Leaving the
+    writer's ``with`` block before ``write`` has finished, as a failed build
+    or write does, leaves neither file.
     """
-    path = Path(path)
-    meta_path = Path(str(path) + ".json")
-    blocks = [matrix] if isinstance(matrix, np.ndarray) else matrix
-    digest = hashlib.sha256()
-    rows, cols = 0, None
-    fh = open(path, "wb")
-    try:
-        with fh:
-            fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, 0, 0))
+
+    def __init__(self, path: str | os.PathLike):
+        self.path = Path(path)
+        self.meta_path = Path(str(path) + ".json")
+        self._fh = open(self.path, "wb")
+        self._written = False
+
+    def __enter__(self) -> MatrixWriter:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._fh.close()
+        if not self._written:
+            self.path.unlink(missing_ok=True)
+            self.meta_path.unlink(missing_ok=True)
+
+    def write(self, matrix: np.ndarray | Iterable[np.ndarray], labels: list | None = None) -> None:
+        """Write a complex matrix and its sidecar.
+
+        ``matrix`` is one 2-D array or an iterable of 2-D row blocks of equal
+        width, stored as their concatenation.
+        """
+        blocks = [matrix] if isinstance(matrix, np.ndarray) else matrix
+        fh = self._fh
+        digest = hashlib.sha256()
+        rows, cols = 0, None
+        hashing = None
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, 0, 0))
+        try:
             for block in blocks:
+                if hashing is not None:
+                    hashing.join()  # frees the block before, ahead of this one's copy
                 buf = np.ascontiguousarray(block, "<c16")
                 if buf.ndim != 2:
                     raise ValueError("only matrices are stored")
@@ -53,13 +82,18 @@ def save_matrix(
                 elif buf.shape[1] != cols:
                     raise ValueError(f"row block of width {buf.shape[1]}, expected {cols}")
                 rows += buf.shape[0]
+                hashing = threading.Thread(target=digest.update, args=(buf.data,))
+                hashing.start()
                 fh.write(buf.data)
-                digest.update(buf.data)
                 del block, buf  # free this block before the next is built
-            if cols is None:
-                raise ValueError("no row blocks to store")
-            fh.seek(0)
-            fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, rows, cols))
+        finally:
+            if hashing is not None:
+                hashing.join()
+        if cols is None:
+            raise ValueError("no row blocks to store")
+        fh.seek(0)
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, rows, cols))
+        fh.close()
         sidecar = {
             "rows": rows,
             "cols": cols,
@@ -69,11 +103,17 @@ def save_matrix(
             "checksum": digest.hexdigest(),
             "labels": labels or [],
         }
-        meta_path.write_text(json.dumps(sidecar))
-    except BaseException:
-        path.unlink(missing_ok=True)
-        meta_path.unlink(missing_ok=True)
-        raise
+        self.meta_path.write_text(json.dumps(sidecar))
+        self._written = True
+
+
+def save_matrix(
+    path: str | os.PathLike, matrix: np.ndarray | Iterable[np.ndarray], labels: list | None = None
+) -> None:
+    """Write a complex matrix and its JSON sidecar (``MatrixWriter.write``).
+    A failed write leaves neither file."""
+    with MatrixWriter(path) as out:
+        out.write(matrix, labels)
 
 
 def load_matrix(path: str | os.PathLike) -> tuple[np.ndarray, dict]:

@@ -13,6 +13,7 @@ through the (n-1)-qudit Schur transform is kept as an oracle
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -120,11 +121,15 @@ def psi_vectors(n: int, d: int, alpha: Partition, r: int = 1, gauge_seed: int = 
     basis state (alpha, r, k_alpha) on the first n-2 qudits tensored with the
     maximally entangled pair on qudits n-1, n.
     """
+    _validate_copy(n, d, alpha, r)
+    rows = build_schur(n - 2, d, gauge_seed).block_rows(alpha, r)
+    return _spanning_rows(rows, d, _port_gathers(n, d, n)).T
+
+
+def _validate_copy(n: int, d: int, alpha: Partition, r: int) -> None:
     _validate_block_args(n, d, alpha)
     if not 1 <= r <= dim_weyl(alpha, d):
         raise ValueError(f"multiplicity copy r = {r} out of range for {alpha}")
-    rows = build_schur(n - 2, d, gauge_seed).block_rows(alpha, r)
-    return _spanning_rows(rows, d, _port_gathers(n, d, n)).T
 
 
 def gram_spectrum(
@@ -211,9 +216,30 @@ def f_basis(n: int, d: int, alpha: Partition, r: int = 1, gauge_seed: int = 0) -
     Columns are psi . z in (nu, xi, j) order; orthonormality is checked to
     ORTHO_TOL.
     """
-    f = psi_vectors(n, d, alpha, r, gauge_seed) @ z_stacked(n, d, alpha)
-    _check_orthonormal(f)
-    return IrrepBlock(n, d, alpha, r, f, nu_index(n, d, alpha))
+    _validate_copy(n, d, alpha, r)
+    (block,) = _diagram_blocks(n, d, alpha, (r,), gauge_seed, _port_gathers(n, d, n))
+    return block
+
+
+def _diagram_blocks(
+    n: int,
+    d: int,
+    alpha: Partition,
+    copies: Iterable[int],
+    gauge_seed: int,
+    gathers: list[np.ndarray],
+) -> Iterator[IrrepBlock]:
+    """The f bases of diagram alpha's multiplicity copies ``copies``.  z and
+    the (nu, xi, j) labels depend on alpha alone and are formed once; each
+    copy forms only its Schur rows, psi^T and f = psi z, checked
+    orthonormal.  ``gathers`` are the port gathers of ``_port_gathers``."""
+    schur = build_schur(n - 2, d, gauge_seed)
+    z = z_stacked(n, d, alpha)
+    labels = nu_index(n, d, alpha)
+    for r in copies:
+        f = _spanning_rows(schur.block_rows(alpha, r), d, gathers).T @ z
+        _check_orthonormal(f)
+        yield IrrepBlock(n, d, alpha, r, f, labels)
 
 
 def factored_residual(n: int, d: int, alpha: Partition, r: int = 1, gauge_seed: int = 0) -> float:
@@ -380,12 +406,16 @@ class TwistedSchur:
 
 @value_cache
 def build_twisted(n: int, d: int, gauge_seed: int = 0) -> TwistedSchur:
-    """Build every (alpha, r) block with ``f_basis``, each checked for
-    orthonormality; only the (n-2)-qudit Schur transform is built."""
+    """Build every (alpha, r) block as ``f_basis`` does, each checked for
+    orthonormality; only the (n-2)-qudit Schur transform is built.  The port
+    gathers are formed once, and z and the labels once per diagram."""
     guard_dense(n, d, 3)  # the blocks, their stacked f and what is formed from it
+    gathers = _port_gathers(n, d, n)
     blocks = tuple(
-        f_basis(n, d, alpha, r, gauge_seed)
+        block
         for alpha in enumerate_partitions(n - 2, d)
-        for r in range(1, dim_weyl(alpha, d) + 1)
+        for block in _diagram_blocks(
+            n, d, alpha, range(1, dim_weyl(alpha, d) + 1), gauge_seed, gathers
+        )
     )
     return TwistedSchur(n, d, blocks, gauge_seed)

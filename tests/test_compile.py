@@ -378,6 +378,35 @@ def test_commands_leave_scipy_out(argv, tmp_path):
     assert out.stdout.splitlines()[-1] == "0 False"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "4", "--d", "3", "--engine", "amplified-V"],
+        ["simulate", "--n", "6", "--d", "2", "--engine", "dense-W"],
+        ["export", "kraus", "--n", "4", "--d", "2", "K.mat"],
+        ["fidelity", "--d", "2", "--n", "2..5"],
+        ["simulate", "--n", "3", "--d", "2", "--engine", "amplified-V", "--variant", "honest"],
+    ],
+)
+def test_commands_leave_executor_and_logging_out(argv, tmp_path):
+    # the matrix store hashes on a bare thread: concurrent.futures would
+    # bring in logging, milliseconds of import on every command
+    src = str(Path(pbtkit.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from pbtkit.cli import main; "
+        "status = main(sys.argv[2:]); "
+        "print(status, 'concurrent.futures' in sys.modules, 'logging' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src, *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=tmp_path,
+    )
+    assert out.stdout.splitlines()[-1] == "0 False False"
+
+
 def scipy_fold(op, layout):
     """Reference for ``_fold_branches``: each body's gates embedded as
     scipy.sparse matrices on the touched registers and multiplied, with the

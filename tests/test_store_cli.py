@@ -1,7 +1,10 @@
 import hashlib
 import json
 import struct
+import threading
+import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -71,6 +74,63 @@ def test_matrix_file_failed_stream_leaves_no_file(tmp_path):
         save_matrix(path, blocks())
     assert not path.exists()
     assert not (tmp_path / "m.mat.json").exists()
+
+
+class DelayedDigest:
+    """sha256 whose updates each start after the next of ``delays`` seconds,
+    so the hasher thread may still run when the next block arrives."""
+
+    def __init__(self, delays):
+        self.inner = hashlib.sha256()
+        self.delays = iter(delays)
+
+    def update(self, data):
+        time.sleep(next(self.delays))
+        self.inner.update(data)
+
+    def hexdigest(self):
+        return self.inner.hexdigest()
+
+
+def delay_the_hasher(monkeypatch, delays):
+    from pbtkit import store
+
+    monkeypatch.setattr(store, "hashlib", SimpleNamespace(sha256=lambda: DelayedDigest(delays)))
+
+
+def test_matrix_file_failed_stream_joins_its_hasher(tmp_path, monkeypatch):
+    delay_the_hasher(monkeypatch, [0.05] * 2)
+    path = tmp_path / "m.mat"
+    threads = threading.active_count()
+
+    def blocks():
+        yield np.eye(4)
+        yield np.eye(4, dtype=complex)
+        raise RuntimeError("builder failed")
+
+    with pytest.raises(RuntimeError, match="builder failed"):
+        save_matrix(path, blocks())
+    assert threading.active_count() == threads
+    assert not path.exists()
+    assert not (tmp_path / "m.mat.json").exists()
+
+
+def test_matrix_file_hashes_forty_blocks_in_order(tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    delay_the_hasher(monkeypatch, rng.uniform(0.0, 0.004, 40))
+    blocks = []
+    for k in range(40):
+        rows = int(rng.integers(1, 300))
+        block = rng.standard_normal((rows, 96))
+        blocks.append(block if k % 3 == 0 else block + 1j * rng.standard_normal((rows, 96)))
+    whole = np.concatenate(blocks, axis=0)
+    save_matrix(tmp_path / "one.mat", whole)
+    save_matrix(tmp_path / "blocks.mat", iter(blocks))
+    assert (tmp_path / "blocks.mat").read_bytes() == (tmp_path / "one.mat").read_bytes()
+    payload = b"".join(np.ascontiguousarray(b, "<c16").tobytes() for b in blocks)
+    sidecar = json.loads((tmp_path / "blocks.mat.json").read_text())
+    assert sidecar["checksum"] == hashlib.sha256(payload).hexdigest()
+    assert (tmp_path / "one.mat.json").read_text() == (tmp_path / "blocks.mat.json").read_text()
 
 
 @pytest.mark.parametrize(
@@ -459,3 +519,47 @@ def test_cli_simulate_runs_where_the_exports_are_refused(capsys):
     # the dense-W engine is the closed-form channel, so no size guard applies
     assert cli.main(["simulate", "--n", "13", "--d", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == 13
+
+
+@pytest.fixture
+def count_twisted_builds(monkeypatch):
+    from pbtkit import pbt, twisted
+
+    builds = []
+    inner = twisted.build_twisted
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(pbt, "build_twisted", counted)
+    monkeypatch.setattr(twisted, "build_twisted", counted)
+    return builds
+
+
+@pytest.mark.parametrize("obj", ["kraus", "povm", "twisted"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_cli_export_unwritable_path_is_usage_error(
+    tmp_path, capsys, count_twisted_builds, obj, where
+):
+    target = tmp_path / "missing" / "k.mat" if where == "missing-directory" else tmp_path
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["export", obj, "--n", "3", "--d", "2", str(target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    assert not (tmp_path.parent / f"{tmp_path.name}.json").exists()
+    assert count_twisted_builds == []  # the path was refused before the build
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_cli_unwritable_output_is_usage_error(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["encode", "--n", "3", "--d", "2", "--i", "1", "--output", str(target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert list(tmp_path.rglob("*")) == []

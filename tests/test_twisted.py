@@ -439,6 +439,26 @@ def test_build_twisted_blocks_equal_f_basis(n, d, seed):
         assert blk.nu_index == one.nu_index
 
 
+def test_build_twisted_forms_z_once_per_diagram(monkeypatch):
+    # (6,3): 4 diagrams on 4 boxes, 39 multiplicity copies among them
+    calls = {"z_stacked": 0, "_port_gathers": 0}
+    for name in calls:
+        inner = getattr(twisted, name)
+
+        def counted(*args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(twisted, name, counted)
+    build_twisted.cache_clear()
+    try:
+        tw = build_twisted(6, 3)
+    finally:
+        build_twisted.cache_clear()
+    assert len(tw.blocks) == 39
+    assert calls == {"z_stacked": 4, "_port_gathers": 1}
+
+
 @pytest.mark.parametrize("n,d", [(2, 2), (4, 2), (6, 2), (3, 3), (5, 3)])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_twisted_blocks_are_real(n, d, seed):
