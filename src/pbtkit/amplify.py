@@ -19,8 +19,12 @@ in S alone.  The amplified product is built and run on S alone, at honest
 (3,2) 6,144 of the 147,456 indices of the registers V touches:
 ``amplified_V`` returns a ``RestrictedProduct`` at every m, whose ``run``
 takes a state's S rows and whose ``apply`` rejects a layout-shaped input
-with any amplitude off S.  ``end_to_end`` alone scatters the output back to
-the whole layout, to compare it with the dense dilation.
+with any amplitude off S.  ``end_to_end`` runs on S rows too: it compares
+the post-selected rows of V's chain and of the amplified product with the
+dense dilation per outcome, and reads the trace distance and the ancilla
+checks from the ancilla values S holds, so it forms no state over the whole
+layout.  ``simulate.initial_state`` and ``RestrictedProduct.apply`` remain
+for the layer probe of the benchmark harness and for the tests.
 """
 
 from __future__ import annotations
@@ -131,8 +135,8 @@ def amplified_V(v: Op, plan_: AmplificationPlan, layout: Layout) -> RestrictedPr
 
 @dataclass(eq=False)
 class EndToEndResult:
-    """Reference and amplified protocol states plus every residual of the
-    dilation-and-amplification chain."""
+    """Every residual of the dilation-and-amplification chain, read from the
+    S rows of the protocol states."""
 
     n: int
     d: int
@@ -142,8 +146,6 @@ class EndToEndResult:
     w_residual: float  # || W/(scale sqrt(ports)) - P_end V P_start ||
     amplified_residual: float  # || W - P_end V~ P_start ||
     amplified_bound: float  # 2 m epsilon
-    rho_g_reference: np.ndarray  # pure-state vector on the protocol layout
-    rho_g_amplified: np.ndarray
     # trace distance on the outcome and physical registers, ancillas traced out
     discrepancy: float
     probability_error: float
@@ -154,82 +156,73 @@ class EndToEndResult:
 def end_to_end(n: int, d: int, variant: str = "compressed") -> EndToEndResult:
     """Drive the full pipeline at (n, d) and compare against the dense
     dilation: operator residuals, protocol-state trace distance and ancilla
-    cleanliness; the outcome probabilities against their exact 1/(n-1)."""
-    from .blockenc import SYSTEM
+    cleanliness; the outcome probabilities against their exact 1/(n-1).
+    Every state is held as its S rows."""
     from .pbt import kraus_from_twisted, pgm_probabilities
-    from .simulate import build_pipeline, initial_state, outcome_probabilities
+    from .simulate import build_pipeline, initial_rows, outcome_blocks
     from .twisted import build_twisted, maximally_entangled
 
     tw = build_twisted(n, d)
-    kraus = [kraus_from_twisted(n, d, tw, i) for i in range(1, n)]
-
     pipe = build_pipeline(n, d, variant, tw=tw)
-    layout = pipe.layout
-    psi0 = initial_state(pipe, maximally_entangled(d))
-    v_out = pipe.v_amp.apply(psi0, layout)
+    support = pipe.v_amp.support
+
+    def blocks(x: np.ndarray) -> np.ndarray:
+        return outcome_blocks(x, pipe.row_outcome, pipe.row_system, (n - 1, pipe.system_mask.size))
+
+    psi0 = initial_rows(pipe, maximally_entangled(d))
+    keep = np.flatnonzero(pipe.system_mask)
+    start = blocks(psi0)[0, keep]
+    v_out = pipe.v_amp.run(psi0.copy())
+    v_post = blocks(v_out)
+    v_chain = blocks(RestrictedProduct(support, (support.chain,)).run(psi0))
 
     # reference: the dense dilation applied to the same initial state, K_i on
-    # the physical system rows of outcome i; the ancillas lead the run, so at
-    # ancilla zero its flat rows are the system's
-    anc_sys = pipe.naimark.ancillas + SYSTEM
-    keep = np.flatnonzero(pipe.system_mask)
-    start = layout.block(psi0, anc_sys)[0, keep]
-    w_out = np.zeros_like(psi0)
-    for i, k in enumerate(kraus):
-        layout.block(w_out, anc_sys)[i, keep] = k @ start
+    # the physical system rows of outcome i, whether S holds those rows or not
+    w_out = np.zeros_like(v_post)
+    for i in range(1, n):
+        w_out[i - 1, keep] = kraus_from_twisted(n, d, tw, i) @ start
 
     # psi0 is maximally entangled between the physical system and (B..., R),
-    # so sqrt(d^n) times the (B..., R) axes of an output are the outputs on
+    # so sqrt(d^n) times the (B..., R) columns of an output are the outputs on
     # the system basis columns: the operator residuals come from the same runs
-    receivers = layout.names[layout.axis(SYSTEM[-1]) + 1 :]
+    def spectral(a: np.ndarray) -> float:
+        return float(np.linalg.svd(a.reshape(-1, a.shape[-1]) * np.sqrt(d**n), compute_uv=False)[0])
 
-    def columns(state: np.ndarray) -> np.ndarray:
-        return layout.block(state, receivers)[:, :, 0] * np.sqrt(d**n)
-
-    w_cols = columns(w_out)
-    sub = w_cols / (pipe.naimark.scale * np.sqrt(pipe.plan.ports))
-    v_cols = columns(_post_select(pipe, pipe.naimark.v_op.apply(psi0, layout)))
-    w_res = float(np.linalg.svd(sub - v_cols, compute_uv=False)[0])
-    amp_res = float(np.linalg.svd(w_cols - columns(_post_select(pipe, v_out)), compute_uv=False)[0])
-
-    discrepancy = _reduced_trace_distance(pipe, w_out, v_out)
-
-    v_rows = pipe.v_amp.support.rows(v_out, layout)
-    prob_err = float(np.abs(pgm_probabilities(n) - outcome_probabilities(pipe, v_rows)).max())
-
-    purity, zero_weight = _ancilla_cleanliness(pipe, v_out)
+    # outcome probabilities conditioned on the ancillas returning to zero
+    weights = (np.abs(v_post) ** 2).sum(axis=(1, 2))
+    # the reduced ancilla state's spectrum, and its weight on all-zero
+    x_v = _kept_by_ancilla(pipe, v_out)
+    sv2 = np.linalg.svd(x_v, compute_uv=False) ** 2
     return EndToEndResult(
         n=n,
         d=d,
         variant=variant,
         m=pipe.plan.m,
         epsilon=pipe.epsilon,
-        w_residual=w_res,
-        amplified_residual=amp_res,
+        w_residual=spectral(w_out / (pipe.naimark.scale * np.sqrt(pipe.plan.ports)) - v_chain),
+        amplified_residual=spectral(w_out - v_post),
         amplified_bound=2 * pipe.plan.m * pipe.epsilon + 1e-9,
-        rho_g_reference=w_out,
-        rho_g_amplified=v_out,
-        discrepancy=discrepancy,
-        probability_error=prob_err,
-        ancilla_purity=purity,
-        ancilla_zero_weight=zero_weight,
+        discrepancy=_reduced_trace_distance(w_out.reshape(-1, 1), x_v),
+        probability_error=float(np.abs(pgm_probabilities(n) - weights / weights.sum()).max()),
+        ancilla_purity=float(((sv2 / sv2.sum()) ** 2).sum()),
+        ancilla_zero_weight=float((np.abs(x_v[:, 0]) ** 2).sum() / sv2.sum()),
     )
 
 
-def _post_select(pipe, state: np.ndarray) -> np.ndarray:
-    """A state on the protocol layout with the block-encoding ancillas
-    projected onto zero, the event the amplification boosts."""
-    return np.where(pipe.plan.end_projector.reshape(pipe.layout.dims), state, 0)
+def _kept_by_ancilla(pipe, x: np.ndarray) -> np.ndarray:
+    """The S rows ``x`` of a protocol state as a (kept x ancilla) matrix:
+    its rows run over (I, system) x rest, its columns over the ancilla
+    values S holds, ancilla zero first."""
+    support = pipe.v_amp.support
+    digits = np.stack([support.digits(nm) for nm in pipe.naimark.ancillas], axis=1)
+    held, column = np.unique(digits, axis=0, return_inverse=True)
+    out = np.zeros((pipe.n - 1, pipe.system_mask.size, x.shape[1], len(held)), dtype=complex)
+    out[support.digits("I"), pipe.row_system, :, column] = x
+    return out.reshape(-1, len(held))
 
 
-def _ancilla_rows(pipe, state: np.ndarray) -> np.ndarray:
-    """The state as an (ancilla x everything else) matrix."""
-    blk = pipe.layout.block(state, pipe.naimark.ancillas)
-    return blk.transpose(1, 0, 2).reshape(blk.shape[1], -1)
-
-
-def _reduced_trace_distance(pipe, w: np.ndarray, v: np.ndarray) -> float:
-    """Trace distance between the two protocol states after tracing out the
+def _reduced_trace_distance(x_w: np.ndarray, x_v: np.ndarray) -> float:
+    """Trace distance between two protocol states after tracing out the
     block-encoding ancillas (the registers the protocol discards).
 
     Each reduced state is X X^dagger for its (kept x ancilla) amplitude
@@ -237,21 +230,10 @@ def _reduced_trace_distance(pipe, w: np.ndarray, v: np.ndarray) -> float:
     states, (X_w, X_v) is first replaced by the column blocks of the R factor
     of [X_w, X_v], which leaves the nonzero spectrum of the difference as it
     is and never forms a kept x kept matrix."""
-    x_w, x_v = (_ancilla_rows(pipe, state).T for state in (w, v))
     k = x_w.shape[1]
-    if x_w.shape[0] > 2 * k:
+    if x_w.shape[0] > k + x_v.shape[1]:
         r = np.linalg.qr(np.hstack([x_w, x_v]), mode="r")
         x_w, x_v = r[:, :k], r[:, k:]
     diff = x_w @ x_w.conj().T - x_v @ x_v.conj().T
     evals = np.linalg.eigvalsh(diff)
     return float(np.abs(evals).sum())
-
-
-def _ancilla_cleanliness(pipe, state: np.ndarray) -> tuple[float, float]:
-    """Purity of the reduced ancilla state and its weight on all-zero."""
-    mat = _ancilla_rows(pipe, state)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    probs = sv**2 / (sv**2).sum()
-    purity = float((probs**2).sum())
-    zero_weight = float((np.abs(mat[0]) ** 2).sum() / (sv**2).sum())
-    return purity, zero_weight

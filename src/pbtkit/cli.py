@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from typing import NoReturn
 
 from .partitions import dim_specht, dim_weyl, enumerate_partitions
@@ -208,11 +210,26 @@ def cmd_export(args) -> int:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
-        with _open_output(open, args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    out = getattr(args, "output_file", None)  # None prints to stdout
+    if out is not None:
+        out.truncate(0)
+    print(text, file=out)
+
+
+@contextmanager
+def _output_file(path: str):
+    """``--output``, opened before the command runs.  Append mode truncates
+    nothing, so a command that raises leaves a file already at ``path`` as
+    it was, and removes one it created; ``_emit`` truncates before writing."""
+    created = not os.path.exists(path)
+    fh = _open_output(open, path, "a")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if created:
+            os.unlink(path)
+        raise
 
 
 def _open_output(opener, path: str, *mode):
@@ -313,6 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "output", None):
+            with _output_file(args.output) as args.output_file:
+                return args.func(args)
         return args.func(args)
     except DenseTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,7 +36,7 @@ from .blockenc import (
     naimark_Uc,
 )
 from .pbt import pgm_fidelity, pgm_functions, pgm_probabilities
-from .registers import Gate, Layout, Register, RestrictedProduct
+from .registers import Gate, Layout, Register, RestrictedProduct, Support
 from .schur import DENSE_GUARD_BYTES, DenseTooLarge
 from .twisted import TwistedSchur, build_twisted, maximally_entangled
 
@@ -275,7 +275,7 @@ def build_pipeline(
     row_system = np.ravel_multi_index(
         [support.digits(nm) for nm in SYSTEM], [layout.dim(nm) for nm in SYSTEM]
     )
-    delta = max(_chain_residuals(encs, nai, support.chain, row_outcome, row_system))
+    delta = max(_chain_residuals(encs, nai, support, row_outcome, row_system))
     slack = 1.0 / (nai.scale * np.sqrt(n - 1)) - 1.0 / pl.inflated_total
     eps = float(np.sqrt(n - 1) * delta / nai.scale + max(slack, 0.0))
     return Pipeline(
@@ -298,12 +298,12 @@ def build_pipeline(
 def _chain_residuals(
     encs: list[BlockEncoding],
     nai: NaimarkDilation,
-    v_chain: tuple,
+    support: Support,
     row_outcome: np.ndarray,
     row_system: np.ndarray,
 ) -> list[float]:
     """Each encoding's ``BlockEncoding.residual``, its post-selected block
-    read from one pass of V's restricted chain over the valid start columns.
+    read from one run of V's restricted chain over the valid start columns.
     V takes |0>_I |0>_anc |s> to sum_i u0[i, 0] |i> U_i |0>_anc |s>, so the
     ancilla-zero rows of outcome i, over u0[i, 0], are U_i's block; a row
     off S is one the chain never reaches, and it is 0."""
@@ -311,16 +311,22 @@ def _chain_residuals(
     first = np.flatnonzero(row_outcome == 0)
     x = np.zeros((row_system.size, valid.size), dtype=complex)
     x[first] = row_system[first, None] == valid
-    work = np.empty(2 * x.size, complex)
-    for factor in v_chain:
-        factor.apply(x, work)
-    residuals = []
-    for i, enc in enumerate(encs):
-        rows = np.flatnonzero(row_outcome == i)
-        block = np.zeros((enc.system_dim(), valid.size), dtype=complex)
-        block[row_system[rows]] = x[rows]
-        residuals.append(enc.residual(enc.scale * block[valid] / nai.u0[i, 0]))
-    return residuals
+    x = RestrictedProduct(support, (support.chain,)).run(x)
+    blocks = outcome_blocks(x, row_outcome, row_system, (len(encs), encs[0].system_dim()))
+    return [
+        enc.residual(enc.scale * block[valid] / nai.u0[i, 0])
+        for i, (enc, block) in enumerate(zip(encs, blocks))
+    ]
+
+
+def outcome_blocks(x: np.ndarray, row_outcome, row_system, shape: tuple[int, int]) -> np.ndarray:
+    """The post-selected S rows of ``x`` (|S|, cols), each written at its
+    outcome and its flat system index: a ``shape`` + (cols,) array,
+    ``shape`` being (outcomes, system_dim), 0 where S holds no row."""
+    good = np.flatnonzero(row_outcome >= 0)
+    out = np.zeros(shape + x.shape[1:], dtype=complex)
+    out[row_outcome[good], row_system[good]] = x[good]
+    return out
 
 
 def _layout_mask(
@@ -355,7 +361,7 @@ def initial_rows(pipe: Pipeline, branch: np.ndarray) -> np.ndarray:
 
 
 def initial_state(pipe: Pipeline, branch: np.ndarray) -> np.ndarray:
-    """``initial_rows`` on the whole protocol layout."""
+    """``initial_rows`` on the whole protocol layout, for perfbench and the tests."""
     return pipe.v_amp.support.scatter(initial_rows(pipe, branch), pipe.layout)
 
 
@@ -403,16 +409,6 @@ def _run_amplified(spec: ProtocolRun) -> ProtocolReport:
         discrepancy=discrepancy,
         ancilla_weight=float(anc_weight),
     )
-
-
-def outcome_probabilities(pipe: Pipeline, x: np.ndarray) -> np.ndarray:
-    """Outcome probabilities of the S rows ``x`` of an amplified output,
-    conditioned on the ancillas returning to zero."""
-    good = x[pipe.row_outcome >= 0]
-    weights = [
-        np.vdot(sel, sel).real for sel in (x[pipe.row_outcome == i] for i in range(pipe.n - 1))
-    ]
-    return np.array(weights) / np.vdot(good, good).real
 
 
 def _receiver_state(pipe: Pipeline, sel: np.ndarray, i: int) -> np.ndarray:

@@ -168,17 +168,17 @@ def test_end_to_end_builds_one_pipeline_and_amplifies_once(monkeypatch):
     import pbtkit.simulate as simulate
     from pbtkit.registers import Op
 
-    calls = {"build_pipeline": 0, "v_amp.apply": 0}
+    calls = {"build_pipeline": 0, "v_amp.run": 0}
     build = simulate.build_pipeline
 
     class Counted(Op):
         def __init__(self, op):
             self.op = op
-            self.support = op.support  # initial_state scatters onto its rows
+            self.support = op.support  # end_to_end reads its rows' digits
 
-        def apply(self, arr, layout):
-            calls["v_amp.apply"] += 1
-            return self.op.apply(arr, layout)
+        def run(self, x):
+            calls["v_amp.run"] += 1
+            return self.op.run(x)
 
     def counted_build(*args, **kwargs):
         calls["build_pipeline"] += 1
@@ -188,7 +188,7 @@ def test_end_to_end_builds_one_pipeline_and_amplifies_once(monkeypatch):
 
     monkeypatch.setattr(simulate, "build_pipeline", counted_build)
     end_to_end(3, 2, "compressed")
-    assert calls == {"build_pipeline": 1, "v_amp.apply": 1}
+    assert calls == {"build_pipeline": 1, "v_amp.run": 1}
 
 
 @pytest.mark.parametrize("n,d", [(3, 2), (4, 3)])
@@ -247,14 +247,103 @@ def test_reduced_trace_distance_matches_dense_reduced_states(variant):
     axes = [layout.axis(nm) for nm in layout.names if nm not in kept]
     rest = [layout.axis(nm) for nm in layout.names if nm in kept]
 
-    def reduced(state):
+    def by_ancilla(state):
         moved = state.transpose(axes + rest)
-        mat = moved.reshape(int(np.prod(moved.shape[: len(axes)])), -1)
+        return moved.reshape(int(np.prod(moved.shape[: len(axes)])), -1)
+
+    def reduced(state):
+        mat = by_ancilla(state)
         return mat.T @ mat.conj()
 
     expected = np.abs(np.linalg.eigvalsh(reduced(w) - reduced(v))).sum()
-    got = _reduced_trace_distance(pipe, w, v)
+    got = _reduced_trace_distance(by_ancilla(w).T, by_ancilla(v).T)
     assert abs(got - expected) < 1e-10 * expected
+
+
+def oracle_ancilla_rows(pipe, state):
+    """A whole-layout state as an (ancilla x everything else) matrix."""
+    blk = pipe.layout.block(state, pipe.naimark.ancillas)
+    return blk.transpose(1, 0, 2).reshape(blk.shape[1], -1)
+
+
+def oracle_trace_distance(pipe, w, v):
+    """The reduced states' trace distance, from whole-layout states."""
+    x_w, x_v = (oracle_ancilla_rows(pipe, state).T for state in (w, v))
+    k = x_w.shape[1]
+    if x_w.shape[0] > 2 * k:
+        r = np.linalg.qr(np.hstack([x_w, x_v]), mode="r")
+        x_w, x_v = r[:, :k], r[:, k:]
+    diff = x_w @ x_w.conj().T - x_v @ x_v.conj().T
+    return float(np.abs(np.linalg.eigvalsh(diff)).sum())
+
+
+def oracle_cleanliness(pipe, state):
+    """Ancilla purity and zero weight, from a whole-layout state."""
+    mat = oracle_ancilla_rows(pipe, state)
+    sv = np.linalg.svd(mat, compute_uv=False)
+    probs = sv**2 / (sv**2).sum()
+    return float((probs**2).sum()), float((np.abs(mat[0]) ** 2).sum() / (sv**2).sum())
+
+
+@pytest.mark.parametrize("n,d,variant", [(3, 2, "compressed"), (4, 3, "compressed"), (3, 2, "honest")])
+def test_end_to_end_state_checks_match_whole_layout_oracle(request, n, d, variant):
+    # the reference and amplified states scattered to the whole layout, the
+    # reference K_i on the physical system rows of outcome i at ancilla zero
+    from pbtkit.blockenc import SYSTEM
+    from pbtkit.pbt import kraus_from_twisted
+    from pbtkit.simulate import build_pipeline, initial_rows
+    from pbtkit.twisted import build_twisted, maximally_entangled
+
+    tw = build_twisted(n, d)
+    pipe = build_pipeline(n, d, variant, tw=tw)
+    layout, support = pipe.layout, pipe.v_amp.support
+    rows = initial_rows(pipe, maximally_entangled(d))
+    psi0 = support.scatter(rows, layout)
+    v_out = support.scatter(pipe.v_amp.run(rows), layout)
+    anc_sys = pipe.naimark.ancillas + SYSTEM
+    keep = np.flatnonzero(pipe.system_mask)
+    start = layout.block(psi0, anc_sys)[0, keep]
+    w_out = np.zeros_like(psi0)
+    for i in range(1, n):
+        layout.block(w_out, anc_sys)[i - 1, keep] = kraus_from_twisted(n, d, tw, i) @ start
+
+    if variant == "honest":
+        res = request.getfixturevalue("honest_end_to_end")
+    else:
+        res = end_to_end(n, d, variant)
+    purity, zero_weight = oracle_cleanliness(pipe, v_out)
+    assert abs(res.discrepancy - oracle_trace_distance(pipe, w_out, v_out)) < 1e-12
+    assert abs(res.ancilla_purity - purity) < 1e-12
+    assert abs(res.ancilla_zero_weight - zero_weight) < 1e-12
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 3)])
+def test_end_to_end_holds_no_whole_layout_state(monkeypatch, n, d):
+    from pbtkit import registers, simulate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a whole-layout state was formed")
+
+    monkeypatch.setattr(registers.Support, "scatter", refuse)
+    monkeypatch.setattr(registers.RestrictedProduct, "apply", refuse)
+    monkeypatch.setattr(simulate, "initial_state", refuse)
+    monkeypatch.setattr(registers.Composite, "apply", refuse)
+    res = end_to_end(n, d, "compressed")
+    assert res.amplified_residual <= res.amplified_bound
+
+
+@pytest.mark.scale
+def test_end_to_end_honest_42():
+    # the one point where build_PL_PR clamps the C' remainder weight
+    res = end_to_end(4, 2, "honest")
+    assert res.w_residual <= res.epsilon + 1e-9
+    assert res.amplified_residual <= res.amplified_bound
+    assert res.discrepancy <= 2 * res.m * res.epsilon + 1e-9
+    assert res.amplified_residual < 1e-12
+    assert res.discrepancy < 1e-12
+    assert res.probability_error < 1e-12
+    assert res.ancilla_purity > 1 - 1e-12
+    assert res.ancilla_zero_weight > 1 - 1e-12
 
 
 def test_amplified_paths_never_build_the_dense_pgm(monkeypatch):

@@ -563,3 +563,40 @@ def test_cli_unwritable_output_is_usage_error(tmp_path, capsys, where):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write") and err.count("\n") == 1
     assert list(tmp_path.rglob("*")) == []
+
+
+def test_cli_simulate_unwritable_output_is_refused_before_the_run(tmp_path, monkeypatch, capsys):
+    from pbtkit import simulate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the protocol ran before the output was opened")
+
+    monkeypatch.setattr(simulate, "run", refuse)
+    target = tmp_path / "missing" / "x.json"
+    argv = ["simulate", "--n", "3", "--d", "2", "--engine", "amplified-V", "--output", str(target)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_cli_output_is_replaced_only_by_a_finished_run(tmp_path, monkeypatch):
+    from pbtkit import simulate
+
+    target = tmp_path / "x.json"
+    target.write_text("a longer file already at the path\n" * 20)
+    assert cli.main(["fidelity", "--d", "2", "--n", "2..3", "--output", str(target)]) == 0
+    written = target.read_text()
+    assert written.startswith("n,d,fidelity\n") and written.count("\n") == 3
+
+    def fail(*args, **kwargs):
+        raise ValueError("failed run")
+
+    monkeypatch.setattr(simulate, "run", fail)
+    argv = ["simulate", "--n", "3", "--d", "2", "--output"]
+    assert cli.main(argv + [str(target)]) == 1
+    assert target.read_text() == written
+    assert cli.main(argv + [str(tmp_path / "new.json")]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
