@@ -51,12 +51,17 @@ print(json.dumps({"wall_s": wall, "vmhwm_mib": hwm / 1024, "fields": fields}))
 THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_once(tree: Path, point: tuple) -> dict:
+def run_child(tree: Path, child: str, *args: str) -> dict:
+    """The JSON line that ``python -c child args`` prints in a fresh process
+    importing ``pbtkit`` from ``tree``, one BLAS/OpenMP thread."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **{v: "1" for v in THREADS})
-    n, d, variant = point
-    argv = [sys.executable, "-c", CHILD, str(n), str(d), variant, json.dumps(FIELDS)]
-    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", child, *args], env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
+
+
+def run_once(tree: Path, point: tuple) -> dict:
+    n, d, variant = point
+    return run_child(tree, CHILD, str(n), str(d), variant, json.dumps(FIELDS))
 
 
 def source_digest(tree: Path) -> str:
@@ -67,6 +72,46 @@ def source_digest(tree: Path) -> str:
     return digest.hexdigest()[:12]
 
 
+def alternate(trees: dict, points: list, pairs: int, run) -> dict:
+    """``run(tree, point)`` for both checkouts at every point, ``pairs``
+    times, alternating which one runs first; each point's runs, keyed by
+    its values joined with commas, then by side."""
+    runs = {",".join(map(str, point)): {side: [] for side in trees} for point in points}
+    for pair in range(pairs):
+        order = list(trees) if pair % 2 == 0 else list(trees)[::-1]
+        for point in points:
+            for side in order:
+                result = run(trees[side], point)
+                runs[",".join(map(str, point))][side].append(result)
+                print(side, point, f"{result['wall_s']:.3f} s", f"{result['vmhwm_mib']:.1f} MiB")
+    return runs
+
+
+def _distance(a, b) -> float:
+    """|a - b|, the largest over the entries of (nested) lists."""
+    if isinstance(a, list):
+        return max((_distance(x, y) for x, y in zip(a, b)), default=0.0)
+    return abs(a - b)
+
+
+def summarize(sides: dict, fields: list) -> dict:
+    """Every run's wall time and VmHWM with their medians, the first run's
+    fields, the largest |change - parent| of each field over all runs, and
+    the fields that are bit-identical in all of them."""
+    entry = {}
+    for metric in ("wall_s", "vmhwm_mib"):
+        values = {side: [r[metric] for r in runs] for side, runs in sides.items()}
+        entry[metric] = {
+            **values,
+            "median": {side: statistics.median(v) for side, v in values.items()},
+        }
+    entry["fields"] = {side: runs[0]["fields"] for side, runs in sides.items()}
+    pairs = [(p["fields"], c["fields"]) for p in sides["parent"] for c in sides["change"]]
+    entry["max_abs_diff"] = {f: max(_distance(c[f], p[f]) for p, c in pairs) for f in fields}
+    entry["bit_identical"] = [f for f in fields if all(c[f] == p[f] for p, c in pairs)]
+    return entry
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -75,38 +120,7 @@ def main() -> None:
     ap.add_argument("--out", type=Path, default=Path("BENCH_end_to_end_rows.json"))
     args = ap.parse_args()
     trees = {"parent": args.parent, "change": args.change}
-    runs = {f"{n},{d},{v}": {"parent": [], "change": []} for n, d, v in POINTS}
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for point in POINTS:
-            for side in order:
-                result = run_once(trees[side], point)
-                runs["{},{},{}".format(*point)][side].append(result)
-                print(side, point, f"{result['wall_s']:.3f} s", f"{result['vmhwm_mib']:.1f} MiB")
-    points = {}
-    for key, sides in runs.items():
-        entry = {}
-        for metric in ("wall_s", "vmhwm_mib"):
-            values = {side: [r[metric] for r in sides[side]] for side in trees}
-            entry[metric] = {
-                **values,
-                "median": {side: statistics.median(v) for side, v in values.items()},
-            }
-        entry["fields"] = {side: sides[side][0]["fields"] for side in trees}
-        entry["max_abs_diff"] = {
-            f: max(
-                abs(c["fields"][f] - p["fields"][f])
-                for p in sides["parent"]
-                for c in sides["change"]
-            )
-            for f in FIELDS
-        }
-        entry["bit_identical"] = [
-            f
-            for f in FIELDS
-            if all(c["fields"][f] == p["fields"][f] for p in sides["parent"] for c in sides["change"])
-        ]
-        points[key] = entry
+    runs = alternate(trees, POINTS, args.pairs, run_once)
     record = {
         "label": "end_to_end_rows",
         "command": "python scripts/bench_end_to_end_rows.py PARENT CHANGE "
@@ -114,7 +128,7 @@ def main() -> None:
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, one BLAS/OpenMP thread per run",
         "sources": {side: source_digest(tree) for side, tree in trees.items()},
         "pairs": args.pairs,
-        "points": points,
+        "points": {key: summarize(sides, FIELDS) for key, sides in runs.items()},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 

@@ -20,8 +20,9 @@ qubit accounting assumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .schur import (
     submatrix_U_nu_alpha,
     value_cache,
 )
-from .symrep import embed_perm, tableau_index
+from .symrep import Perm, compose, embed_perm, tableau_index
 from .twisted import (
     TwistedSchur,
     lambda_eigenvalue,
@@ -512,30 +513,21 @@ def _alpha_copy_matrix(spaces: EncodingSpaces) -> np.ndarray:
     return out
 
 
-def _sandwich_matrix(
-    spaces: EncodingSpaces,
-    coeff: CoefficientMatrices,
-    perm_a: tuple[int, ...],
-    perm_b: tuple[int, ...],
-) -> np.ndarray:
+def _sandwich_matrix(spaces: EncodingSpaces, coeff: CoefficientMatrices, perm: Perm) -> np.ndarray:
     """Dense unitary on (ancilla, diagram-copy, alpha, k_alpha) whose
-    ancilla-zero block carries the weighted irrep-block sums for the
-    permutation pair, diagonal in the diagram register.
+    ancilla-zero block carries the weighted irrep-block sums for the port
+    permutation ``perm`` (the product V(a) V(b) of a pair is V(compose(a,
+    b))), diagonal in the diagram register.
 
     The diagram-copy wrap pins the final diagram value to the initial one
     under post-selection; without it the coefficient sandwich leaks
     cross-diagram terms whenever two diagrams share a child irrep (any
     n >= 4).  The copy register is trivial when only one diagram exists.
     """
-    n, d = spaces.n, spaces.d
+    n = spaces.n
     reg = spaces.reg1
     ka_eye = np.eye(spaces.n_ka)
-    middle = (
-        reg
-        @ _embedded_perm(spaces, perm_a, n - 1)
-        @ _embedded_perm(spaces, perm_b, n - 1)
-        @ reg.conj().T
-    )
+    middle = reg @ _embedded_perm(spaces, perm, n - 1) @ reg.conj().T
     pl = np.kron(coeff.p_left, ka_eye)
     pr = np.kron(coeff.p_right, ka_eye)
     p2 = np.kron(coeff.p_two, ka_eye)
@@ -601,7 +593,7 @@ def encode_O(
     pair (k, i), with scale x**2 and the (copy, irrep) pair as ancilla."""
     spaces = encoding_spaces(n, d, mode, gauge_seed)
     coeff = build_PL_PR(n, d, x, "C", mode, gauge_seed)
-    mat = _sandwich_matrix(spaces, coeff, port_cycle(k, n), port_cycle(i, n))
+    mat = _sandwich_matrix(spaces, coeff, compose(port_cycle(k, n), port_cycle(i, n)))
     layout = Layout(
         [
             Register("anc", spaces.anc_dim),
@@ -633,7 +625,6 @@ def encode_Phi(n: int, d: int, mode: str = "tight", gauge_seed: int = 0) -> Bloc
     maximally entangled state, scale sqrt(d), one ancilla qubit."""
     spaces = encoding_spaces(n, d, mode, gauge_seed)
     layout = Layout([Register("A2", 2)] + spaces.system_registers())
-    ops = _phi_ops(spaces, "A2")
     us = _us_matrix(d)
     proj = np.zeros((d * d, d * d))
     proj[0, 0] = 1.0
@@ -642,20 +633,12 @@ def encode_Phi(n: int, d: int, mode: str = "tight", gauge_seed: int = 0) -> Bloc
         layout=layout,
         ancillas=("A2",),
         systems=SYSTEM,
-        unitary=Composite(ops),
+        unitary=Composite(_body_gates(n, d, mode, gauge_seed).phi_in),
         scale=float(np.sqrt(d)),
         target=phi_tilde,
         valid_mask=None,
         name="Phi",
     )
-
-
-def _phi_ops(spaces: EncodingSpaces, flag: str) -> tuple[Op, ...]:
-    d = spaces.d
-    us = Gate(("qm", "qn"), _us_matrix(d).astype(complex))
-    sch = Gate(("r2", "al", "ka"), spaces.reg2)
-    mark = Gate((flag, "qm", "qn"), controlled_not_gate(2, [d, d]).astype(complex))
-    return (us, sch, mark)
 
 
 def _vl_gate(spaces: EncodingSpaces, k: int) -> Gate:
@@ -674,38 +657,83 @@ def _vl_gate(spaces: EncodingSpaces, k: int) -> Gate:
     return Gate(SYSTEM, mat)
 
 
+def _read_only(gate: Gate) -> Gate:
+    """``gate``, its matrix made read-only.  A cached gate is the one object
+    for every equal gate of every branch body and port, so an in-place edit
+    must raise rather than reach all of them."""
+    gate.matrix.flags.writeable = False
+    return gate
+
+
+class _BodyGates(NamedTuple):
+    vl: tuple[Gate, ...]  # V_k for port k at [k - 1]
+    phi_in: tuple[Gate, ...]  # the entangling stage, flagged on A2
+    phi_out: tuple[Gate, ...]  # its adjoint, flagged on A3
+    mark12: Gate
+    mark11: Gate
+
+
+@value_cache
+def _body_gates(n: int, d: int, mode: str, gauge_seed: int) -> _BodyGates:
+    """The gates of the branch bodies that no weight enters, built once per
+    (n, d, mode, gauge_seed) and read-only."""
+    spaces = encoding_spaces(n, d, mode, gauge_seed)
+    us = _read_only(Gate(("qm", "qn"), _us_matrix(d)))
+    sch = _read_only(Gate(("r2", "al", "ka"), spaces.reg2))
+
+    def mark(flag: str) -> Gate:
+        return _read_only(Gate((flag, "qm", "qn"), controlled_not_gate(2, [d, d]).astype(complex)))
+
+    return _BodyGates(
+        vl=tuple(_read_only(_vl_gate(spaces, k)) for k in range(1, n)),
+        phi_in=(us, sch, mark("A2")),
+        phi_out=tuple(map(_read_only, Composite((us, sch, mark("A3"))).adjoint().ops)),
+        mark12=mark("A12"),
+        mark11=mark("A11"),
+    )
+
+
+_coefficient_matrices = value_cache(build_PL_PR)
+
+
+@value_cache
+def _sandwich_gate(
+    n: int, d: int, mode: str, gauge_seed: int, weight: float, variant: str, perm: Perm, side: str
+) -> Gate:
+    """The coefficient sandwich of ``_sandwich_matrix`` for the port
+    permutation ``perm`` at weights ``build_PL_PR(n, d, weight, variant)``,
+    as a read-only gate on the left ancilla pair (``side`` "l") or its
+    adjoint on the right one ("r"), built once per value."""
+    if side == "r":
+        left = _sandwich_gate(n, d, mode, gauge_seed, weight, variant, perm, "l")
+        return _read_only(Gate(("ancr", "acopyr", "al", "ka"), left.matrix.conj().T))
+    spaces = encoding_spaces(n, d, mode, gauge_seed)
+    coeff = _coefficient_matrices(n, d, weight, variant, mode, gauge_seed)
+    return _read_only(Gate(("ancl", "acopyl", "al", "ka"), _sandwich_matrix(spaces, coeff, perm)))
+
+
+@value_cache
+def _pair_gate(
+    n: int, d: int, mode: str, gauge_seed: int, weight: float, variant: str, left: Perm, right: Perm | None
+) -> Gate:
+    """The sandwiches ``left`` and, when not None, ``right`` (its adjoint
+    acting first) as one read-only gate stored in the freed qudits
+    (``_pair_matrix``), built once per value."""
+    spaces = encoding_spaces(n, d, mode, gauge_seed)
+
+    def sandwich(perm: Perm) -> np.ndarray:
+        return _sandwich_gate(n, d, mode, gauge_seed, weight, variant, perm, "l").matrix
+
+    mat = _pair_matrix(spaces, sandwich(left), None if right is None else sandwich(right))
+    return _read_only(Gate(("qm", "qn", "A13", "acopyl", "acopyr", "al", "ka"), mat))
+
+
 @dataclass(eq=False)
 class LedgerRow:
     name: str
     scale: float
     ancilla_qubits: int | None
     ancilla_dim: int
-
-
-def _central_gates(
-    spaces: EncodingSpaces,
-    mats: tuple[np.ndarray, ...] | np.ndarray,
-    primed: bool,
-) -> tuple[Op, ...]:
-    """The middle stage: coefficient sandwiches on the ancilla pair, wrapped
-    in the two nonzero-state markers on qudits n-1, n."""
-    d = spaces.d
-    mark12 = Gate(("A12", "qm", "qn"), controlled_not_gate(2, [d, d]).astype(complex))
-    mark11 = Gate(("A11", "qm", "qn"), controlled_not_gate(2, [d, d]).astype(complex))
-    if spaces.reuse_qudits:
-        anc_names = ("qm", "qn", "A13", "acopyl", "acopyr", "al", "ka")
-        mat = _pair_matrix(spaces, mats if primed else mats[0],
-                           None if primed else mats[1])
-        gates: tuple[Op, ...] = (Gate(anc_names, mat),)
-    else:
-        if primed:
-            gates = (Gate(("ancl", "acopyl", "al", "ka"), mats),)
-        else:
-            gates = (
-                Gate(("ancr", "acopyr", "al", "ka"), mats[1].conj().T),
-                Gate(("ancl", "acopyl", "al", "ka"), mats[0]),
-            )
-    return (mark12,) + gates + (mark11,)
 
 
 def _pair_matrix(
@@ -734,34 +762,40 @@ def _pair_matrix(
 
 def summand_ops(
     spaces: EncodingSpaces,
-    coeff: CoefficientMatrices,
-    coeff_primed: CoefficientMatrices,
+    x: float,
+    xp: float,
     i: int,
     kl: int,
     kr: int,
     primed: bool,
 ) -> Composite:
     """One controlled branch body: port permutations, entangling stage,
-    central coefficient sandwich, and the reverse entangling stage."""
+    central coefficient sandwich wrapped in the two nonzero-state markers on
+    qudits n-1, n, and the reverse entangling stage.  Every gate is the
+    cached one for its value, so equal gates of all bodies and ports are one
+    object."""
     n = spaces.n
+    key = (n, spaces.d, spaces.mode, spaces.gauge_seed)
+    body = _body_gates(*key)
     if primed:
-        mats: tuple[np.ndarray, ...] | np.ndarray = _sandwich_matrix(
-            spaces, coeff_primed, port_cycle(kl, n), port_cycle(kr, n)
-        )
+        weight, variant = xp, "Cprime"
+        left, right = compose(port_cycle(kl, n), port_cycle(kr, n)), None
     else:
-        mats = (
-            _sandwich_matrix(spaces, coeff, port_cycle(kl, n), port_cycle(i, n)),
-            _sandwich_matrix(spaces, coeff, port_cycle(kr, n), port_cycle(i, n)),
-        )
-    phi_in = _phi_ops(spaces, "A2")
-    phi_out = Composite(_phi_ops(spaces, "A3")).adjoint().ops
-    center = _central_gates(spaces, mats, primed)
+        weight, variant = x, "C"
+        left, right = (compose(port_cycle(k, n), port_cycle(i, n)) for k in (kl, kr))
+    if spaces.reuse_qudits:
+        center: tuple[Gate, ...] = (_pair_gate(*key, weight, variant, left, right),)
+    else:
+        sides = ((right, "r"), (left, "l")) if right is not None else ((left, "l"),)
+        center = tuple(_sandwich_gate(*key, weight, variant, perm, side) for perm, side in sides)
     return Composite(
-        (_vl_gate(spaces, kr),)
-        + phi_in
+        (body.vl[kr - 1],)
+        + body.phi_in
+        + (body.mark12,)
         + center
-        + phi_out
-        + (_vl_gate(spaces, kl),)
+        + (body.mark11,)
+        + body.phi_out
+        + (body.vl[kl - 1],)
     )
 
 
@@ -787,6 +821,18 @@ def branch_mixers(n: int, d: int, x: float, xp: float) -> tuple[np.ndarray, np.n
     return _mixer(left), _mixer(right), c
 
 
+@value_cache
+def _mixer_gates(n: int, d: int, mode: str, gauge_seed: int, x: float, xp: float) -> tuple[Gate, Gate]:
+    """The mixers before and after the branches, each fused into one
+    read-only gate on (A4, kl, kr): u_r^dagger (x) u_k^dagger (x)
+    u_k^dagger, and u_l (x) u_k (x) u_k."""
+    u_l, u_r, _ = branch_mixers(n, d, x, xp)
+    u_k = port_mixer(encoding_spaces(n, d, mode, gauge_seed))
+    names = ("A4", "kl", "kr")
+    before = reduce(np.kron, (u_r.conj().T, u_k.conj().T, u_k.conj().T))
+    return _read_only(Gate(names, before)), _read_only(Gate(names, reduce(np.kron, (u_l, u_k, u_k))))
+
+
 def encode_kraus(
     n: int,
     d: int,
@@ -805,38 +851,33 @@ def encode_kraus(
     (n-1)^2 d x^4 + (n-1)^(3/2) d x'^2 + (n-1)^(-1/2).  Weights left as None
     are taken from ``amplification_weights``, the smallest ones whose scale
     the amplification sequence removes exactly.
+
+    The unitary is three ops: the mixers u_r^dagger, u_k^dagger, u_k^dagger
+    fused into one gate on (A4, kl, kr), the branches on (A4, kl, kr) (one
+    ``summand_ops`` body per key), and the fused mixers u_l, u_k, u_k.
+    Every gate is built once per value of what it depends on and shared,
+    read-only: the bodies of one port, and the encodings of every port at
+    the same (n, d, mode, gauge, weights), hold one object for each
+    distinct gate.
     """
     if x is None or xp is None:
         x_amp, xp_amp = amplification_weights(n, d)
         x = x_amp if x is None else x
         xp = xp_amp if xp is None else xp
     spaces = encoding_spaces(n, d, mode, tw.gauge_seed)
-    coeff = build_PL_PR(n, d, x, "C", mode, tw.gauge_seed)
-    coeffp = build_PL_PR(n, d, xp, "Cprime", mode, tw.gauge_seed)
+    # raise on weights below a diagram's weight sum before anything is built
+    for weight, variant in ((x, "C"), (xp, "Cprime")):
+        _coefficient_matrices(n, d, weight, variant, mode, tw.gauge_seed)
     ancillas = _kraus_ancillas(spaces)
     layout = Layout(ancillas + spaces.system_registers())
-    u_l, u_r, _ = branch_mixers(n, d, x, xp)
-    u_k = port_mixer(spaces)
-
     branches = []
     for kl in range(n - 1):
         for kr in range(n - 1):
-            branches.append(
-                ((0, kl, kr), summand_ops(spaces, coeff, coeffp, i, kl + 1, kr + 1, False))
-            )
-            branches.append(
-                ((1, kl, kr), summand_ops(spaces, coeff, coeffp, i, kl + 1, kr + 1, True))
-            )
-    center = Branched(("A4", "kl", "kr"), tuple(branches))
-    ops = (
-        Gate(("A4",), u_r.conj().T.astype(complex)),
-        Gate(("kl",), u_k.conj().T.astype(complex)),
-        Gate(("kr",), u_k.conj().T.astype(complex)),
-        center,
-        Gate(("kl",), u_k.astype(complex)),
-        Gate(("kr",), u_k.astype(complex)),
-        Gate(("A4",), u_l.astype(complex)),
-    )
+            for primed in (0, 1):
+                branches.append(
+                    ((primed, kl, kr), summand_ops(spaces, x, xp, i, kl + 1, kr + 1, bool(primed)))
+                )
+    before, after = _mixer_gates(n, d, mode, tw.gauge_seed, x, xp)
     scale = kraus_scale(n, d, x, xp)
     from .pbt import kraus_from_twisted
 
@@ -846,7 +887,7 @@ def encode_kraus(
         layout=layout,
         ancillas=tuple(r.name for r in ancillas),
         systems=SYSTEM,
-        unitary=Composite(ops),
+        unitary=Composite((before, Branched(("A4", "kl", "kr"), tuple(branches)), after)),
         scale=scale,
         target=target,
         valid_mask=mask,

@@ -11,10 +11,13 @@ The op tree is the one definition of an operator.
 ``Support`` reads an op tree as a product of sparse factors and finds S, the
 forward closure of a start mask's support: the smallest set of flat indices
 that holds it and that no entry of any factor leads out of, from a column in
-S to a row off it.  Each controlled gate chain is one matrix per branch, a
-sum over the paths through its gates, and it is folded on demand: a column
-is folded when the reach first meets it, so only S's columns are ever
-formed.  A chain of unitary gates is unitary, and then no entry leads into S
+S to a row off it.  The reach runs in sweeps over the factors in order: each
+factor leads from the rows found since it last ran, and the rows it finds
+are S's at once, so the factors after it lead from them in the same sweep;
+each (factor, row) pair is visited once.  Each controlled gate chain is one
+matrix per branch, a sum over the paths through its gates, and it is folded
+on demand: a column is folded when the reach first meets it, so only S's
+columns are ever formed.  A chain of unitary gates is unitary, and then no entry leads into S
 from off it either; ``Support`` certifies that (every folded gate unitary,
 every S row of unit norm in its S x S block) instead of folding the columns
 off S.  So every factor splits exactly into an S block and an S^c block, and
@@ -207,6 +210,9 @@ class Csr(NamedTuple):
         return np.repeat(np.arange(self.indptr.size - 1, dtype=np.int32), np.diff(self.indptr))
 
 
+_INT32_MAX = np.iinfo(np.int32).max
+
+
 def _csr(row: np.ndarray, col: np.ndarray, data: np.ndarray, size: int) -> Csr:
     """The ``Csr`` of entries sorted by row, each row's cols ascending."""
     indptr = np.searchsorted(row, np.arange(size + 1)).astype(np.int32)
@@ -251,7 +257,7 @@ def _move(table: tuple, loc: np.ndarray, row, col, val):
     becomes one entry on row (l', rest) with value g[l', l] * val for each
     kept g[l', l], and keeps its col and its place in the order of the
     entries."""
-    local = loc[row]
+    local = loc[row].astype(np.intp)  # one cast, not one per table it indexes
     if len(table) == 2:
         # each entry is moved and scaled in place; one in a column that holds
         # no entry is scaled to 0, and exact zeros are dropped at the end
@@ -283,6 +289,8 @@ class _ChainFold:
         self.touched = tuple(nm for nm in layout.names if nm in names)
         dims = tuple(layout.dim(nm) for nm in self.touched)
         self.size = prod(dims)
+        if self.size > _INT32_MAX:
+            raise ValueError(f"{self.size} touched states overflow the int32 indices of a fold")
         index = np.arange(self.size).reshape(dims)
         places = {}  # (loc, offset) of each set of gate registers
         tables = {}  # the kept-entry table of each distinct gate
@@ -295,7 +303,7 @@ class _ChainFold:
                     axes = [self.touched.index(nm) for nm in gate.names]
                     # flat index of (gate state, state of the other registers)
                     flat = np.moveaxis(index, axes, range(len(axes))).reshape(gate.matrix.shape[0], -1)
-                    loc = np.empty(self.size, np.intp)
+                    loc = np.empty(self.size, np.int32)
                     loc[flat] = np.arange(flat.shape[0])[:, None]
                     places[gate.names] = loc, flat[:, 0]
                 loc, offset = places[gate.names]
@@ -360,9 +368,9 @@ class _Columns:
         self.folded = np.zeros(size, bool)
         # the (row, col, val) entries of each fold, from an empty one
         self.parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))]
-        # column l's rows are rows[first[l]:][:count[l]]
-        self.first = np.zeros(size, np.intp)
-        self.count = np.zeros(size, np.intp)
+        # column l's rows are rows[first[l]:][:count[l]], int32 as in a Csr
+        self.first = np.zeros(size, np.int32)
+        self.count = np.zeros(size, np.int32)
         self.rows = np.zeros(0, np.intp)
 
     @classmethod
@@ -388,6 +396,8 @@ class _Columns:
         if new.size:
             self.folded[new] = True
             row, col, val = self.chains.fold(self.steps, new)
+            if self.rows.size + row.size > _INT32_MAX:
+                raise ValueError("the folded entries of one branch overflow int32 indices")
             self.parts.append((row, col, val))
             counts = np.bincount(col, minlength=self.chains.size)[new]
             self.first[new] = self.rows.size + np.cumsum(counts) - counts
@@ -560,11 +570,17 @@ class Support:
     the op touches; the registers after them ride along as columns, and the
     support of ``mask`` (flat or layout-shaped) counts every value of them.
     S is the forward closure of the mask: the reach goes from a column to
-    the rows of its entries.  A folded gate chain is folded on demand
-    (``_Columns``), each column once, when the reach first meets it, so it
-    forms the entries of S's columns alone; ``folded_columns`` and
-    ``folded_entries`` count them.  Any other piece reaches the whole
-    connected component of its pattern and of its adjoint (``_components``).
+    the rows of its entries.  It runs in sweeps: S's rows are kept in the
+    order they are found, each factor holds a cursor into them, and in
+    factor order each factor leads from the rows past its cursor
+    (``_reach``), the rows it finds joining at once, so later factors lead
+    from them in the same sweep; the reach stops after a sweep that finds no
+    row (``sweeps`` counts them, the last included).  A folded gate chain is
+    folded on demand (``_Columns``), each column once, when the reach first
+    meets it, so it forms the entries of S's columns alone;
+    ``folded_columns`` and ``folded_entries`` count them.  Any other piece
+    reaches the whole connected component of its pattern and of its adjoint
+    (``_components``).
 
     No entry leads from a column in S to a row off it.  For a unitary
     factor that forces no entry from a column off S to a row in S either,
@@ -600,29 +616,34 @@ class Support:
         self._strides = [prod(self.dims[a + 1 :]) for a in range(len(self.dims))]
         self._offsets: dict[tuple[str, ...], np.ndarray] = {}  # ``_local``'s, by names
         inside = np.zeros(prod(self.dims), bool)
-        frontier = np.flatnonzero(mask.reshape(inside.size, -1).any(axis=1))
-        inside[frontier] = True
-        while frontier.size:
-            reached = np.zeros_like(inside)
-            digits = self._digits(frontier)
-            for f in factors:
-                for ctl, names, mat, comps in f:
-                    local, base, offset = self._fibres(ctl, names, frontier, digits)
-                    if comps is None:
-                        # the rows of each column's entries
-                        first, counts, members = mat.spans(local)
-                    else:
-                        # every member of the component of each row, in its fibre
-                        label, members, start, size = comps
-                        first, counts = start[label[local]], size[label[local]]
-                    pos = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
-                    reached[np.repeat(base, counts) + offset[members[pos]]] = True
-            frontier = np.flatnonzero(reached & ~inside)
-            inside |= reached
+        found = np.flatnonzero(mask.reshape(inside.size, -1).any(axis=1))
+        inside[found] = True
+        # S's rows in the order they are found; each factor leads from the
+        # rows past its cursor, in factor order, and the rows it finds join
+        # at once, so the factors after it lead from them in the same sweep;
+        # the reach stops after a sweep that finds no row
+        cursors = [0] * len(factors)
+        self.sweeps, before = 0, -1
+        while found.size > before:
+            before = found.size
+            self.sweeps += 1
+            for j, f in enumerate(factors):
+                frontier, cursors[j] = found[cursors[j] :], found.size
+                new = self._reach(f, frontier)
+                new = new[~inside[new]]
+                # each once, by a sort: np.unique imports numpy.ma, which
+                # costs a cold process tens of ms
+                new.sort()
+                once = np.ones(new.size, bool)
+                once[1:] = new[1:] != new[:-1]
+                new = new[once]
+                inside[new] = True
+                found = np.concatenate([found, new])
         self.index = np.flatnonzero(inside)
         self.folded_columns = self.folded_entries = 0
         self.row_norm_residual = 0.0
         digits = self._digits(self.index)
+        splits: dict = {}  # ``_local`` over S of each register set
         chain = []
         for f in factors:
             pieces = []
@@ -634,8 +655,37 @@ class Support:
                     self.folded_entries += mat.data.size
                     comps = _components(mat)
                 pieces.append((ctl, names, mat, comps, folded))
-            chain.append(self._restrict(pieces, digits))
+            chain.append(self._restrict(pieces, digits, splits))
         self.chain = tuple(chain)
+
+    def _reach(self, factor: list, frontier: np.ndarray) -> np.ndarray:
+        """The flat indices the pieces of ``factor`` lead to from the flat
+        indices ``frontier``, repeats included.  The frontier is split on
+        each register set once (``_local``) and each piece selects its
+        fibres from that split; a piece whose control slice the frontier
+        misses is skipped."""
+        needed = {nm for ctl, names, *_ in factor for nm in (*ctl, *names)}
+        digits = {nm: self._digit(frontier, nm) for nm in needed}
+        splits: dict = {}
+        reached = [np.zeros(0, np.intp)]
+        for ctl, names, mat, comps in factor:
+            at = self._select(ctl, frontier, digits)
+            if not at.size:
+                continue
+            if names not in splits:
+                splits[names] = self._local(frontier, names, digits)
+            local, base, offset = splits[names]
+            local, base = local[at], base[at]
+            if comps is None:
+                # the rows of each column's entries
+                first, counts, members = mat.spans(local)
+            else:
+                # every member of the component of each row, in its fibre
+                label, members, start, size = comps
+                first, counts = start[label[local]], size[label[local]]
+            pos = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
+            reached.append(np.repeat(base, counts) + offset[members[pos]])
+        return np.concatenate(reached)
 
     def _digit(self, s: np.ndarray, name: str) -> np.ndarray:
         a = self._axis[name]
@@ -669,22 +719,24 @@ class Support:
         offset = self._offsets[names]
         return local, s - offset[local], offset
 
-    def _fibres(self, ctl: dict, names: tuple[str, ...], s: np.ndarray, digits: dict):
-        """``_local`` of the indices in ``s`` that ``_select`` keeps."""
-        at = self._select(ctl, s, digits)
-        return self._local(s[at], names, {nm: digits[nm][at] for nm in names})
-
-    def _restrict(self, factor, digits=None) -> BlockFactor:
+    def _restrict(self, factor, digits=None, splits=None) -> BlockFactor:
         """The factor's S x S block: one dense block per component of a
         piece in each of its fibres in S, grouped by size.  ``factor`` holds
         pieces (controls, names, matrix, ``_components(matrix)``, certify);
         the S rows of a piece to certify must have unit norm in its blocks,
         and ``row_norm_residual`` keeps the worst.  ``digits`` is
-        ``_digits(index)``, computed when absent."""
+        ``_digits(index)``, computed when absent; ``splits`` keeps
+        ``_local(index, names)`` of each register set, filled as needed, so
+        that factors on the same registers split S once."""
         digits = self._digits(self.index) if digits is None else digits
+        splits = {} if splits is None else splits
         by_size: dict[int, list] = {}
         for ctl, names, mat, (label, members, start, size), certify in factor:
-            local, base, offset = self._fibres(ctl, names, self.index, digits)
+            at = self._select(ctl, self.index, digits)
+            if names not in splits:
+                splits[names] = self._local(self.index, names, digits)
+            local, base, offset = splits[names]
+            local, base = local[at], base[at]
             # one k-set per component in each fibre, at its smallest index
             anchor = local == label[local]
             roots, base = local[anchor], base[anchor]

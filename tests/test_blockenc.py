@@ -19,7 +19,7 @@ from pbtkit.blockenc import (
     weight_range,
 )
 from pbtkit.amplify import plan
-from pbtkit.registers import to_matrix
+from pbtkit.registers import Branched, Composite, Gate, to_matrix
 from pbtkit.twisted import build_twisted, lambda_eigenvalue, port_cycle
 
 RNG = np.random.default_rng(13)
@@ -178,6 +178,33 @@ def test_encode_kraus_n3(mode):
         enc = encode_kraus(n, d, tw, i, SQ2, SQ2, mode)
         assert enc.scale == pytest.approx(alpha_expected)
         assert enc.verify() < 1e-6
+
+
+def tree_gates(op):
+    if isinstance(op, Gate):
+        yield op
+    elif isinstance(op, Composite):
+        for o in op.ops:
+            yield from tree_gates(o)
+    elif isinstance(op, Branched):
+        for _, o in op.branches:
+            yield from tree_gates(o)
+
+
+@pytest.mark.parametrize("mode", ["tight", "padded"])
+def test_kraus_encodings_share_each_distinct_gate(mode):
+    tw = build_twisted(3, 2)
+    gates = [g for i in (1, 2) for g in tree_gates(encode_kraus(3, 2, tw, i, mode=mode).unitary)]
+    same = {}
+    for gate in gates:
+        same.setdefault((gate.names, gate.matrix.dtype.str, gate.matrix.tobytes()), set()).add(id(gate))
+    # equal gates of all bodies and both ports are one object
+    assert all(len(ids) == 1 for ids in same.values())
+    assert len({id(g) for g in gates}) == len(same) < len(gates) // 8
+    for gate in gates:
+        assert not gate.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            gate.matrix[0, 0] = 0
 
 
 def test_padding_equivalence():

@@ -135,6 +135,14 @@ def test_support_size(point):
     assert (support.index.size, prod(support.dims)) == SUPPORT_SIZES[point]
 
 
+@pytest.mark.parametrize("point, sweeps", [(("honest", 3, 2), 3), (("compressed", 6, 2), 2)])
+def test_reach_leads_from_new_rows_in_the_same_sweep(point, sweeps):
+    # a reach in rounds, each leading from the rows the round before found,
+    # takes 7 at honest (3,2); a sweep lets each factor lead from the rows
+    # the factors before it found, and the last sweep finds nothing
+    assert bare_pipeline(*point).v_amp.support.sweeps == sweeps
+
+
 def test_support_holds_start_and_is_closed(pipe):
     layout, support = pipe.layout, pipe.v_amp.support
     inside = support_mask(pipe)
@@ -594,9 +602,12 @@ def test_support_records_its_row_norm_residual():
 
 def test_shared_one_register_factors_run_on_views():
     chain = bare_pipeline("honest", 3, 2).v_amp.support.chain
-    views = [view for factor in chain for view in factor.views if view is not None]
-    assert len(views) == 7
-    assert {view[1] for view in views} == {2, 3}
+    # u0 on I, the fused mixers on (A4, kl, kr), the folded branches, the
+    # fused mixers again
+    assert len(chain) == 4
+    views = [[view[1] for view in factor.views if view is not None] for factor in chain]
+    # one k = 2 view on I, and a k = 12 view on (A4, kl, kr) on each side
+    assert views == [[2], [12], [], [12]]
 
 
 def gathered(factor):
