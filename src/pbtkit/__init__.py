@@ -45,7 +45,6 @@ from .pbt import (
     channel_apply,
     entanglement_fidelity,
     kraus_from_twisted,
-    kraus_operators,
     outcome_output,
     pgm_dense,
     pgm_fidelity,

@@ -186,12 +186,6 @@ def measurement_functions(n: int, d: int, g: Callable[[float], float]) -> Iterat
     return pgm_functions(n, d, build_twisted(n, d), g)
 
 
-def kraus_operators(n: int, d: int, tw: TwistedSchur) -> Iterator[np.ndarray]:
-    """The Kraus operators sqrt(Pi_i) for ports i = 1..n-1, one at a time,
-    from a single closed-form product (see ``pgm_functions``)."""
-    return pgm_functions(n, d, tw, np.sqrt)
-
-
 def sqrt_tilde_norm(n: int, d: int, i: int) -> float:
     """Spectral norm of the support part of the Kraus operator, from the
     irrep blocks alone."""

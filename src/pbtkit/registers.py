@@ -279,8 +279,10 @@ class _ChainFold:
     """A Branched whose bodies are all gate chains, set up to multiply each
     body's gates into one matrix on the touched registers (in layout order)
     over any set of its columns (``fold``).  ``bodies`` holds each branch's
-    controls and its gates as ``_move`` steps; equal gates, in one body or
-    several, share one ``_kept`` table, built once."""
+    controls and its gates as ``_move`` steps; a gate object, in one body or
+    several, has one ``_kept`` table, built once.  Gates are told apart by
+    identity: the op tree holds each one while the fold lives, and the
+    encodings already build equal gates as one object."""
 
     def __init__(self, op: Branched, layout: Layout):
         names = {nm for _, body in op.branches for gate in body.ops for nm in gate.names}
@@ -293,8 +295,8 @@ class _ChainFold:
             raise ValueError(f"{self.size} touched states overflow the int32 indices of a fold")
         index = np.arange(self.size).reshape(dims)
         places = {}  # (loc, offset) of each set of gate registers
-        tables = {}  # the kept-entry table of each distinct gate
-        self.gates = {}  # each distinct gate, equal ones in any body once
+        tables = {}  # the kept-entry table of each gate object, by id
+        self.gates = {}  # each gate object, by id
         self.bodies = []
         for key, body in op.branches:
             steps = []
@@ -307,11 +309,10 @@ class _ChainFold:
                     loc[flat] = np.arange(flat.shape[0])[:, None]
                     places[gate.names] = loc, flat[:, 0]
                 loc, offset = places[gate.names]
-                same = (gate.names, gate.matrix.dtype.str, gate.matrix.tobytes())
-                if same not in tables:
-                    self.gates[same] = gate
-                    tables[same] = _kept(gate, offset)
-                steps.append((loc, tables[same]))
+                if id(gate) not in tables:
+                    self.gates[id(gate)] = gate
+                    tables[id(gate)] = _kept(gate, offset)
+                steps.append((loc, tables[id(gate)]))
             self.bodies.append((dict(zip(op.controls, key)), tuple(steps)))
 
     def fold(self, steps: tuple, cols: np.ndarray):
@@ -346,18 +347,6 @@ class _ChainFold:
         return row, col, data if data.imag.any() else data.real
 
 
-def _fold_branches(op: Branched, layout: Layout) -> list[tuple[dict, tuple[str, ...], Csr]]:
-    """Multiply each body's gates into one matrix per branch key on the
-    touched registers (in layout order), over every column (``_ChainFold``):
-    the pieces of one factor, as ``_factors`` gives them."""
-    chains = _ChainFold(op, layout)
-    every = np.arange(chains.size)
-    return [
-        (ctl, chains.touched, _csr(*chains.fold(steps, every), chains.size))
-        for ctl, steps in chains.bodies
-    ]
-
-
 class _Columns:
     """One branch key of a ``_ChainFold``, folded only on the columns asked
     for, each once (``spans``)."""
@@ -375,10 +364,10 @@ class _Columns:
 
     @classmethod
     def pieces(cls, op: Branched, layout: Layout) -> list:
-        """The pieces of one factor, as ``_fold_branches`` gives them, each
-        matrix a ``_Columns`` that folds nothing yet.  Raises ValueError
-        when a gate is not unitary to ``_unit_tolerance`` of its dimension:
-        a reach that folds columns alone needs a unitary product."""
+        """The pieces of one factor, as ``_factors`` gives them, each matrix
+        a ``_Columns`` that folds nothing yet.  Raises ValueError when a gate
+        is not unitary to ``_unit_tolerance`` of its dimension: a reach that
+        folds columns alone needs a unitary product."""
         chains = _ChainFold(op, layout)
         for gate in chains.gates.values():
             dim = gate.matrix.shape[0]
@@ -412,26 +401,26 @@ class _Columns:
         return _csr(row[order], col[order], val[order], self.chains.size)
 
 
-def _factors(op: Op, layout: Layout, fold=_fold_branches) -> list[list[tuple]]:
+def _factors(op: Op, layout: Layout) -> list[list[tuple]]:
     """An op tree as a product of factors, ``[0]`` acting first.  A factor
     is a list of pieces (controls, names, matrix): ``matrix`` acts on the
     registers ``names``, in its row-major order, where the control registers
     hold the values ``controls``.  The pieces of one factor have disjoint
     control slices, and the factor is the identity off them.
 
-    A Branched whose bodies are all chains of at least two gates is folded
-    into one factor by ``fold`` (``_fold_branches``, or ``_Columns.pieces``
-    to fold on demand).  Otherwise the i-th ops of a Branched's bodies act
-    on disjoint slices, so they make up one factor."""
+    A Branched whose bodies are all chains of at least two gates is one
+    factor whose matrices are folded on demand (``_Columns.pieces``).
+    Otherwise the i-th ops of a Branched's bodies act on disjoint slices, so
+    they make up one factor."""
     if isinstance(op, Composite):
-        return [f for o in op.ops for f in _factors(o, layout, fold)]
+        return [f for o in op.ops for f in _factors(o, layout)]
     if isinstance(op, Branched):
         if all(_is_gate_chain(body) for _, body in op.branches):
-            return [fold(op, layout)]
+            return [_Columns.pieces(op, layout)]
         per_key = []
         for key, body in op.branches:
             outer = dict(zip(op.controls, key))
-            factors = _factors(body, layout, fold)
+            factors = _factors(body, layout)
             per_key.append([[({**ctl, **outer}, nm, mat) for ctl, nm, mat in f] for f in factors])
         depth = max(map(len, per_key), default=0)
         return [[p for fs in per_key if i < len(fs) for p in fs[i]] for i in range(depth)]
@@ -504,18 +493,16 @@ class BlockFactor:
         )
         object.__setattr__(self, "views", views)
 
-    def apply(self, x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, x: np.ndarray, work: np.ndarray) -> np.ndarray:
         """``self @ x`` in place for a C-contiguous complex (size, c) x; real
         blocks act on its float view, which halves the arithmetic.  ``work``
-        is a complex buffer of at least 2 x.size elements, allocated when
-        absent, so that a caller that passes one allocates nothing per step:
+        is a complex buffer of at least 2 x.size elements, so that a caller
+        that passes one for every step allocates nothing per step:
         a group on a view multiplies the (pre, k, post) view of x into it and
         copies the product back; any other group gathers its rows into its
         first half, multiplies them into its second and scatters them."""
         if not x.size:
             return x
-        if work is None:
-            work = np.empty(2 * x.size, complex)
         # each row one element, so a gather or scatter moves whole rows
         row = np.dtype((np.void, x.strides[0]))
         rows = x.view(row).reshape(-1)
@@ -605,7 +592,7 @@ class Support:
                 (ctl, names, mat, None if isinstance(mat, _Columns) else _components(mat))
                 for ctl, names, mat in f
             ]
-            for f in _factors(op, layout, _Columns.pieces)
+            for f in _factors(op, layout)
         ]
         touched = {
             layout.axis(nm) for f in factors for ctl, names, *_ in f for nm in (*ctl, *names)
@@ -695,21 +682,19 @@ class Support:
         """The value of every register in the flat indices ``s``."""
         return {nm: self._digit(s, nm) for nm in self.names}
 
-    def _select(self, ctl: dict, s: np.ndarray, digits=None) -> np.ndarray:
+    def _select(self, ctl: dict, s: np.ndarray, digits: dict) -> np.ndarray:
         """Positions in ``s`` whose control registers hold the values ``ctl``;
-        ``digits`` is ``_digits(s)``, computed when absent."""
-        digits = self._digits(s) if digits is None else digits
+        ``digits`` maps each of them to its values in ``s``."""
         keep = np.ones(s.size, bool)
         for name, value in ctl.items():
             keep &= digits[name] == value
         return np.flatnonzero(keep)
 
-    def _local(self, s: np.ndarray, names: tuple[str, ...], digits=None):
+    def _local(self, s: np.ndarray, names: tuple[str, ...], digits: dict):
         """The flat indices ``s`` split on the registers ``names``: each
         one's local index (row-major in ``names``) and its flat index with
         those registers at 0, and the flat offset of every local index;
         ``digits`` maps each of ``names`` to its values in ``s``."""
-        digits = self._digits(s) if digits is None else digits
         local_dims = [self.dims[self._axis[nm]] for nm in names]
         local = np.ravel_multi_index([digits[nm] for nm in names], local_dims)
         if names not in self._offsets:
@@ -719,17 +704,15 @@ class Support:
         offset = self._offsets[names]
         return local, s - offset[local], offset
 
-    def _restrict(self, factor, digits=None, splits=None) -> BlockFactor:
+    def _restrict(self, factor, digits: dict, splits: dict) -> BlockFactor:
         """The factor's S x S block: one dense block per component of a
         piece in each of its fibres in S, grouped by size.  ``factor`` holds
         pieces (controls, names, matrix, ``_components(matrix)``, certify);
         the S rows of a piece to certify must have unit norm in its blocks,
         and ``row_norm_residual`` keeps the worst.  ``digits`` is
-        ``_digits(index)``, computed when absent; ``splits`` keeps
-        ``_local(index, names)`` of each register set, filled as needed, so
-        that factors on the same registers split S once."""
-        digits = self._digits(self.index) if digits is None else digits
-        splits = {} if splits is None else splits
+        ``_digits(index)``; ``splits`` keeps ``_local(index, names)`` of each
+        register set, filled as needed, so that factors on the same
+        registers split S once."""
         by_size: dict[int, list] = {}
         for ctl, names, mat, (label, members, start, size), certify in factor:
             at = self._select(ctl, self.index, digits)

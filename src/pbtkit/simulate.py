@@ -229,14 +229,14 @@ def build_pipeline(
     n: int,
     d: int,
     variant: str = "compressed",
-    with_bob: bool = True,
     with_ref: bool = True,
     tw: TwistedSchur | None = None,
 ) -> Pipeline:
     """Assemble encodings, the dilation, the amplification plan and the
-    protocol layout, at tight register sizes.  Raises DenseTooLarge, before
-    any array over the protocol layout is built, when one would exceed the
-    dense guard."""
+    protocol layout (the dilation's registers, the receiver ports B1..B(n-1)
+    and, ``with_ref``, the reference R), at tight register sizes.  Raises
+    DenseTooLarge, before any array over the protocol layout is built, when
+    one would exceed the dense guard."""
     tw = tw or build_twisted(n, d)
     if variant == "compressed":
         encs = compressed_encodings(n, d, tw)
@@ -245,9 +245,7 @@ def build_pipeline(
     else:
         raise ValueError(f"unknown variant {variant!r}")
     nai = naimark_Uc(n, d, encs)
-    regs = list(nai.layout.registers)
-    if with_bob:
-        regs += [Register(f"B{j}", d) for j in range(1, n)]
+    regs = list(nai.layout.registers) + [Register(f"B{j}", d) for j in range(1, n)]
     if with_ref:
         regs.append(Register("R", d))
     layout = Layout(regs)

@@ -46,7 +46,7 @@ from .symrep import (
 )
 
 GRAM_TOL = 1e-8
-PSEUDO_TOL = 1e-8
+PSEUDO_TOL = 1e-9
 FACTORED_TOL = 1e-10
 ORTHO_TOL = 1e-9
 
@@ -204,10 +204,12 @@ class IrrepBlock:
         return self.f.shape[1]
 
 
-def _check_orthonormal(f: np.ndarray) -> None:
-    err = np.abs(f.T @ f - np.eye(f.shape[1])).max()
+def _check_orthonormal(f: np.ndarray) -> float:
+    """max |f^T f - I|, raising beyond ORTHO_TOL."""
+    err = float(np.abs(f.T @ f - np.eye(f.shape[1])).max())
     if err > ORTHO_TOL:
         raise ArithmeticError(f"f basis not orthonormal, residual {err:.2e}")
+    return err
 
 
 def f_basis(n: int, d: int, alpha: Partition, r: int = 1, gauge_seed: int = 0) -> IrrepBlock:

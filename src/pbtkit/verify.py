@@ -7,7 +7,17 @@ import numpy as np
 
 from .partitions import dim_weyl, enumerate_partitions
 from .symrep import compose, yor
-from .twisted import build_twisted, f_basis, gram_residual, mf_pi, pseudo_residual, pseudo_scale
+from .twisted import (
+    GRAM_TOL,
+    ORTHO_TOL,
+    PSEUDO_TOL,
+    build_twisted,
+    f_basis,
+    gram_residual,
+    mf_pi,
+    pseudo_residual,
+    pseudo_scale,
+)
 
 
 def _suite_gram(ns, ds, seed):
@@ -18,7 +28,7 @@ def _suite_gram(ns, ds, seed):
             for alpha in enumerate_partitions(n - 2, d):
                 worst = max(worst, gram_residual(n, d, alpha))
                 count += 1
-    return worst <= 1e-8, worst, f"{count} blocks"
+    return worst <= GRAM_TOL, worst, f"{count} blocks"
 
 
 def _suite_yor(ns, ds, seed):
@@ -53,7 +63,7 @@ def _suite_schur(ns, ds, seed):
 def _suite_fbasis(ns, ds, seed):
     from .schur import permutation_dense
     from .symrep import embed_perm
-    from .twisted import FACTORED_TOL, factored_residual, mf_generator
+    from .twisted import FACTORED_TOL, _check_orthonormal, factored_residual, mf_generator
 
     rng = np.random.default_rng(seed)
     worst = factored = 0.0
@@ -61,7 +71,7 @@ def _suite_fbasis(ns, ds, seed):
         for d in ds:
             for alpha in enumerate_partitions(n - 2, d):
                 blk = f_basis(n, d, alpha)
-                worst = max(worst, float(np.abs(blk.f.T @ blk.f - np.eye(blk.dim)).max()))
+                worst = max(worst, _check_orthonormal(blk.f))
                 for r in range(1, dim_weyl(alpha, d) + 1):
                     factored = max(factored, factored_residual(n, d, alpha, r))
                 for _ in range(3):
@@ -69,7 +79,7 @@ def _suite_fbasis(ns, ds, seed):
                     v = permutation_dense(n, d, embed_perm(sig, n))
                     rep = mf_generator(n, d, alpha, sig + (n - 1,), False)
                     worst = max(worst, float(np.abs(v @ blk.f - blk.f @ rep).max()))
-    ok = worst <= 1e-9 and factored <= FACTORED_TOL
+    ok = worst <= ORTHO_TOL and factored <= FACTORED_TOL
     detail = f"orthonormality + covariance, factored residual {factored:.2e} (every copy)"
     return ok, max(worst, factored), detail
 
@@ -82,18 +92,18 @@ def _suite_pseudo(ns, ds, seed):
                 scale = pseudo_scale(n, d, alpha)
                 for i in range(1, n):
                     worst = max(worst, pseudo_residual(mf_pi(n, d, alpha, i, check=False), scale))
-    return worst <= 1e-9, worst, "pseudoprojector identity"
+    return worst <= PSEUDO_TOL, worst, "pseudoprojector identity"
 
 
 def _suite_kraus(ns, ds, seed):
-    from .pbt import kraus_operators, pgm_dense, pgm_function, principal_sqrt
+    from .pbt import pgm_dense, pgm_function, pgm_functions, principal_sqrt
 
     worst = 0.0
     for n in ns:
         for d in ds:
             tw = build_twisted(n, d)
             povm = pgm_dense(n, d)
-            pairs = zip(povm.operators, kraus_operators(n, d, tw))
+            pairs = zip(povm.operators, pgm_functions(n, d, tw, np.sqrt))
             for i, (op, k) in enumerate(pairs, start=1):
                 kraus = k - principal_sqrt(op)
                 pi = pgm_function(n, d, tw, i, lambda x: x) - op

@@ -127,15 +127,19 @@ def test_phase_gadget_identity():
 def test_amplified_unitarity_compressed():
     from pbtkit.simulate import build_pipeline
 
-    # the product is defined on S, which spans the whole bare layout here:
-    # its S columns are orthonormal and stay in S
-    pipe = build_pipeline(3, 2, "compressed", with_bob=False, with_ref=False)
+    # the product is defined on S, which spans every register but the
+    # receiver ports here, and they ride along: its S columns are
+    # orthonormal and stay in S
+    pipe = build_pipeline(3, 2, "compressed", with_ref=False)
     layout, support = pipe.layout, pipe.v_amp.support
-    assert support.names == layout.names
-    basis = np.eye(layout.size)[:, support.index].reshape(layout.dims + (support.index.size,))
+    assert support.names + ("B1", "B2") == layout.names
+    inside = np.zeros(np.prod(support.dims), bool)
+    inside[support.index] = True
+    cols = np.flatnonzero(np.repeat(inside, layout.size // inside.size))
+    basis = np.eye(layout.size)[:, cols].reshape(layout.dims + (cols.size,))
     mat = pipe.v_amp.apply(basis, layout).reshape(layout.size, -1)
-    assert np.abs(mat.conj().T @ mat - np.eye(support.index.size)).max() < 1e-8
-    assert not np.delete(mat, support.index, axis=0).any()
+    assert np.abs(mat.conj().T @ mat - np.eye(cols.size)).max() < 1e-8
+    assert not np.delete(mat, cols, axis=0).any()
 
 
 def test_end_to_end_compressed():
@@ -201,7 +205,7 @@ def test_end_to_end_residuals_match_system_column_batch(n, d):
 
     tw = build_twisted(n, d)
     kraus = [kraus_from_twisted(n, d, tw, i) for i in range(1, n)]
-    pipe = build_pipeline(n, d, "compressed", with_bob=False, with_ref=False, tw=tw)
+    pipe = build_pipeline(n, d, "compressed", with_ref=False, tw=tw)
     layout = pipe.layout
     keep = np.flatnonzero(pipe.system_mask)
     sys_names = ("r2", "al", "ka", "qm", "qn")
@@ -237,13 +241,14 @@ def test_reduced_trace_distance_matches_dense_reduced_states(variant):
     from pbtkit.amplify import _reduced_trace_distance
     from pbtkit.simulate import build_pipeline
 
-    pipe = build_pipeline(3, 2, variant, with_bob=False, with_ref=False)
+    pipe = build_pipeline(3, 2, variant, with_ref=False)
     layout = pipe.layout
     w, v = (
         RNG.standard_normal(layout.dims) + 1j * RNG.standard_normal(layout.dims)
         for _ in range(2)
     )
-    kept = {"I", "r2", "al", "ka", "qm", "qn"}
+    # the receiver ports are kept, as the protocol keeps them
+    kept = {"I", "r2", "al", "ka", "qm", "qn", "B1", "B2"}
     axes = [layout.axis(nm) for nm in layout.names if nm not in kept]
     rest = [layout.axis(nm) for nm in layout.names if nm in kept]
 

@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sparse
 
 import pbtkit
+import pbtkit.registers as registers
 from pbtkit.amplify import amplified_V, plan
 from pbtkit.registers import (
     BlockFactor,
@@ -25,9 +26,10 @@ from pbtkit.registers import (
     RestrictedProduct,
     Support,
     _ChainFold,
+    _Columns,
     _components,
+    _csr,
     _factors,
-    _fold_branches,
     _is_gate_chain,
     _unit_tolerance,
     to_matrix,
@@ -51,7 +53,7 @@ def random_batch(layout, columns):
 
 @cache
 def bare_pipeline(variant, n, d):
-    return build_pipeline(n, d, variant, with_bob=False, with_ref=False)
+    return build_pipeline(n, d, variant, with_ref=False)
 
 
 @pytest.fixture(scope="module", params=[("honest", 3, 2), ("compressed", 4, 3)])
@@ -89,7 +91,8 @@ def test_compiled_amplified_product_matches_tree(pipe):
     batch = on_support(pipe, random_batch(layout, 2), inside=True)
     tree = tree_product(pipe.naimark.v_op, pipe.plan)
     diff = tree.apply(batch, layout) - pipe.v_amp.apply(batch, layout)
-    assert np.abs(diff).max() <= 1000 * EPS * layout.size
+    # scaled by the registers S spans, not by the receiver ports riding along
+    assert np.abs(diff).max() <= 1000 * EPS * prod(pipe.v_amp.support.dims)
 
 
 def test_amplified_product_shares_v_and_diagonals(pipe):
@@ -149,9 +152,10 @@ def test_support_holds_start_and_is_closed(pipe):
     start = pipe.plan.start_projector.reshape(layout.dims)
     assert not (layout.block(start, support.names)[0].any(axis=1) & ~inside).any()
     # no nonzero entry of a factor or of its adjoint leaves S
-    for factor in _factors(pipe.naimark.v_op, layout):
+    digits = support._digits(support.index)
+    for factor in full_factors(pipe.naimark.v_op, layout):
         for ctl, names, mat in factor:
-            rows = support.index[support._select(ctl, support.index)]
+            rows = support.index[support._select(ctl, support.index, digits)]
             size = mat.indptr.size - 1
             csr = sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=(size, size))
             for m in (csr, csr.T.tocsr()):
@@ -161,7 +165,7 @@ def test_support_holds_start_and_is_closed(pipe):
 def entry_columns(support, mat, rows, names):
     """The flat index of every nonzero entry of the piece ``mat`` on
     ``names`` in the flat ``rows``: row s holds entries at these indices."""
-    local, base, offset = support._local(rows, names)
+    local, base, offset = support._local(rows, names, support._digits(rows))
     counts = np.diff(mat.indptr)[local]
     first = mat.indptr[local] - np.cumsum(counts) + counts
     pos = np.arange(counts.sum()) + np.repeat(first, counts)
@@ -199,7 +203,7 @@ def test_restricted_product_takes_an_empty_batch(pipe):
 
 
 def test_single_gate_bodies_left_untouched():
-    pipe = build_pipeline(4, 3, "compressed", with_bob=False, with_ref=False)
+    pipe = build_pipeline(4, 3, "compressed", with_ref=False)
     tree = pipe.naimark.uc_op
     (factor,) = _factors(tree, pipe.layout)
     assert len(factor) == len(tree.branches)
@@ -327,7 +331,9 @@ def chain_case(case):
         layout, tree, plan_ = block_tree()
         return layout, tree, amplified_V(tree, plan_, layout).support
     pipe = bare_pipeline("compressed", 4, 3)
-    return pipe.layout, pipe.naimark.v_op, pipe.v_amp.support
+    # the registers S spans; the receiver ports would only ride along
+    support = pipe.v_amp.support
+    return Layout(pipe.layout.registers[: len(support.names)]), pipe.naimark.v_op, support
 
 
 @pytest.mark.parametrize("case", ["mixed", "block", "compressed43"])
@@ -415,8 +421,34 @@ def test_commands_leave_executor_and_logging_out(argv, tmp_path):
     assert out.stdout.splitlines()[-1] == "0 False False"
 
 
+def fold_every_column(op, layout):
+    """Each body's product folded on every column (``_ChainFold.fold``),
+    as a ``Csr`` per branch key: (controls, touched registers, matrix)."""
+    chains = _ChainFold(op, layout)
+    every = np.arange(chains.size)
+    return [
+        (ctl, chains.touched, _csr(*chains.fold(steps, every), chains.size))
+        for ctl, steps in chains.bodies
+    ]
+
+
+def full_factors(op, layout):
+    """``_factors`` with every column of each folded gate chain folded
+    (``_Columns.spans`` on every column, then ``matrix``)."""
+    factors = []
+    for factor in _factors(op, layout):
+        pieces = []
+        for ctl, names, mat in factor:
+            if isinstance(mat, _Columns):
+                mat.spans(np.arange(mat.chains.size))
+                mat = mat.matrix()
+            pieces.append((ctl, names, mat))
+        factors.append(pieces)
+    return factors
+
+
 def scipy_fold(op, layout):
-    """Reference for ``_fold_branches``: each body's gates embedded as
+    """Reference for ``fold_every_column``: each body's gates embedded as
     scipy.sparse matrices on the touched registers and multiplied, with the
     same rounding-level drop per gate."""
     names = {nm for _, body in op.branches for gate in body.ops for nm in gate.names}
@@ -475,7 +507,7 @@ def test_fold_matches_scipy_product(case):
     branched = list(folded_branches(tree))
     assert branched
     for op in branched:
-        got, want = _fold_branches(op, layout), scipy_fold(op, layout)
+        got, want = fold_every_column(op, layout), scipy_fold(op, layout)
         assert len(got) == len(want)
         for (ctl, names, mat), (ref_ctl, ref_names, ref) in zip(got, want):
             assert (ctl, names) == (ref_ctl, ref_names)
@@ -493,13 +525,30 @@ def test_fold_matches_scipy_product(case):
             assert np.abs(diff).max(initial=0) <= 8 * EPS * np.abs(ref.data).max()
 
 
+def test_chain_fold_builds_one_table_per_gate_object(monkeypatch):
+    # gates are told apart by identity; the encodings build equal gates as
+    # one object, so each port's fold builds 16 tables for its 16 gates
+    pipe = bare_pipeline("honest", 3, 2)
+    built = []
+    kept = registers._kept
+    monkeypatch.setattr(registers, "_kept", lambda gate, offset: built.append(gate) or kept(gate, offset))
+    branched = list(folded_branches(pipe.naimark.v_op))
+    assert len(branched) == 2
+    for op in branched:
+        built.clear()
+        _ChainFold(op, pipe.layout)
+        objects = {id(gate) for _, body in op.branches for gate in body.ops}
+        assert len(built) == len({id(gate) for gate in built}) == len(objects) == 16
+        assert {id(gate) for gate in built} == objects
+
+
 def fold_chain(*gates, dim):
-    """The one piece ``_fold_branches`` makes of a one-key Branched whose
+    """The one piece ``fold_every_column`` makes of a one-key Branched whose
     body is ``gates`` on a register of ``dim`` states, as a dense matrix and
     its stored entries."""
     layout = Layout([Register("c", 2), Register("t", dim)])
     op = Branched(("c",), (((1,), Composite(tuple(Gate(("t",), g) for g in gates))),))
-    ((ctl, names, mat),) = _fold_branches(op, layout)
+    ((ctl, names, mat),) = fold_every_column(op, layout)
     assert (ctl, names) == ({"c": 1}, ("t",))
     rows, cols = mat.rows(), mat.indices
     dense = np.zeros((dim, dim), mat.data.dtype)
@@ -533,11 +582,14 @@ def test_fold_ends_paths_at_an_empty_column():
 
 
 def full_fold_chain(support, layout, tree):
-    """Oracle: the chain restricted to S from the full ``_factors`` fold,
-    every column of every gate chain folded."""
+    """Oracle: the chain restricted to S from the full fold, every column
+    of every gate chain folded (``full_factors``)."""
+    digits, splits = support._digits(support.index), {}
     return tuple(
-        support._restrict([(ctl, names, mat, _components(mat), False) for ctl, names, mat in f])
-        for f in _factors(tree, layout)
+        support._restrict(
+            [(ctl, names, mat, _components(mat), False) for ctl, names, mat in f], digits, splits
+        )
+        for f in full_factors(tree, layout)
     )
 
 
@@ -625,8 +677,9 @@ def test_view_and_gather_paths_match_the_dense_factor(case):
         x = RNG.standard_normal((factor.size, 3)) + 1j * RNG.standard_normal((factor.size, 3))
         want = scattered(factor) @ x
         tol = 1000 * EPS * factor.size
-        assert np.abs(factor.apply(x.copy()) - want).max() <= tol
-        assert np.abs(gathered(factor).apply(x.copy()) - want).max() <= tol
+        work = np.empty(2 * x.size, complex)
+        assert np.abs(factor.apply(x.copy(), work) - want).max() <= tol
+        assert np.abs(gathered(factor).apply(x.copy(), work) - want).max() <= tol
         viewed += sum(view is not None for view in factor.views)
     assert viewed > 0
 

@@ -247,6 +247,20 @@ def test_mf_pi_pseudoprojector_and_completeness(n, d):
         assert np.abs(total - np.eye(total.shape[0])).max() < 1e-9
 
 
+def test_library_and_suite_share_the_pseudo_tolerance(monkeypatch):
+    # a residual between 1e-9 and 1e-8 fails the pseudo suite, and so it
+    # fails the library's own check of every port block
+    from pbtkit import verify
+
+    residual = 5e-9
+    monkeypatch.setattr(twisted, "pseudo_residual", lambda m, scale: residual)
+    monkeypatch.setattr(verify, "pseudo_residual", lambda m, scale: residual)
+    with pytest.raises(ArithmeticError, match="pseudoprojector identity violated"):
+        mf_pi(3, 2, ONE, 1)
+    passed, worst, _ = verify.SUITES["pseudo"](range(3, 5), (2,), 0)
+    assert not passed and worst == residual
+
+
 def test_mf_sqrt_pi_against_dense():
     from pbtkit.pbt import pgm_tilde_dense, principal_sqrt
 
