@@ -49,7 +49,9 @@ class AmplificationPlan:
     phases: tuple[float, ...]
     inflated_scale: float
     ports: int
-    start_projector: np.ndarray | None = None  # diagonal mask over the layout
+    # diagonal masks, flat over the registers the dilation runs on: every
+    # value of the registers after them counts alike
+    start_projector: np.ndarray | None = None
     end_projector: np.ndarray | None = None
 
     @property
@@ -102,15 +104,17 @@ def amplified_V(v: Op, plan_: AmplificationPlan, layout: Layout) -> RestrictedPr
     are unitary on it, so v^dagger keeps S too, and raises ValueError if
     they are not.  The product runs on S alone: the v chain is ``Support``'s
     S x S dense component blocks, the v^dagger chain their conjugate
-    transposes in reverse, and each diagonal its S rows, all shared across
-    phases.  Its ``run`` takes the S rows of a state and allocates one
-    workspace for every phase; its ``apply`` takes layout-shaped states
-    supported on S and raises ValueError on any other.
+    transposes in reverse, and each diagonal its S rows (one column when
+    the projectors are over the registers v runs on alone, as the
+    pipeline's are), all shared across phases.  Its ``run`` takes the S
+    rows of a state and allocates one workspace for every phase; its
+    ``apply`` takes layout-shaped states supported on S and raises
+    ValueError on any other.
     """
     if plan_.start_projector is None or plan_.end_projector is None:
         raise ValueError("plan carries no projectors")
-    start = np.asarray(plan_.start_projector, bool).reshape(layout.dims)
-    end = np.asarray(plan_.end_projector, bool).reshape(layout.dims)
+    start = np.asarray(plan_.start_projector, bool)
+    end = np.asarray(plan_.end_projector, bool)
     m = plan_.m
     support = Support(v, layout, start)
     v_chain = support.chain

@@ -55,6 +55,7 @@ from .twisted import (
 )
 
 ROW_TOL = 1e-10
+GATE_TOL = 1e-10  # a coefficient gate off orthogonal
 SIGN_TOL = 1e-9
 # the system registers, contiguous and in this order in every layout built here
 SYSTEM = ("r2", "al", "ka", "qm", "qn")
@@ -413,7 +414,7 @@ def build_PL_PR(
                 p_two[a * spaces.n_al + e_a, b * spaces.n_al + e_a] = 1.0
     collisions = _marker_collisions(spaces)
     for mat in (p_left, p_right, p_two):
-        if np.abs(mat @ mat.T - np.eye(dim)).max() > 1e-10:
+        if np.abs(mat @ mat.T - np.eye(dim)).max() > GATE_TOL:
             raise ArithmeticError("coefficient matrix is not orthogonal")
     return CoefficientMatrices(p_left, p_right, p_two, c_rem, collisions)
 

@@ -526,25 +526,37 @@ class BlockFactor:
         return x
 
     def adjoint(self) -> "BlockFactor":
-        """Each block's conjugate transpose, on the same indices."""
+        """Each block's conjugate transpose, on the same indices, copied:
+        BLAS multiplies by a large transposed view markedly slower."""
         flip = tuple((i, np.ascontiguousarray(b.conj().swapaxes(-1, -2))) for i, b in self.groups)
         return BlockFactor(self.size, flip)
 
 
 def _group(parts: list) -> tuple[np.ndarray, np.ndarray]:
     """One group of blocks of one size from ``parts`` of (idx (nb, k),
-    distinct blocks (nc, k, k), the block of each k-set (nb,)).  Blocks
-    whose imaginary part is 0 are made real, and blocks that are all equal
-    are kept once."""
-    idx = np.concatenate([p[0] for p in parts])
-    stack = np.concatenate([p[1] for p in parts])
-    first = np.cumsum([0] + [len(p[1]) for p in parts[:-1]])
-    which = np.concatenate([p[2] + at for p, at in zip(parts, first)])
-    if not stack.imag.any():
-        stack = stack.real
-    if (stack == stack[0]).all():
-        return np.ascontiguousarray(idx.T), stack[0]
-    return idx, stack[which]
+    distinct blocks (nc, k, k), the block of each k-set (nb,)), each part's
+    blocks real when their imaginary part is 0.  The group is real when
+    every part is, and blocks that are all equal are kept once.  Otherwise
+    each k-set's block is written in place, and ``parts`` is emptied as it
+    goes: each part is dropped once it is written, so the group and its
+    parts are never held whole at once."""
+    dtype = np.result_type(*(p[1] for p in parts))
+    first = parts[0][1][0]
+    if all((p[1] == first).all() for p in parts):
+        idx = np.concatenate([p[0] for p in parts])
+        return np.ascontiguousarray(idx.T), first.copy()
+    del first  # a view, which would hold the first part
+    nb, k = sum(len(p[0]) for p in parts), parts[0][0].shape[1]
+    idx = np.empty((nb, k), parts[0][0].dtype)
+    out = np.empty((nb, k, k), dtype)
+    at = 0
+    parts.reverse()
+    while parts:
+        part_idx, blocks, which = parts.pop()
+        idx[at : at + which.size] = part_idx
+        out[at : at + which.size] = blocks[which]
+        at += which.size
+    return idx, out
 
 
 class Support:
@@ -554,8 +566,9 @@ class Support:
     restricted to it.
 
     ``names`` runs from the first register of the layout to the last one
-    the op touches; the registers after them ride along as columns, and the
-    support of ``mask`` (flat or layout-shaped) counts every value of them.
+    the op touches; the registers after them ride along as columns.
+    ``mask`` is flat over ``names`` alone, or over the whole layout, flat or
+    layout-shaped, and then its support counts every value of them.
     S is the forward closure of the mask: the reach goes from a column to
     the rows of its entries.  It runs in sweeps: S's rows are kept in the
     order they are found, each factor holds a cursor into them, and in
@@ -587,9 +600,13 @@ class Support:
     """
 
     def __init__(self, op: Op, layout: Layout, mask: np.ndarray):
+        # pieces (controls, names, matrix, components, certify): a folded
+        # piece's components wait for its columns, and its rows are certified
         factors = [
             [
-                (ctl, names, mat, None if isinstance(mat, _Columns) else _components(mat))
+                (ctl, names, mat, None, True)
+                if isinstance(mat, _Columns)
+                else (ctl, names, mat, _components(mat), False)
                 for ctl, names, mat in f
             ]
             for f in _factors(op, layout)
@@ -627,23 +644,12 @@ class Support:
                 inside[new] = True
                 found = np.concatenate([found, new])
         self.index = np.flatnonzero(inside)
+        del inside, found
         self.folded_columns = self.folded_entries = 0
         self.row_norm_residual = 0.0
         digits = self._digits(self.index)
         splits: dict = {}  # ``_local`` over S of each register set
-        chain = []
-        for f in factors:
-            pieces = []
-            for ctl, names, mat, comps in f:
-                folded = comps is None
-                if folded:
-                    self.folded_columns += int(mat.folded.sum())
-                    mat = mat.matrix()
-                    self.folded_entries += mat.data.size
-                    comps = _components(mat)
-                pieces.append((ctl, names, mat, comps, folded))
-            chain.append(self._restrict(pieces, digits, splits))
-        self.chain = tuple(chain)
+        self.chain = tuple(self._restrict(f, digits, splits) for f in factors)
 
     def _reach(self, factor: list, frontier: np.ndarray) -> np.ndarray:
         """The flat indices the pieces of ``factor`` lead to from the flat
@@ -655,7 +661,7 @@ class Support:
         digits = {nm: self._digit(frontier, nm) for nm in needed}
         splits: dict = {}
         reached = [np.zeros(0, np.intp)]
-        for ctl, names, mat, comps in factor:
+        for ctl, names, mat, comps, _ in factor:
             at = self._select(ctl, frontier, digits)
             if not at.size:
                 continue
@@ -704,61 +710,83 @@ class Support:
         offset = self._offsets[names]
         return local, s - offset[local], offset
 
-    def _restrict(self, factor, digits: dict, splits: dict) -> BlockFactor:
+    def _restrict(self, factor: list, digits: dict, splits: dict) -> BlockFactor:
         """The factor's S x S block: one dense block per component of a
-        piece in each of its fibres in S, grouped by size.  ``factor`` holds
-        pieces (controls, names, matrix, ``_components(matrix)``, certify);
-        the S rows of a piece to certify must have unit norm in its blocks,
-        and ``row_norm_residual`` keeps the worst.  ``digits`` is
-        ``_digits(index)``; ``splits`` keeps ``_local(index, names)`` of each
-        register set, filled as needed, so that factors on the same
-        registers split S once."""
+        piece in each of its fibres in S, grouped by size (``_group``).
+        ``factor`` is a list of pieces (controls, names, matrix, components,
+        certify), emptied one piece at a time: each is popped, its blocks
+        are formed (``_blocks``), and the rest of it is dropped before the
+        next.  ``digits`` is ``_digits(index)``; ``splits`` keeps
+        ``_local(index, names)`` of each register set, filled as needed, so
+        that pieces on the same registers split S once."""
         by_size: dict[int, list] = {}
-        for ctl, names, mat, (label, members, start, size), certify in factor:
-            at = self._select(ctl, self.index, digits)
-            if names not in splits:
-                splits[names] = self._local(self.index, names, digits)
-            local, base, offset = splits[names]
-            local, base = local[at], base[at]
-            # one k-set per component in each fibre, at its smallest index
-            anchor = local == label[local]
-            roots, base = local[anchor], base[anchor]
-            if size[roots].sum() != local.size:
-                raise ValueError("S holds part of a component of a factor")
-            rank = np.empty_like(members)  # each index's place in its component
-            rank[members] = np.arange(members.size) - start[label[members]]
-            rows = mat.rows()
-            owner = label[rows]
-            slot = np.full(label.size, -1)  # a component's place among the met k-components
-            for k in np.flatnonzero(np.bincount(size[roots])):
-                here = size[roots] == k
-                comps = np.flatnonzero(np.bincount(roots[here], minlength=label.size))
-                slot[comps] = np.arange(comps.size)
-                span = members[start[roots[here]][:, None] + np.arange(k)]
-                flat = base[here][:, None] + offset[span]
-                idx = np.searchsorted(self.index, flat)
-                if not np.array_equal(self.index[np.minimum(idx, self.index.size - 1)], flat):
-                    raise ValueError("S holds part of a component of a factor")
-                e = (slot[owner] >= 0) & (size[owner] == k)
-                blocks = np.zeros((comps.size, k, k), mat.data.dtype)
-                blocks[slot[owner[e]], rank[rows[e]], rank[mat.indices[e]]] = mat.data[e]
-                if certify:
-                    residual = np.abs((np.abs(blocks) ** 2).sum(axis=2) - 1).max()
-                    if residual > _unit_tolerance(k):
-                        raise ValueError(
-                            f"an S row of a folded factor has norm off 1 by {residual:.2e}"
-                        )
-                    self.row_norm_residual = max(self.row_norm_residual, float(residual))
-                by_size.setdefault(int(k), []).append((idx, blocks, slot[roots[here]]))
+        factor.reverse()
+        while factor:
+            self._blocks(factor.pop(), digits, splits, by_size)
         groups = tuple(_group(parts) for _, parts in sorted(by_size.items()))
         return BlockFactor(self.index.size, groups)
+
+    def _blocks(self, piece: tuple, digits: dict, splits: dict, by_size: dict) -> None:
+        """The blocks of one piece of ``_restrict``, each k-component part
+        added to ``by_size[k]`` as ``_group`` takes it, real when its
+        entries are.  A folded piece, whose components are None, is read
+        from its ``_Columns`` into its matrix and components here.  The S
+        rows of a piece to certify must have unit norm in its blocks, and
+        ``row_norm_residual`` keeps the worst."""
+        ctl, names, mat, comps, certify = piece
+        del piece  # the caller holds none of it: the columns go once mat is rebound
+        if comps is None:
+            self.folded_columns += int(mat.folded.sum())
+            mat = mat.matrix()
+            self.folded_entries += mat.data.size
+            comps = _components(mat)
+        label, members, start, size = comps
+        at = self._select(ctl, self.index, digits)
+        if names not in splits:
+            splits[names] = self._local(self.index, names, digits)
+        local, base, offset = splits[names]
+        local, base = local[at], base[at]
+        # one k-set per component in each fibre, at its smallest index
+        anchor = local == label[local]
+        roots, base = local[anchor], base[anchor]
+        if size[roots].sum() != local.size:
+            raise ValueError("S holds part of a component of a factor")
+        rank = np.empty_like(members)  # each index's place in its component
+        rank[members] = np.arange(members.size) - start[label[members]]
+        rows = mat.rows()
+        owner = label[rows]
+        slot = np.full(label.size, -1)  # a component's place among the met k-components
+        for k in np.flatnonzero(np.bincount(size[roots])):
+            here = size[roots] == k
+            comps = np.flatnonzero(np.bincount(roots[here], minlength=label.size))
+            slot[comps] = np.arange(comps.size)
+            span = members[start[roots[here]][:, None] + np.arange(k)]
+            flat = base[here][:, None] + offset[span]
+            idx = np.searchsorted(self.index, flat)
+            if not np.array_equal(self.index[np.minimum(idx, self.index.size - 1)], flat):
+                raise ValueError("S holds part of a component of a factor")
+            e = (slot[owner] >= 0) & (size[owner] == k)
+            vals = mat.data[e]
+            if not vals.imag.any():
+                vals = vals.real
+            blocks = np.zeros((comps.size, k, k), vals.dtype)
+            blocks[slot[owner[e]], rank[rows[e]], rank[mat.indices[e]]] = vals
+            if certify:
+                residual = np.abs((np.abs(blocks) ** 2).sum(axis=2) - 1).max()
+                if residual > _unit_tolerance(k):
+                    raise ValueError(
+                        f"an S row of a folded factor has norm off 1 by {residual:.2e}"
+                    )
+                self.row_norm_residual = max(self.row_norm_residual, float(residual))
+            by_size.setdefault(int(k), []).append((idx, blocks, slot[roots[here]]))
 
     def digits(self, name: str) -> np.ndarray:
         """The value of the register ``name`` in each S row."""
         return self._digit(self.index, name)
 
     def rows(self, arr: np.ndarray, layout: Layout) -> np.ndarray:
-        """The S rows of a layout-shaped array viewed as (``names``, rest)."""
+        """The S rows of an array over the layout viewed as (``names``,
+        rest); an array flat over ``names`` alone gives one column."""
         return layout.block(arr, self.names)[0, self.index]
 
     def scatter(self, x: np.ndarray, layout: Layout, batch: tuple[int, ...] = ()) -> np.ndarray:

@@ -43,6 +43,8 @@ from .symrep import (
 
 DENSE_GUARD_BYTES = 2**31  # largest dense complex matrix built in one piece
 _SIGN_TOL = 1e-9
+ROW_NORM_TOL = 1e-8  # a Young-basis row's norm off 1, before it is normalized
+UNITARY_TOL = 1e-10  # the assembled Schur transform off unitary
 
 
 class DenseTooLarge(ValueError):
@@ -258,7 +260,7 @@ def build_schur(m: int, d: int, gauge_seed: int = 0) -> SchurTransform:
         block = np.stack([copies[tab.growth] for tab in tabs])  # (tableau, amplitude, copy)
         norms = np.linalg.norm(block, axis=1)
         worst = np.abs(norms - 1.0).max()
-        if worst > 1e-8:
+        if worst > ROW_NORM_TOL:
             raise ArithmeticError(f"Young-basis row norm off by {worst:.2e} for {lam}")
         size = m_lam * len(tabs)
         rows[cursor : cursor + size] = (block / norms[:, None, :]).transpose(2, 0, 1).reshape(size, dim)
@@ -267,7 +269,7 @@ def build_schur(m: int, d: int, gauge_seed: int = 0) -> SchurTransform:
     if cursor != dim:
         raise ArithmeticError(f"assembled {cursor} rows, expected {dim}")
     err = np.abs(rows @ rows.T - np.eye(dim)).max()
-    if err > 1e-10:
+    if err > UNITARY_TOL:
         raise ArithmeticError(f"Schur transform not unitary, residual {err:.2e}")
     rows.flags.writeable = False
     return SchurTransform(m, d, rows, tuple(index), gauge_seed)

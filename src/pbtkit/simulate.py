@@ -11,9 +11,10 @@ applied to the physical initial state as a structured operator; its
 probabilities are conditioned on the block-encoding ancillas returning to
 zero, which is the event the amplification boosts to near certainty.
 
-The amplified engine holds no array of the protocol layout's size past its
-masks.  The state lives on the S rows of the amplified product's support
-from ``initial_rows`` to the receiver states, and each encoding's residual
+The amplified engine holds no array of the protocol layout's size.  Its
+start and end masks are over the dilation's registers, the ones S runs on;
+the state lives on the S rows of the amplified product's support from
+``initial_rows`` to the receiver states, and each encoding's residual
 is read from one pass of V's S x S chain over the start columns; the dense
 ``BlockEncoding.verify`` is the oracle it is checked against.
 """
@@ -41,6 +42,7 @@ from .schur import DENSE_GUARD_BYTES, DenseTooLarge
 from .twisted import TwistedSchur, build_twisted, maximally_entangled
 
 INPUT_TOL = 1e-9
+DILATION_TOL = 1e-10  # port 1's compressed dilation off unitary
 
 
 @dataclass(frozen=True)
@@ -160,6 +162,20 @@ def _run_dense(spec: ProtocolRun) -> ProtocolReport:
     )
 
 
+def guard_dilation(n: int, d: int) -> None:
+    """Raise DenseTooLarge, before anything is built, when the n-1 dense
+    gates of ``compressed_encodings``, each (2 system_dim)^2, held at once
+    exceed the guard; they are counted as complex, as ``schur.guard_dense``
+    counts."""
+    side = 2 * encoding_spaces(n, d).system_dim
+    need = 16 * (n - 1) * side**2
+    if need > DENSE_GUARD_BYTES:
+        raise DenseTooLarge(
+            f"{n - 1} dense {side} x {side} dilation gates held at once need "
+            f"{need / 2**30:.1f} GiB, above the {DENSE_GUARD_BYTES / 2**30:.0f} GiB guard"
+        )
+
+
 def compressed_encodings(
     n: int, d: int, tw: TwistedSchur, mode: str = "tight"
 ) -> list[BlockEncoding]:
@@ -182,7 +198,7 @@ def compressed_encodings(
         b = k / np.sqrt(d)
         if i == 1:
             err = max(np.abs(b @ b + c @ c - np.eye(d**n)).max(), np.abs(b @ c - c @ b).max())
-            if err > 1e-10:
+            if err > DILATION_TOL:
                 raise ArithmeticError(f"dilation not unitary, residual {err:.2e}")
         top = np.zeros((total, total), dtype=b.dtype)
         side = np.eye(total, dtype=b.dtype)
@@ -235,8 +251,12 @@ def build_pipeline(
     """Assemble encodings, the dilation, the amplification plan and the
     protocol layout (the dilation's registers, the receiver ports B1..B(n-1)
     and, ``with_ref``, the reference R), at tight register sizes.  Raises
-    DenseTooLarge, before any array over the protocol layout is built, when
-    one would exceed the dense guard."""
+    DenseTooLarge before the twisted transform is built when the compressed
+    variant's dilation gates would exceed the dense guard
+    (``guard_dilation``), and before the masks or the support are built when
+    the protocol layout would, at one byte per amplitude."""
+    if variant == "compressed":
+        guard_dilation(n, d)
     tw = tw or build_twisted(n, d)
     if variant == "compressed":
         encs = compressed_encodings(n, d, tw)
@@ -249,16 +269,18 @@ def build_pipeline(
     if with_ref:
         regs.append(Register("R", d))
     layout = Layout(regs)
-    # the start and end masks, one byte per amplitude, are the largest arrays
-    # over the whole layout that the pipeline or a run of it forms
+    # no array here spans the protocol layout, but the S rows of a state,
+    # (|S|, rest), grow with it; the guard counts one byte per amplitude
     if layout.size > DENSE_GUARD_BYTES:
         raise DenseTooLarge(
-            f"a mask over the {layout.size} amplitudes of the protocol layout needs "
-            f"{layout.size / 2**30:.1f} GiB, above the {DENSE_GUARD_BYTES / 2**30:.0f} GiB guard"
+            f"the protocol layout's {layout.size} amplitudes count "
+            f"{layout.size / 2**30:.1f} GiB at one byte each, above the "
+            f"{DENSE_GUARD_BYTES / 2**30:.0f} GiB guard"
         )
+    # the start and end masks over the dilation's registers, which S runs on
     spaces = encoding_spaces(n, d)
-    start = _layout_mask(layout, ("I",) + nai.ancillas, spaces.system_mask())
-    end = _layout_mask(layout, nai.ancillas)
+    start = _layout_mask(nai.layout, ("I",) + nai.ancillas, spaces.system_mask())
+    end = _layout_mask(nai.layout, nai.ancillas)
     pl = plan(
         nai.scale * np.sqrt(n - 1),
         ports=n - 1,

@@ -218,7 +218,10 @@ def test_end_to_end_residuals_match_system_column_batch(n, d):
         for i, k in enumerate(kraus):
             pos["I"] = i
             w_cols[tuple(pos.get(nm, 0) for nm in layout.names)] = k[row]
-    end = pipe.plan.end_projector.reshape(layout.dims + (1,))
+    # the end mask is over the dilation's registers: broadcast it over the
+    # receiver ports and the batch
+    rest = len(layout.dims) - len(pipe.naimark.layout.dims)
+    end = pipe.plan.end_projector.reshape(pipe.naimark.layout.dims + (1,) * (rest + 1))
 
     def spectral(a):
         return np.linalg.svd(a.reshape(layout.size, -1), compute_uv=False)[0]

@@ -62,13 +62,15 @@ def pipe(request):
 
 
 class Diagonal(Op):
-    """Diagonal over the whole layout, from its flat values."""
+    """Diagonal from its flat values over the layout's leading registers,
+    broadcast over the registers after them (the receiver ports) and the
+    batch."""
 
     def __init__(self, values):
         self.values = values
 
     def apply(self, arr, layout):
-        return arr * self.values.reshape(layout.dims + (1,) * (arr.ndim - len(layout.dims)))
+        return (arr.reshape(self.values.size, -1) * self.values[:, None]).reshape(arr.shape)
 
 
 def tree_product(v, plan_):
@@ -112,6 +114,30 @@ def test_amplified_product_shares_v_and_diagonals(pipe):
             assert np.array_equal(blocks.conj().swapaxes(-1, -2), adj_blocks)
 
 
+def test_projectors_span_the_dilation_registers(pipe):
+    # the masks are over the registers S runs on, not the receiver ports,
+    # so each diagonal is one column of S rows
+    support = pipe.v_amp.support
+    size = pipe.naimark.layout.size
+    assert size == prod(support.dims) < pipe.layout.size
+    assert pipe.plan.start_projector.shape == pipe.plan.end_projector.shape == (size,)
+    for step in pipe.v_amp.steps[1::2]:
+        assert step.shape == (support.index.size, 1)
+
+
+def test_warm_honest_pipeline_peak():
+    # the masks over the dilation's registers, one folded piece at a time
+    # and real blocks built as real keep a warm build's traced peak low
+    build_pipeline(3, 2, "honest")
+    tracemalloc.start()
+    try:
+        build_pipeline(3, 2, "honest")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20
+
+
 def test_build_pipeline_copies_no_gate(monkeypatch):
     calls = []
     adjoint = Gate.adjoint
@@ -149,7 +175,10 @@ def test_reach_leads_from_new_rows_in_the_same_sweep(point, sweeps):
 def test_support_holds_start_and_is_closed(pipe):
     layout, support = pipe.layout, pipe.v_amp.support
     inside = support_mask(pipe)
-    start = pipe.plan.start_projector.reshape(layout.dims)
+    # the start mask is over the registers S spans: broadcast it over the
+    # receiver ports
+    rest = len(layout.dims) - len(support.dims)
+    start = np.broadcast_to(pipe.plan.start_projector.reshape(support.dims + (1,) * rest), layout.dims)
     assert not (layout.block(start, support.names)[0].any(axis=1) & ~inside).any()
     # no nonzero entry of a factor or of its adjoint leaves S
     digits = support._digits(support.index)
@@ -706,6 +735,16 @@ def test_forward_support_is_the_two_sided_support_at_honest_33():
 
 @pytest.mark.scale
 def test_simulate_runs_honest_42():
-    from pbtkit.cli import main
-
-    assert main(["simulate", "--n", "4", "--d", "2", "--engine", "amplified-V", "--variant", "honest"]) == 0
+    # in a child process, so that the peak resident set read is its own
+    src = str(Path(pbtkit.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from pbtkit.cli import main; "
+        "status = main(sys.argv[2:]); "
+        "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')); "
+        "print(status, int(hwm.split()[1]))"
+    )
+    argv = ["simulate", "--n", "4", "--d", "2", "--engine", "amplified-V", "--variant", "honest"]
+    out = subprocess.run([sys.executable, "-c", code, src, *argv], capture_output=True, text=True, check=True)
+    status, hwm_kib = out.stdout.split()[-2:]
+    assert status == "0"
+    assert int(hwm_kib) <= 1.8 * 2**20

@@ -145,8 +145,14 @@ def test_amplification_projectors_pin_ancillas_outcome_and_system():
     anc_zero = (pos["danc"] == 0) & (pos["kl"] == 0)
     physical = pipe.system_mask[sys_flat]
     assert not physical.all()
-    assert np.array_equal(pipe.plan.end_projector, anc_zero)
-    assert np.array_equal(pipe.plan.start_projector, anc_zero & (pos["I"] == 0) & physical)
+
+    def over_layout(mask):
+        # a mask over the dilation's registers, broadcast over (B..., R)
+        rest = len(layout.dims) - len(pipe.naimark.layout.dims)
+        return np.broadcast_to(mask.reshape(pipe.naimark.layout.dims + (1,) * rest), layout.dims).ravel()
+
+    assert np.array_equal(over_layout(pipe.plan.end_projector), anc_zero)
+    assert np.array_equal(over_layout(pipe.plan.start_projector), anc_zero & (pos["I"] == 0) & physical)
 
 
 @pytest.mark.parametrize(

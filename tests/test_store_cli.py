@@ -499,6 +499,35 @@ def test_cli_dense_too_large_is_usage_error(tmp_path, capsys, argv, gib):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("n,d,gib", [(10, 2, "13.6 GiB"), (7, 3, "15.0 GiB")])
+def test_cli_compressed_dilation_too_large_is_usage_error(monkeypatch, capsys, n, d, gib):
+    # the n-1 dense dilation gates are counted before the twisted transform
+    from pbtkit import simulate
+
+    def refused(*args, **kwargs):
+        raise AssertionError("built past the guard")
+
+    monkeypatch.setattr(simulate, "build_twisted", refused)
+    argv = ["simulate", "--n", str(n), "--d", str(d), "--engine", "amplified-V"]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and gib in err
+    assert peak < 2**20  # nothing dense was built
+
+
+@pytest.mark.parametrize("n,d", [(9, 2), (6, 3)])
+def test_compressed_dilation_under_the_guard_passes(n, d):
+    from pbtkit.simulate import guard_dilation
+
+    guard_dilation(n, d)  # 1.53 GiB at (9,2) and 0.78 GiB at (6,3)
+
+
 @pytest.mark.parametrize("n,d", [(5, 2), (4, 3)])
 def test_cli_amplified_layout_past_the_guard_is_usage_error(monkeypatch, capsys, n, d):
     # the honest protocol layout holds 7.5e9 amplitudes at (5,2) and 5.4e10
