@@ -493,7 +493,8 @@ class BlockEncoding:
         tgt = self.target
         if tgt.shape[0] == self.system_dim():
             tgt = tgt[np.ix_(keep, keep)]
-        err = float(np.linalg.norm(tgt - block, 2))
+        # real when its entries are: a real SVD takes about half the time
+        err = float(np.linalg.norm(tgt - (block if block.imag.any() else block.real), 2))
         if self.scale < np.linalg.norm(tgt, 2) - err - 1e-9:
             raise ArithmeticError(f"declared scale of {self.name} undercuts the target norm")
         return err

@@ -2,10 +2,11 @@
 
 A Layout names an ordered list of registers; state vectors are ndarrays with
 one axis per register (trailing axes are treated as batch).  Operators are
-small dense gates bound to register names, composed into sequences and
-branch-selected maps.  Branch bodies act on rank-preserving slices, so a gate
-inside a deeply controlled composite only ever touches the small sub-array it
-acts on; nothing here ever builds the full-space matrix unless asked to.
+small dense gates, or matrices held by their nonzeros, bound to register
+names, composed into sequences and branch-selected maps.  Branch bodies act
+on rank-preserving slices, so a gate inside a deeply controlled composite
+only ever touches the small sub-array it acts on; nothing here ever builds
+the full-space matrix unless asked to.
 The op tree is the one definition of an operator.
 
 ``Support`` reads an op tree as a product of sparse factors and finds S, the
@@ -219,6 +220,44 @@ def _csr(row: np.ndarray, col: np.ndarray, data: np.ndarray, size: int) -> Csr:
     return Csr(indptr, col.astype(np.int32), data)
 
 
+@dataclass(frozen=True)
+class Sparse(Op):
+    """A matrix on the tensor product of the named registers, in the
+    row-major order of ``names``, held by its nonzeros; identity everywhere
+    else.  ``apply`` gathers the rows of the registers' flat index that its
+    entries read, multiplies and sums them into their rows, so the matrix is
+    never formed dense."""
+
+    names: tuple[str, ...]
+    matrix: Csr
+
+    @classmethod
+    def from_entries(cls, names: tuple[str, ...], size: int, row, col, val) -> "Sparse":
+        """The ``size`` x ``size`` matrix of the nonzero entries (row, col,
+        val), each (row, col) at most once, in any order."""
+        order = np.argsort(row.astype(np.int64) * size + col)
+        return cls(names, _csr(row[order], col[order], val[order], size))
+
+    def apply(self, arr: np.ndarray, layout: Layout) -> np.ndarray:
+        indptr, indices, data = self.matrix
+        axes = [layout.axis(nm) for nm in self.names]
+        moved = np.moveaxis(arr, axes, range(len(axes)))
+        x = moved.reshape(indptr.size - 1, -1)
+        out = np.zeros(x.shape, np.result_type(x, data))
+        # the k-th entry of every row that holds one, k = 0, 1, ...: each
+        # step moves whole rows of the state, and no step holds more of them
+        count = np.diff(indptr)
+        for k in range(count.max(initial=0)):
+            rows = np.flatnonzero(count > k)
+            at = indptr[rows] + k
+            out[rows] += data[at, None] * x[indices[at]]
+        return np.moveaxis(out.reshape(moved.shape), range(len(axes)), axes)
+
+    def adjoint(self) -> "Sparse":
+        mat = self.matrix
+        return Sparse.from_entries(self.names, mat.indptr.size - 1, mat.indices, mat.rows(), mat.data.conj())
+
+
 def _is_gate_chain(op: Op) -> bool:
     return (
         isinstance(op, Composite)
@@ -427,6 +466,8 @@ def _factors(op: Op, layout: Layout) -> list[list[tuple]]:
     if isinstance(op, Gate):
         rows, cols = np.nonzero(op.matrix)
         return [[({}, op.names, _csr(rows, cols, op.matrix[rows, cols], op.matrix.shape[0]))]]
+    if isinstance(op, Sparse):
+        return [[({}, op.names, op.matrix)]]
     raise TypeError(f"no sparsity pattern for {type(op).__name__}")
 
 

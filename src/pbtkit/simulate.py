@@ -37,7 +37,7 @@ from .blockenc import (
     naimark_Uc,
 )
 from .pbt import pgm_fidelity, pgm_functions, pgm_probabilities
-from .registers import Gate, Layout, Register, RestrictedProduct, Support
+from .registers import Layout, Register, RestrictedProduct, Sparse, Support
 from .schur import DENSE_GUARD_BYTES, DenseTooLarge
 from .twisted import TwistedSchur, build_twisted, maximally_entangled
 
@@ -163,15 +163,15 @@ def _run_dense(spec: ProtocolRun) -> ProtocolReport:
 
 
 def guard_dilation(n: int, d: int) -> None:
-    """Raise DenseTooLarge, before anything is built, when the n-1 dense
-    gates of ``compressed_encodings``, each (2 system_dim)^2, held at once
-    exceed the guard; they are counted as complex, as ``schur.guard_dense``
-    counts."""
-    side = 2 * encoding_spaces(n, d).system_dim
+    """Raise DenseTooLarge, before anything is built, when the n-1
+    dilations of ``compressed_encodings`` would exceed the guard, each
+    counted as its dense physical block, (2 d^n)^2 and complex, as
+    ``schur.guard_dense`` counts: a bound on the entries it holds."""
+    side = 2 * d**n
     need = 16 * (n - 1) * side**2
     if need > DENSE_GUARD_BYTES:
         raise DenseTooLarge(
-            f"{n - 1} dense {side} x {side} dilation gates held at once need "
+            f"{n - 1} dilations of {side} x {side} physical blocks need "
             f"{need / 2**30:.1f} GiB, above the {DENSE_GUARD_BYTES / 2**30:.0f} GiB guard"
         )
 
@@ -182,17 +182,24 @@ def compressed_encodings(
     """Exact one-qubit dilations [[B, C], [C, -B]] of the Kraus operators at
     scale sqrt(d), for short amplification schedules: B = sqrt(Pi_i / d) and
     C = sqrt(I - Pi_i / d) from the irrep blocks for port 1 and by the port
-    swap for the others, B = 0 and C = I on pad states.  B and C are
-    commuting Hermitian functions of Pi_i, so the gate is unitary when
-    B^2 + C^2 = I and BC = CB, which is checked on port 1's gate only: every
-    other port's B and C are exact qudit transposes of port 1's, so would
-    repeat it."""
+    swap for the others, B = 0 and C = I on pad states.  Each is a ``Sparse``
+    op on (danc, system) that holds the nonzeros of the dense block on
+    (danc, physical states), the physical states being the prefix [0, d^n)
+    of the flat system index, and X on danc over the pad states; no padded
+    matrix is formed.  B and C are commuting Hermitian functions of Pi_i, so
+    the gate is unitary when B^2 + C^2 = I and BC = CB, which is checked on
+    port 1's gate only: every other port's B and C are exact qudit
+    transposes of port 1's, so would repeat it."""
     spaces = encoding_spaces(n, d, mode)
     encs = []
     layout = Layout([Register("danc", 2), Register("kl", spaces.n_k)] + spaces.system_registers())
+    names = ("danc",) + SYSTEM
     mask = spaces.system_mask()
-    phys = np.ix_(mask, mask)
-    total = spaces.system_dim
+    total = mask.size
+    phys = np.concatenate([np.arange(d**n), total + np.arange(d**n)])
+    pad = np.arange(d**n, total)
+    # X on danc over the pad states
+    x_rows, x_cols = np.concatenate([pad, total + pad]), np.concatenate([total + pad, pad])
     cs = pgm_functions(n, d, tw, lambda x: np.sqrt(1.0 - x / d))
     for i, (k, c) in enumerate(zip(pgm_functions(n, d, tw, np.sqrt), cs), start=1):
         b = k / np.sqrt(d)
@@ -200,16 +207,17 @@ def compressed_encodings(
             err = max(np.abs(b @ b + c @ c - np.eye(d**n)).max(), np.abs(b @ c - c @ b).max())
             if err > DILATION_TOL:
                 raise ArithmeticError(f"dilation not unitary, residual {err:.2e}")
-        top = np.zeros((total, total), dtype=b.dtype)
-        side = np.eye(total, dtype=b.dtype)
-        top[phys] = b
-        side[phys] = c
+        block = np.block([[b, c], [c, -b]])
+        rows, cols = np.nonzero(block)
+        vals = np.concatenate([block[rows, cols], np.ones(x_rows.size)])
+        rows, cols = np.concatenate([phys[rows], x_rows]), np.concatenate([phys[cols], x_cols])
+        del block
         encs.append(
             BlockEncoding(
                 layout=layout,
                 ancillas=("danc", "kl"),
                 systems=SYSTEM,
-                unitary=Gate(("danc",) + SYSTEM, np.block([[top, side], [side, -top]])),
+                unitary=Sparse.from_entries(names, 2 * total, rows, cols, vals),
                 scale=float(np.sqrt(d)),
                 target=k,
                 valid_mask=mask,
@@ -252,9 +260,10 @@ def build_pipeline(
     protocol layout (the dilation's registers, the receiver ports B1..B(n-1)
     and, ``with_ref``, the reference R), at tight register sizes.  Raises
     DenseTooLarge before the twisted transform is built when the compressed
-    variant's dilation gates would exceed the dense guard
-    (``guard_dilation``), and before the masks or the support are built when
-    the protocol layout would, at one byte per amplitude."""
+    variant's dilations, counted as their dense physical blocks, would exceed
+    the dense guard (``guard_dilation``), and before the masks or the
+    support are built when the protocol layout would, at one byte per
+    amplitude."""
     if variant == "compressed":
         guard_dilation(n, d)
     tw = tw or build_twisted(n, d)

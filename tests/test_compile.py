@@ -1,6 +1,7 @@
 """The amplified product's support and its restricted S x S chain against
 the op tree they are read from."""
 
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -24,6 +25,7 @@ from pbtkit.registers import (
     Op,
     Register,
     RestrictedProduct,
+    Sparse,
     Support,
     _ChainFold,
     _Columns,
@@ -237,12 +239,33 @@ def test_single_gate_bodies_left_untouched():
     (factor,) = _factors(tree, pipe.layout)
     assert len(factor) == len(tree.branches)
     for (key, body), (ctl, names, mat) in zip(tree.branches, factor):
-        assert isinstance(body, Gate)
+        assert isinstance(body, Sparse)
         assert ctl == dict(zip(tree.controls, key)) and names == body.names
         # the body's own matrix: not folded, no rounding-level entry dropped
-        csr = sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=body.matrix.shape)
-        assert np.array_equal(csr.toarray(), body.matrix)
-        assert mat.data.size == np.count_nonzero(body.matrix)
+        dense = to_matrix(body, Layout([Register(nm, pipe.layout.dim(nm)) for nm in names]))
+        csr = sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=dense.shape)
+        assert np.array_equal(csr.toarray(), dense)
+        assert mat.data.size == np.count_nonzero(dense)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_sparse_apply_and_adjoint_match_the_dense_gate(dtype):
+    # registers out of layout order around one it leaves alone, a row with
+    # no entry, entries given in no order, and a batch axis
+    layout = Layout([Register("a", 2), Register("b", 3), Register("c", 4)])
+    names = ("c", "a")
+    dense = RNG.standard_normal((8, 8)) + (1j * RNG.standard_normal((8, 8)) if dtype is complex else 0)
+    dense[RNG.random((8, 8)) < 0.6] = 0
+    dense[3] = 0
+    row, col = np.nonzero(dense)
+    order = RNG.permutation(row.size)
+    op = Sparse.from_entries(names, 8, row[order], col[order], dense[row, col][order])
+    (((ctl, read, mat),),) = _factors(op, layout)
+    assert ctl == {} and read == names and mat is op.matrix
+    shape = layout.dims + (5,)
+    state = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+    for got, want in ((op, Gate(names, dense)), (op.adjoint(), Gate(names, dense.conj().T))):
+        assert np.abs(got.apply(state, layout) - want.apply(state, layout)).max() < 1e-12
 
 
 def mixed_tree():
@@ -733,9 +756,10 @@ def test_forward_support_is_the_two_sided_support_at_honest_33():
     test_support_holds_start_and_is_closed(bare_pipeline("honest", 3, 3))
 
 
-@pytest.mark.scale
-def test_simulate_runs_honest_42():
-    # in a child process, so that the peak resident set read is its own
+def simulate_child(*args: str) -> tuple[str, str, int]:
+    """``pbt simulate`` with ``args`` in a child process, so that the peak
+    resident set read is its own: its report, its exit status and its
+    VmHWM in KiB."""
     src = str(Path(pbtkit.__file__).resolve().parents[1])
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); from pbtkit.cli import main; "
@@ -743,8 +767,27 @@ def test_simulate_runs_honest_42():
         "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')); "
         "print(status, int(hwm.split()[1]))"
     )
-    argv = ["simulate", "--n", "4", "--d", "2", "--engine", "amplified-V", "--variant", "honest"]
+    argv = ["simulate", *args, "--engine", "amplified-V"]
     out = subprocess.run([sys.executable, "-c", code, src, *argv], capture_output=True, text=True, check=True)
-    status, hwm_kib = out.stdout.split()[-2:]
+    report, last = out.stdout.strip().rsplit("\n", 1)
+    status, hwm_kib = last.split()
+    return report, status, int(hwm_kib)
+
+
+@pytest.mark.scale
+def test_simulate_runs_honest_42():
+    _, status, hwm_kib = simulate_child("--n", "4", "--d", "2", "--variant", "honest")
     assert status == "0"
-    assert int(hwm_kib) <= 1.8 * 2**20
+    assert hwm_kib <= 1.8 * 2**20
+
+
+@pytest.mark.scale
+def test_simulate_runs_compressed_10_2():
+    # the nine dilations held by their nonzeros, where nine dense gates over
+    # the padded system would hold 6.8 GiB
+    from pbtkit.pbt import pgm_fidelity
+
+    report, status, hwm_kib = simulate_child("--n", "10", "--d", "2")
+    assert status == "0"
+    assert abs(json.loads(report)["fidelity"] - pgm_fidelity(10, 2)) <= 1e-12
+    assert hwm_kib <= 1.5 * 2**20

@@ -16,7 +16,7 @@ from pbtkit.pbt import (
     principal_sqrt,
 )
 from pbtkit import cli, simulate
-from pbtkit.registers import Gate
+from pbtkit.registers import Layout, Register, Sparse, to_matrix
 from pbtkit.schur import permutation_operator
 from pbtkit.simulate import ProtocolReport, ProtocolRun, compressed_encodings, run, sample
 from pbtkit.symrep import transposition
@@ -226,6 +226,12 @@ def test_compressed_pipeline_builds_only_the_smaller_schur_transform(monkeypatch
     assert set(built) == {4}
 
 
+def dense_gate(enc):
+    """The dilation of ``enc`` as a dense matrix on its own registers
+    (danc, system), read through the ``to_matrix`` oracle."""
+    return to_matrix(enc.unitary, Layout([Register(nm, enc.layout.dim(nm)) for nm in enc.unitary.names]))
+
+
 @pytest.mark.parametrize(
     "n,d,mode", [(3, 2, "tight"), (5, 2, "tight"), (4, 3, "tight"), (4, 2, "padded")]
 )
@@ -241,9 +247,27 @@ def test_compressed_gate_matches_dense_dilation(n, d, mode):
         c = np.eye(total, dtype=complex)
         b[np.ix_(mask, mask)] = principal_sqrt(pi / d)
         c[np.ix_(mask, mask)] = principal_sqrt(np.eye(d**n) - pi / d)
-        gate = enc.unitary.matrix
+        gate = dense_gate(enc)
         assert np.abs(gate - np.block([[b, c], [c, -b]])).max() < 1e-12
         assert np.abs(gate @ gate.conj().T - np.eye(2 * total)).max() < 1e-12
+
+
+def test_compressed_encodings_hold_no_padded_gate():
+    # each dilation is held by its nonzeros: at (8,2) one dense gate over the
+    # padded system, 2016 x 2016 float64, would be 31 MiB
+    import tracemalloc
+
+    n, d = 8, 2
+    tw = build_twisted(n, d)
+    side = 2 * encoding_spaces(n, d).system_dim
+    tracemalloc.start()
+    try:
+        encs = compressed_encodings(n, d, tw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(encs) == n - 1
+    assert peak < 8 * side**2
 
 
 def test_compressed_encodings_run_no_spectral_decomposition(monkeypatch):
@@ -276,7 +300,7 @@ def test_compressed_gates_are_port_swap_gathers_of_port_1(n, d, mode):
     total, phys = mask.size, np.ix_(mask, mask)
     blocks = []
     for enc in compressed_encodings(n, d, build_twisted(n, d), mode):
-        gate = enc.unitary.matrix
+        gate = dense_gate(enc)
         blocks.append((gate[:total, :total][phys], gate[:total, total:][phys]))
     b1, c1 = blocks[0]
     for i, (b, c) in enumerate(blocks[1:], start=2):
@@ -287,15 +311,16 @@ def test_compressed_gates_are_port_swap_gathers_of_port_1(n, d, mode):
 
 @pytest.mark.parametrize("n,d", [(4, 3), (6, 2)])
 def test_compressed_gates_are_real(monkeypatch, n, d):
-    # B and C are float64, so the gate is too; as a complex gate it gives the
-    # same residuals and the same report to the bit
+    # B and C are float64, so the gate's entries are too; as a complex gate it
+    # gives the same residuals and the same report to the bit
     encs = compressed_encodings(n, d, build_twisted(n, d))
-    assert all(enc.unitary.matrix.dtype == np.float64 for enc in encs)
+    assert all(enc.unitary.matrix.data.dtype == np.float64 for enc in encs)
 
     def complex_gates(*args, **kwargs):
         out = []
         for enc in compressed_encodings(*args, **kwargs):
-            gate = Gate(enc.unitary.names, enc.unitary.matrix.astype(complex))
+            csr = enc.unitary.matrix
+            gate = Sparse(enc.unitary.names, csr._replace(data=csr.data.astype(complex)))
             out.append(replace(enc, unitary=gate))
         return out
 

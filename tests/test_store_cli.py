@@ -499,9 +499,9 @@ def test_cli_dense_too_large_is_usage_error(tmp_path, capsys, argv, gib):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("n,d,gib", [(10, 2, "13.6 GiB"), (7, 3, "15.0 GiB")])
+@pytest.mark.parametrize("n,d,gib", [(11, 2, "2.5 GiB"), (8, 3, "18.0 GiB")])
 def test_cli_compressed_dilation_too_large_is_usage_error(monkeypatch, capsys, n, d, gib):
-    # the n-1 dense dilation gates are counted before the twisted transform
+    # the n-1 dilations' physical blocks are counted before the twisted transform
     from pbtkit import simulate
 
     def refused(*args, **kwargs):
@@ -521,11 +521,11 @@ def test_cli_compressed_dilation_too_large_is_usage_error(monkeypatch, capsys, n
     assert peak < 2**20  # nothing dense was built
 
 
-@pytest.mark.parametrize("n,d", [(9, 2), (6, 3)])
+@pytest.mark.parametrize("n,d", [(9, 2), (6, 3), (10, 2), (7, 3)])
 def test_compressed_dilation_under_the_guard_passes(n, d):
     from pbtkit.simulate import guard_dilation
 
-    guard_dilation(n, d)  # 1.53 GiB at (9,2) and 0.78 GiB at (6,3)
+    guard_dilation(n, d)  # 0.13, 0.16, 0.56 and 1.71 GiB
 
 
 @pytest.mark.parametrize("n,d", [(5, 2), (4, 3)])
