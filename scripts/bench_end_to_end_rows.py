@@ -88,18 +88,21 @@ def alternate(trees: dict, points: list, pairs: int, run) -> dict:
 
 
 def _distance(a, b) -> float:
-    """|a - b|, the largest over the entries of (nested) lists."""
+    """|a - b|, the largest over the entries of (nested) lists; for strings
+    0 when they are equal and 1 when not."""
     if isinstance(a, list):
         return max((_distance(x, y) for x, y in zip(a, b)), default=0.0)
+    if isinstance(a, str):
+        return float(a != b)
     return abs(a - b)
 
 
-def summarize(sides: dict, fields: list) -> dict:
-    """Every run's wall time and VmHWM with their medians, the first run's
-    fields, the largest |change - parent| of each field over all runs, and
-    the fields that are bit-identical in all of them."""
+def summarize(sides: dict, fields: list, metrics: tuple = ("wall_s", "vmhwm_mib")) -> dict:
+    """Every run's ``metrics`` (wall time and VmHWM) with their medians, the
+    first run's fields, the largest |change - parent| of each field over all
+    runs, and the fields that are bit-identical in all of them."""
     entry = {}
-    for metric in ("wall_s", "vmhwm_mib"):
+    for metric in metrics:
         values = {side: [r[metric] for r in runs] for side, runs in sides.items()}
         entry[metric] = {
             **values,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import prod
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -446,6 +446,8 @@ class BlockEncoding:
     target: np.ndarray | None = None
     valid_mask: np.ndarray | None = None
     name: str = ""
+    # ||target||_2 for the scale check, when another encoding's target shares it
+    target_norm: Callable[[], float] | None = None
 
     def system_dim(self) -> int:
         return prod(self.layout.dim(nm) for nm in self.systems)
@@ -495,7 +497,8 @@ class BlockEncoding:
             tgt = tgt[np.ix_(keep, keep)]
         # real when its entries are: a real SVD takes about half the time
         err = float(np.linalg.norm(tgt - (block if block.imag.any() else block.real), 2))
-        if self.scale < np.linalg.norm(tgt, 2) - err - 1e-9:
+        norm = self.target_norm() if self.target_norm is not None else np.linalg.norm(tgt, 2)
+        if self.scale < norm - err - 1e-9:
             raise ArithmeticError(f"declared scale of {self.name} undercuts the target norm")
         return err
 

@@ -3,6 +3,11 @@
 Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
 All emissions are deterministic given the flags and seed; floating-point
 values are printed with 17 significant digits so CSV round-trips exactly.
+
+``main`` builds the parser of the invoked subcommand alone (``COMMANDS``
+names each one's arguments); ``build_parser()`` returns the full tree, which
+``main`` still builds for no arguments, ``-h`` or an unknown command.  Help,
+usage, error messages and exit codes are the same either way.
 """
 
 from __future__ import annotations
@@ -262,37 +267,29 @@ def _usage_error(message: str) -> NoReturn:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="pbt",
-        description="Port-based teleportation toolkit: irrep tables, dense "
-        "verification, block-encoding ledgers and protocol simulation.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("irreps", help="per-diagram dimensions and Gram eigenvalues")
+def _irreps_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--no-check", action="store_true")
     sp.add_argument("--output")
-    sp.set_defaults(func=cmd_irreps)
 
-    sp = sub.add_parser("fidelity", help="entanglement-fidelity table")
+
+def _fidelity_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", required=True, help="value or range lo..hi")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--output")
-    sp.set_defaults(func=cmd_fidelity)
 
-    sp = sub.add_parser("verify", help="run a named verification suite")
+
+def _verify_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--suite", required=True)
     sp.add_argument("--n", default="3", help="value or range lo..hi")
     sp.add_argument("--d", default="2", help="value or range lo..hi")
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("simulate", help="run the protocol and report outcomes")
+
+def _simulate_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument(
@@ -306,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shots", type=int, default=0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--output")
-    sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("encode", help="block-encoding ledger dump")
+
+def _encode_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--i", type=int, required=True)
@@ -316,19 +313,49 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=float)
     sp.add_argument("--xp", type=float)
     sp.add_argument("--output")
-    sp.set_defaults(func=cmd_encode)
 
-    sp = sub.add_parser("export", help="write an object as a matrix file")
+
+def _export_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("object", choices=("schur", "twisted", "kraus", "povm"))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("path")
-    sp.set_defaults(func=cmd_export)
+
+
+# name: (help, argument adder, handler), in the order `pbt -h` lists them
+COMMANDS = {
+    "irreps": ("per-diagram dimensions and Gram eigenvalues", _irreps_args, cmd_irreps),
+    "fidelity": ("entanglement-fidelity table", _fidelity_args, cmd_fidelity),
+    "verify": ("run a named verification suite", _verify_args, cmd_verify),
+    "simulate": ("run the protocol and report outcomes", _simulate_args, cmd_simulate),
+    "encode": ("block-encoding ledger dump", _encode_args, cmd_encode),
+    "export": ("write an object as a matrix file", _export_args, cmd_export),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `pbt` parser: the full tree, or with ``command`` a tree that holds
+    that subcommand alone.  Its usage still names every command, so the two
+    parse, print and fail alike on any argv that starts with ``command``."""
+    p = argparse.ArgumentParser(
+        prog="pbt",
+        description="Port-based teleportation toolkit: irrep tables, dense "
+        "verification, block-encoding ledgers and protocol simulation.",
+    )
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_args, func) in COMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=help_text)
+            add_args(sp)
+            sp.set_defaults(func=func)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a known command builds its own parser alone; anything else, the full tree
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         if getattr(args, "output", None):
             with _output_file(args.output) as args.output_file:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache, partial
 from math import prod
 
 import numpy as np
@@ -189,7 +190,8 @@ def compressed_encodings(
     matrix is formed.  B and C are commuting Hermitian functions of Pi_i, so
     the gate is unitary when B^2 + C^2 = I and BC = CB, which is checked on
     port 1's gate only: every other port's B and C are exact qudit
-    transposes of port 1's, so would repeat it."""
+    transposes of port 1's, so would repeat it.  For the same reason every
+    port's scale check reads port 1's target spectral norm."""
     spaces = encoding_spaces(n, d, mode)
     encs = []
     layout = Layout([Register("danc", 2), Register("kl", spaces.n_k)] + spaces.system_registers())
@@ -207,6 +209,7 @@ def compressed_encodings(
             err = max(np.abs(b @ b + c @ c - np.eye(d**n)).max(), np.abs(b @ c - c @ b).max())
             if err > DILATION_TOL:
                 raise ArithmeticError(f"dilation not unitary, residual {err:.2e}")
+            target_norm = cache(partial(np.linalg.norm, k, 2))  # taken at the first check
         block = np.block([[b, c], [c, -b]])
         rows, cols = np.nonzero(block)
         vals = np.concatenate([block[rows, cols], np.ones(x_rows.size)])
@@ -222,6 +225,7 @@ def compressed_encodings(
                 target=k,
                 valid_mask=mask,
                 name=f"dilated sqrtPi({i})",
+                target_norm=target_norm,
             )
         )
     return encs

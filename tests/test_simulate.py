@@ -295,11 +295,13 @@ def test_compressed_encodings_run_no_spectral_decomposition(monkeypatch):
 )
 def test_compressed_gates_are_port_swap_gathers_of_port_1(n, d, mode):
     # only port 1's dilation is checked for unitarity; every other port's B and
-    # C must be the exact gather of port 1's by the port swap V(1 i)
+    # C must be the exact gather of port 1's by the port swap V(1 i), and so
+    # must its target, whose spectral norm every scale check reads off port 1
     mask = encoding_spaces(n, d, mode).system_mask()
     total, phys = mask.size, np.ix_(mask, mask)
+    encs = compressed_encodings(n, d, build_twisted(n, d), mode)
     blocks = []
-    for enc in compressed_encodings(n, d, build_twisted(n, d), mode):
+    for enc in encs:
         gate = dense_gate(enc)
         blocks.append((gate[:total, :total][phys], gate[:total, total:][phys]))
     b1, c1 = blocks[0]
@@ -307,6 +309,9 @@ def test_compressed_gates_are_port_swap_gathers_of_port_1(n, d, mode):
         s = permutation_operator(n, d, transposition(0, i - 1, n)).source_index()
         assert np.array_equal(b, b1[np.ix_(s, s)])
         assert np.array_equal(c, c1[np.ix_(s, s)])
+        assert np.array_equal(encs[i - 1].target, encs[0].target[np.ix_(s, s)])
+    assert all(enc.target_norm is encs[0].target_norm for enc in encs)
+    assert encs[0].target_norm() == np.linalg.norm(encs[0].target, 2)
 
 
 @pytest.mark.parametrize("n,d", [(4, 3), (6, 2)])

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import struct
@@ -331,6 +332,51 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["irreps"])  # missing required flags
     assert exc.value.code == 2
+
+
+def _main_outcome(capsys, argv):
+    """(stdout, stderr, exit code) of ``cli.main(argv)``."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["bogus"],
+        *([name, "-h"] for name in cli.COMMANDS),
+        ["fidelity"],
+        ["simulate", "--n", "3", "--d", "2", "--engine", "nope"],
+        ["fidelity", "--d", "2", "--n", "2..3", "extra"],
+        ["simulate", "--n", "x", "--d", "2"],
+    ],
+)
+def test_cli_one_subcommand_parser_matches_the_full_tree(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    alone = _main_outcome(capsys, argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert alone == _main_outcome(capsys, argv)
+
+
+def test_cli_valid_command_builds_one_subparser(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert cli.main(["fidelity", "--d", "2", "--n", "2..3"]) == 0
+    assert built == ["fidelity"]
+    assert capsys.readouterr().out.startswith("n,d,fidelity\n")
 
 
 def test_cli_simulate_runs_protocol_once(monkeypatch, capsys):
