@@ -12,9 +12,10 @@ own peak resident set (VmHWM).  At (8,2), (9,2) and (6,3) each pair runs
 both checkouts, alternating which one runs first (the runner of
 ``bench_end_to_end_rows.py``); (10,2) and (7,3) run in CHANGE alone, once
 each.  Every run records its fidelity's distance from ``pgm_fidelity``.
-Then at compressed (3,2), (6,2), (4,3) and (6,3) one process per checkout
-computes every ``ProtocolReport`` and ``EndToEndResult`` field, and the
-record holds the largest |change - parent| of each.
+Then at compressed (3,2), (6,2), (4,3) and (6,3) and honest (3,2) and (3,3)
+one process per checkout and point computes every ``ProtocolReport`` and
+``EndToEndResult`` field, and the record holds the largest
+|change - parent| of each.
 """
 
 from __future__ import annotations
@@ -29,7 +30,14 @@ from bench_end_to_end_rows import alternate, run_child, source_digest, summarize
 
 PAIRED = [(8, 2), (9, 2), (6, 3)]
 CHANGE_ONLY = [(10, 2), (7, 3)]
-FIELD_POINTS = [(3, 2), (6, 2), (4, 3), (6, 3)]
+FIELD_POINTS = [
+    (3, 2, "compressed"),
+    (6, 2, "compressed"),
+    (4, 3, "compressed"),
+    (6, 3, "compressed"),
+    (3, 2, "honest"),
+    (3, 3, "honest"),
+]
 LIMIT = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (6000000 * 1024,) * 2)
@@ -57,14 +65,14 @@ from dataclasses import asdict
 import numpy as np
 from pbtkit.amplify import end_to_end
 from pbtkit.simulate import ProtocolRun, run
-n, d = int(sys.argv[1]), int(sys.argv[2])
+n, d, variant = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 
 def plain(value):
     value = np.asarray(value)
     return np.stack([value.real, value.imag]).tolist() if np.iscomplexobj(value) else value.tolist()
 
-report = asdict(run(ProtocolRun(n, d, engine="amplified-V")))
-result = asdict(end_to_end(n, d, "compressed"))
+report = asdict(run(ProtocolRun(n, d, engine="amplified-V", variant=variant)))
+result = asdict(end_to_end(n, d, variant))
 fields = {f"report.{k}": plain(v) for k, v in report.items() if k not in ("n", "d", "engine")}
 fields.update({f"end_to_end.{k}": plain(v) for k, v in result.items() if not isinstance(v, str)})
 print(json.dumps(fields))

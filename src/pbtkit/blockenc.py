@@ -455,16 +455,17 @@ class BlockEncoding:
     def ancilla_dim(self) -> int:
         return prod(self.layout.dim(nm) for nm in self.ancillas)
 
+    def system_mask(self) -> np.ndarray:
+        """The valid mask, or every system state when none is set."""
+        if self.valid_mask is not None:
+            return self.valid_mask
+        return np.ones(self.system_dim(), dtype=bool)
+
     def post_selected_block(self) -> np.ndarray:
         """scale * <0_anc| U |0_anc> over the system registers, restricted to
         the valid mask when one is set."""
         sys_dim = self.system_dim()
-        mask = (
-            self.valid_mask
-            if self.valid_mask is not None
-            else np.ones(sys_dim, dtype=bool)
-        )
-        cols_in = np.flatnonzero(mask)
+        cols_in = np.flatnonzero(self.system_mask())
         guard_batch(self.layout.dims, len(cols_in))
         batch = self.layout.embed(self.systems, np.eye(sys_dim, dtype=complex)[:, cols_in])
         out = self.unitary.apply(batch, self.layout)
@@ -486,14 +487,9 @@ class BlockEncoding:
         """
         if self.target is None:
             raise ValueError("no target stored on this encoding")
-        mask = (
-            self.valid_mask
-            if self.valid_mask is not None
-            else np.ones(self.system_dim(), dtype=bool)
-        )
-        keep = np.flatnonzero(mask)
+        keep = np.flatnonzero(self.system_mask())
         tgt = self.target
-        if tgt.shape[0] == self.system_dim():
+        if tgt.shape[0] != keep.size:  # a target over the whole system
             tgt = tgt[np.ix_(keep, keep)]
         # real when its entries are: a real SVD takes about half the time
         err = float(np.linalg.norm(tgt - (block if block.imag.any() else block.real), 2))
@@ -966,13 +962,12 @@ class NaimarkDilation:
     measurement dilation up to the shared encoding scale."""
 
     layout: Layout
-    outcome_register: str
-    ancillas: tuple[str, ...]  # the encodings' ancillas, contiguous after the outcome register
+    ancillas: tuple[str, ...]  # the encodings' ancillas, contiguous after the outcome register I
+    systems: tuple[str, ...]  # the encodings' system registers
     u0: np.ndarray
     uc_op: Op
     v_op: Op
     scale: float
-    n_outcomes: int
 
 
 def naimark_Uc(n: int, d: int, encodings: list[BlockEncoding]) -> NaimarkDilation:
@@ -982,12 +977,10 @@ def naimark_Uc(n: int, d: int, encodings: list[BlockEncoding]) -> NaimarkDilatio
         raise ValueError(f"need {n - 1} encodings")
     base = encodings[0]
     for enc in encodings:
-        if enc.layout.names != base.layout.names or enc.scale != base.scale:
-            raise ValueError("encodings must share layout and scale")
-    n_i = base.layout.dim("kl")  # matches the mode's port-register sizing
-    layout = Layout([Register("I", n_i)] + list(base.layout.registers))
-    col = np.zeros(n_i)
-    col[: n - 1] = 1.0 / np.sqrt(n - 1)
+        if (enc.layout.names, enc.systems, enc.scale) != (base.layout.names, base.systems, base.scale):
+            raise ValueError("encodings must share layout, systems and scale")
+    layout = Layout([Register("I", n - 1)] + list(base.layout.registers))
+    col = np.full(n - 1, 1.0 / np.sqrt(n - 1))
     u0 = unitary_complete(col[None, :]).conj().T  # first column is the superposition
     uc = Branched(
         ("I",), tuple(((idx,), enc.unitary) for idx, enc in enumerate(encodings))
@@ -995,12 +988,11 @@ def naimark_Uc(n: int, d: int, encodings: list[BlockEncoding]) -> NaimarkDilatio
     v = Composite((Gate(("I",), u0.astype(complex)), uc))
     return NaimarkDilation(
         layout=layout,
-        outcome_register="I",
         ancillas=base.ancillas,
+        systems=base.systems,
         u0=u0,
         uc_op=uc,
         v_op=v,
         scale=base.scale,
-        n_outcomes=n - 1,
     )
 

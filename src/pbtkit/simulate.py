@@ -16,7 +16,10 @@ start and end masks are over the dilation's registers, the ones S runs on;
 the state lives on the S rows of the amplified product's support from
 ``initial_rows`` to the receiver states, and each encoding's residual
 is read from one pass of V's S x S chain over the start columns; the dense
-``BlockEncoding.verify`` is the oracle it is checked against.
+``BlockEncoding.verify`` is the oracle it is checked against.  The
+compressed dilations act on the n physical qudits as one register, so their S
+is the whole (I, danc, q) space; the honest encodings act on Schur-label
+registers, whose pad states the start mask leaves out.
 """
 
 from __future__ import annotations
@@ -30,11 +33,9 @@ import numpy as np
 
 from .amplify import AmplificationPlan, amplified_V, plan
 from .blockenc import (
-    SYSTEM,
     BlockEncoding,
     NaimarkDilation,
     encode_kraus,
-    encoding_spaces,
     naimark_Uc,
 )
 from .pbt import pgm_fidelity, pgm_functions, pgm_probabilities
@@ -178,30 +179,20 @@ def guard_dilation(n: int, d: int) -> None:
 
 
 def compressed_encodings(
-    n: int, d: int, tw: TwistedSchur, mode: str = "tight"
+    n: int, d: int, tw: TwistedSchur
 ) -> list[BlockEncoding]:
     """Exact one-qubit dilations [[B, C], [C, -B]] of the Kraus operators at
     scale sqrt(d), for short amplification schedules: B = sqrt(Pi_i / d) and
     C = sqrt(I - Pi_i / d) from the irrep blocks for port 1 and by the port
-    swap for the others, B = 0 and C = I on pad states.  Each is a ``Sparse``
-    op on (danc, system) that holds the nonzeros of the dense block on
-    (danc, physical states), the physical states being the prefix [0, d^n)
-    of the flat system index, and X on danc over the pad states; no padded
-    matrix is formed.  B and C are commuting Hermitian functions of Pi_i, so
+    swap for the others.  Each is a ``Sparse`` op on the layout (danc, q), q
+    the n physical qudits as one register, that holds the nonzeros of the
+    dense block.  B and C are commuting Hermitian functions of Pi_i, so
     the gate is unitary when B^2 + C^2 = I and BC = CB, which is checked on
     port 1's gate only: every other port's B and C are exact qudit
     transposes of port 1's, so would repeat it.  For the same reason every
     port's scale check reads port 1's target spectral norm."""
-    spaces = encoding_spaces(n, d, mode)
     encs = []
-    layout = Layout([Register("danc", 2), Register("kl", spaces.n_k)] + spaces.system_registers())
-    names = ("danc",) + SYSTEM
-    mask = spaces.system_mask()
-    total = mask.size
-    phys = np.concatenate([np.arange(d**n), total + np.arange(d**n)])
-    pad = np.arange(d**n, total)
-    # X on danc over the pad states
-    x_rows, x_cols = np.concatenate([pad, total + pad]), np.concatenate([total + pad, pad])
+    layout = Layout([Register("danc", 2), Register("q", d**n)])
     cs = pgm_functions(n, d, tw, lambda x: np.sqrt(1.0 - x / d))
     for i, (k, c) in enumerate(zip(pgm_functions(n, d, tw, np.sqrt), cs), start=1):
         b = k / np.sqrt(d)
@@ -212,18 +203,16 @@ def compressed_encodings(
             target_norm = cache(partial(np.linalg.norm, k, 2))  # taken at the first check
         block = np.block([[b, c], [c, -b]])
         rows, cols = np.nonzero(block)
-        vals = np.concatenate([block[rows, cols], np.ones(x_rows.size)])
-        rows, cols = np.concatenate([phys[rows], x_rows]), np.concatenate([phys[cols], x_cols])
+        vals = block[rows, cols]
         del block
         encs.append(
             BlockEncoding(
                 layout=layout,
-                ancillas=("danc", "kl"),
-                systems=SYSTEM,
-                unitary=Sparse.from_entries(names, 2 * total, rows, cols, vals),
+                ancillas=("danc",),
+                systems=("q",),
+                unitary=Sparse.from_entries(layout.names, 2 * d**n, rows, cols, vals),
                 scale=float(np.sqrt(d)),
                 target=k,
-                valid_mask=mask,
                 name=f"dilated sqrtPi({i})",
                 target_norm=target_norm,
             )
@@ -291,8 +280,8 @@ def build_pipeline(
             f"{DENSE_GUARD_BYTES / 2**30:.0f} GiB guard"
         )
     # the start and end masks over the dilation's registers, which S runs on
-    spaces = encoding_spaces(n, d)
-    start = _layout_mask(nai.layout, ("I",) + nai.ancillas, spaces.system_mask())
+    system_mask = encs[0].system_mask()
+    start = _layout_mask(nai.layout, ("I",) + nai.ancillas, nai.systems, system_mask)
     end = _layout_mask(nai.layout, nai.ancillas)
     pl = plan(
         nai.scale * np.sqrt(n - 1),
@@ -306,7 +295,7 @@ def build_pipeline(
     for name in nai.ancillas:
         row_outcome[support.digits(name) != 0] = -1
     row_system = np.ravel_multi_index(
-        [support.digits(nm) for nm in SYSTEM], [layout.dim(nm) for nm in SYSTEM]
+        [support.digits(nm) for nm in nai.systems], [layout.dim(nm) for nm in nai.systems]
     )
     delta = max(_chain_residuals(encs, nai, support, row_outcome, row_system))
     slack = 1.0 / (nai.scale * np.sqrt(n - 1)) - 1.0 / pl.inflated_total
@@ -321,7 +310,7 @@ def build_pipeline(
         v_amp=v_amp,
         epsilon=eps,
         with_ref=with_ref,
-        system_mask=spaces.system_mask(),
+        system_mask=system_mask,
         delta=delta,
         row_outcome=row_outcome,
         row_system=row_system,
@@ -340,7 +329,7 @@ def _chain_residuals(
     V takes |0>_I |0>_anc |s> to sum_i u0[i, 0] |i> U_i |0>_anc |s>, so the
     ancilla-zero rows of outcome i, over u0[i, 0], are U_i's block; a row
     off S is one the chain never reaches, and it is 0."""
-    valid = np.flatnonzero(encs[0].valid_mask)
+    valid = np.flatnonzero(encs[0].system_mask())
     first = np.flatnonzero(row_outcome == 0)
     x = np.zeros((row_system.size, valid.size), dtype=complex)
     x[first] = row_system[first, None] == valid
@@ -363,15 +352,18 @@ def outcome_blocks(x: np.ndarray, row_outcome, row_system, shape: tuple[int, int
 
 
 def _layout_mask(
-    layout: Layout, pinned: tuple[str, ...], sys_mask: np.ndarray | None = None
+    layout: Layout,
+    pinned: tuple[str, ...],
+    systems: tuple[str, ...] = (),
+    sys_mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Boolean mask over the flat layout: the contiguous registers ``pinned``
-    at zero, the system restricted to its physical embedding when a mask is
-    given, everything else free."""
+    at zero, the contiguous registers ``systems`` restricted to ``sys_mask``
+    when one is given, everything else free."""
     mask = np.ones(layout.dims, bool)
     layout.block(mask, pinned)[:, 1:] = False
     if sys_mask is not None:
-        layout.block(mask, SYSTEM)[:, ~sys_mask] = False
+        layout.block(mask, systems)[:, ~sys_mask] = False
     return mask.ravel()
 
 

@@ -208,7 +208,7 @@ def test_end_to_end_residuals_match_system_column_batch(n, d):
     pipe = build_pipeline(n, d, "compressed", with_ref=False, tw=tw)
     layout = pipe.layout
     keep = np.flatnonzero(pipe.system_mask)
-    sys_names = ("r2", "al", "ka", "qm", "qn")
+    sys_names = pipe.naimark.systems
     sys_dims = tuple(layout.dim(nm) for nm in sys_names)
     cols_in = np.zeros(layout.dims + (len(keep),), dtype=complex)
     w_cols = np.zeros(layout.dims + (len(keep),), dtype=complex)
@@ -297,7 +297,6 @@ def oracle_cleanliness(pipe, state):
 def test_end_to_end_state_checks_match_whole_layout_oracle(request, n, d, variant):
     # the reference and amplified states scattered to the whole layout, the
     # reference K_i on the physical system rows of outcome i at ancilla zero
-    from pbtkit.blockenc import SYSTEM
     from pbtkit.pbt import kraus_from_twisted
     from pbtkit.simulate import build_pipeline, initial_rows
     from pbtkit.twisted import build_twisted, maximally_entangled
@@ -308,7 +307,7 @@ def test_end_to_end_state_checks_match_whole_layout_oracle(request, n, d, varian
     rows = initial_rows(pipe, maximally_entangled(d))
     psi0 = support.scatter(rows, layout)
     v_out = support.scatter(pipe.v_amp.run(rows), layout)
-    anc_sys = pipe.naimark.ancillas + SYSTEM
+    anc_sys = pipe.naimark.ancillas + pipe.naimark.systems
     keep = np.flatnonzero(pipe.system_mask)
     start = layout.block(psi0, anc_sys)[0, keep]
     w_out = np.zeros_like(psi0)

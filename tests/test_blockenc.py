@@ -285,21 +285,6 @@ def test_naimark_columns_and_identity_branches():
     assert np.allclose(nai.u0[:, 0], np.full(n - 1, 1 / np.sqrt(n - 1)))
 
 
-def test_naimark_padding_identity_branch():
-    # with a padded outcome register, extra branch values act as identity
-    from pbtkit.simulate import compressed_encodings
-
-    n, d = 4, 2
-    tw = build_twisted(n, d)
-    encs = compressed_encodings(n, d, tw, mode="padded")
-    nai = naimark_Uc(n, d, encs)
-    layout = nai.layout
-    assert layout.dim("I") == 4
-    vec = layout.basis_state({"I": 3, "qm": 1})
-    moved = nai.uc_op.apply(vec, layout)
-    assert np.abs(moved - vec).max() < 1e-12
-
-
 def test_batch_guard_raises_before_allocating():
     from pbtkit.blockenc import guard_batch
     from pbtkit.schur import DENSE_GUARD_BYTES, DenseTooLarge

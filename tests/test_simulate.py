@@ -1,10 +1,11 @@
 import json
+import sys
 from dataclasses import fields, replace
+from math import prod
 
 import numpy as np
 import pytest
 
-from pbtkit.blockenc import encoding_spaces
 from pbtkit.pbt import (
     apply_channel_matrix,
     channel_apply,
@@ -136,23 +137,33 @@ def test_amplification_projectors_pin_ancillas_outcome_and_system():
     from pbtkit.simulate import build_pipeline
 
     pipe = build_pipeline(4, 3, "compressed")
-    layout = pipe.layout
+    layout, nai = pipe.layout, pipe.naimark
     pos = dict(zip(layout.names, np.indices(layout.dims).reshape(len(layout.dims), -1)))
-    sys_names = ("r2", "al", "ka", "qm", "qn")
     sys_flat = np.ravel_multi_index(
-        [pos[nm] for nm in sys_names], [layout.dim(nm) for nm in sys_names]
+        [pos[nm] for nm in nai.systems], [layout.dim(nm) for nm in nai.systems]
     )
-    anc_zero = (pos["danc"] == 0) & (pos["kl"] == 0)
+    anc_zero = np.logical_and.reduce([pos[nm] == 0 for nm in nai.ancillas])
     physical = pipe.system_mask[sys_flat]
-    assert not physical.all()
+    assert physical.all()  # the compressed system is the physical qudits alone
 
     def over_layout(mask):
         # a mask over the dilation's registers, broadcast over (B..., R)
-        rest = len(layout.dims) - len(pipe.naimark.layout.dims)
-        return np.broadcast_to(mask.reshape(pipe.naimark.layout.dims + (1,) * rest), layout.dims).ravel()
+        rest = len(layout.dims) - len(nai.layout.dims)
+        return np.broadcast_to(mask.reshape(nai.layout.dims + (1,) * rest), layout.dims).ravel()
 
     assert np.array_equal(over_layout(pipe.plan.end_projector), anc_zero)
     assert np.array_equal(over_layout(pipe.plan.start_projector), anc_zero & (pos["I"] == 0) & physical)
+
+
+def test_layout_mask_restricts_the_system_to_its_mask():
+    # an honest system holds pad states from honest (4,2) on, which the
+    # start mask leaves out; here on a small layout against every index
+    layout = Layout([Register(nm, dim) for nm, dim in (("I", 2), ("a", 2), ("s", 2), ("t", 3), ("B", 2))])
+    sys_mask = RNG.random(6) < 0.5
+    got = simulate._layout_mask(layout, ("I", "a"), ("s", "t"), sys_mask)
+    pos = np.indices(layout.dims).reshape(len(layout.dims), -1)
+    want = (pos[0] == 0) & (pos[1] == 0) & sys_mask[pos[2] * 3 + pos[3]]
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -207,8 +218,8 @@ def test_amplified_run_keeps_no_whole_layout_state(monkeypatch):
 
 
 def test_compressed_pipeline_builds_only_the_smaller_schur_transform(monkeypatch):
-    # the twisted blocks need the (n-2)-qudit Schur transform; the encoding
-    # spaces' sizes and masks need none, so m = n-1 is never built
+    # the twisted blocks need the (n-2)-qudit Schur transform and nothing
+    # else needs one, so m = n-1 is never built
     from pbtkit import schur
     from pbtkit.simulate import build_pipeline
 
@@ -219,7 +230,7 @@ def test_compressed_pipeline_builds_only_the_smaller_schur_transform(monkeypatch
         built.append(m)
         return eigenspace(m, d, contents)
 
-    for cached in (schur.build_schur, build_twisted, encoding_spaces):
+    for cached in (schur.build_schur, build_twisted):
         cached.cache_clear()
     monkeypatch.setattr(schur, "_jucys_murphy_eigenspace", recording)
     build_pipeline(6, 2, "compressed")
@@ -228,52 +239,44 @@ def test_compressed_pipeline_builds_only_the_smaller_schur_transform(monkeypatch
 
 def dense_gate(enc):
     """The dilation of ``enc`` as a dense matrix on its own registers
-    (danc, system), read through the ``to_matrix`` oracle."""
+    (danc, q), read through the ``to_matrix`` oracle."""
     return to_matrix(enc.unitary, Layout([Register(nm, enc.layout.dim(nm)) for nm in enc.unitary.names]))
 
 
-@pytest.mark.parametrize(
-    "n,d,mode", [(3, 2, "tight"), (5, 2, "tight"), (4, 3, "tight"), (4, 2, "padded")]
+# the ids name the register sizing, which for the dilations is the tight one:
+# the n physical qudits, unpadded
+TIGHT_POINTS = pytest.mark.parametrize(
+    "n,d", [(3, 2), (5, 2), (4, 3)], ids=["3-2-tight", "5-2-tight", "4-3-tight"]
 )
-def test_compressed_gate_matches_dense_dilation(n, d, mode):
+
+
+@TIGHT_POINTS
+def test_compressed_gate_matches_dense_dilation(n, d):
     # [[B, C], [C, -B]] with B = sqrt(Pi_i / d) and C = sqrt(I - Pi_i / d)
-    # from the dense measurement, B = 0 and C = I on the pad states
-    mask = encoding_spaces(n, d, mode).system_mask()
-    total = mask.size
+    # from the dense measurement
     povm = pgm_dense(n, d)
-    encs = compressed_encodings(n, d, build_twisted(n, d), mode)
+    encs = compressed_encodings(n, d, build_twisted(n, d))
     for enc, pi in zip(encs, povm.operators):
-        b = np.zeros((total, total), dtype=complex)
-        c = np.eye(total, dtype=complex)
-        b[np.ix_(mask, mask)] = principal_sqrt(pi / d)
-        c[np.ix_(mask, mask)] = principal_sqrt(np.eye(d**n) - pi / d)
+        b = principal_sqrt(pi / d)
+        c = principal_sqrt(np.eye(d**n) - pi / d)
         gate = dense_gate(enc)
         assert np.abs(gate - np.block([[b, c], [c, -b]])).max() < 1e-12
-        assert np.abs(gate @ gate.conj().T - np.eye(2 * total)).max() < 1e-12
+        assert np.abs(gate @ gate.conj().T - np.eye(2 * d**n)).max() < 1e-12
 
 
 def test_compressed_encodings_hold_no_padded_gate():
-    # each dilation is held by its nonzeros: at (8,2) one dense gate over the
-    # padded system, 2016 x 2016 float64, would be 31 MiB
-    import tracemalloc
-
+    # each dilation's Csr holds [[B, C], [C, -B]] on (danc, q) entry for
+    # entry: a row per state of the 2 d^n, no pad state and no stored zero
     n, d = 8, 2
-    tw = build_twisted(n, d)
-    side = 2 * encoding_spaces(n, d).system_dim
-    tracemalloc.start()
-    try:
-        encs = compressed_encodings(n, d, tw)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(encs) == n - 1
-    assert peak < 8 * side**2
+    for enc in compressed_encodings(n, d, build_twisted(n, d)):
+        csr = enc.unitary.matrix
+        assert csr.indptr.size - 1 == 2 * d**n
+        assert csr.data.size == np.count_nonzero(dense_gate(enc))
 
 
 def test_compressed_encodings_run_no_spectral_decomposition(monkeypatch):
     n, d = 4, 3
     tw = build_twisted(n, d)
-    encoding_spaces(n, d, "tight")
     norm = np.linalg.norm
 
     def refuse(*args, **kwargs):
@@ -290,20 +293,36 @@ def test_compressed_encodings_run_no_spectral_decomposition(monkeypatch):
     assert len(compressed_encodings(n, d, tw)) == n - 1
 
 
-@pytest.mark.parametrize(
-    "n,d,mode", [(3, 2, "tight"), (5, 2, "tight"), (4, 3, "tight"), (4, 2, "padded")]
-)
-def test_compressed_gates_are_port_swap_gathers_of_port_1(n, d, mode):
+@pytest.mark.parametrize("n,d", [(6, 2), (4, 3)])
+def test_compressed_pipeline_runs_on_the_physical_qudits(monkeypatch, n, d):
+    # each dilation acts on (danc, q), q the n physical qudits as one
+    # register: no Schur-label register is sized, and S is the whole
+    # (I, danc, q) space
+    def refuse(*args, **kwargs):
+        raise AssertionError("encoding spaces sized")
+
+    tw = build_twisted(n, d)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "pbtkit" and hasattr(mod, "encoding_spaces"):
+            monkeypatch.setattr(mod, "encoding_spaces", refuse)
+    assert len(compressed_encodings(n, d, tw)) == n - 1
+    pipe = simulate.build_pipeline(n, d, "compressed", with_ref=False, tw=tw)
+    support = pipe.v_amp.support
+    assert pipe.naimark.layout.names == ("I", "danc", "q")
+    assert support.index.size == prod(support.dims) == (n - 1) * 2 * d**n
+
+
+@TIGHT_POINTS
+def test_compressed_gates_are_port_swap_gathers_of_port_1(n, d):
     # only port 1's dilation is checked for unitarity; every other port's B and
     # C must be the exact gather of port 1's by the port swap V(1 i), and so
     # must its target, whose spectral norm every scale check reads off port 1
-    mask = encoding_spaces(n, d, mode).system_mask()
-    total, phys = mask.size, np.ix_(mask, mask)
-    encs = compressed_encodings(n, d, build_twisted(n, d), mode)
+    encs = compressed_encodings(n, d, build_twisted(n, d))
+    total = encs[0].system_dim()
     blocks = []
     for enc in encs:
         gate = dense_gate(enc)
-        blocks.append((gate[:total, :total][phys], gate[:total, total:][phys]))
+        blocks.append((gate[:total, :total], gate[:total, total:]))
     b1, c1 = blocks[0]
     for i, (b, c) in enumerate(blocks[1:], start=2):
         s = permutation_operator(n, d, transposition(0, i - 1, n)).source_index()
