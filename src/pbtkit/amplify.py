@@ -23,8 +23,11 @@ with any amplitude off S.  ``end_to_end`` runs on S rows too: it compares
 the post-selected rows of V's chain and of the amplified product with the
 dense dilation per outcome, and reads the trace distance and the ancilla
 checks from the ancilla values S holds, so it forms no state over the whole
-layout.  ``simulate.initial_state`` and ``RestrictedProduct.apply`` remain
-for the layer probe of the benchmark harness and for the tests.
+layout.  No ``pbt`` command calls ``simulate.initial_state``,
+``RestrictedProduct.apply`` or the op tree's ``apply``: they remain for the
+layer probe of the benchmark harness and for the tests, and every
+encoding's block, the pipeline's and ``BlockEncoding.verify``'s alike, is
+read from a restricted chain (``blockenc.chain_blocks``).
 """
 
 from __future__ import annotations
@@ -162,8 +165,9 @@ def end_to_end(n: int, d: int, variant: str = "compressed") -> EndToEndResult:
     dilation: operator residuals, protocol-state trace distance and ancilla
     cleanliness; the outcome probabilities against their exact 1/(n-1).
     Every state is held as its S rows."""
+    from .blockenc import outcome_blocks
     from .pbt import kraus_from_twisted, pgm_probabilities
-    from .simulate import build_pipeline, initial_rows, outcome_blocks
+    from .simulate import build_pipeline, initial_rows
     from .twisted import build_twisted, maximally_entangled
 
     tw = build_twisted(n, d)

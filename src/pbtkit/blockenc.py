@@ -15,6 +15,10 @@ standalone ancillas; ``padded`` rounds register dimensions up to powers of
 two and, when d is itself a power of two, stores the central ancilla pair
 inside qudits n-1, n during the middle stage, the layout the ledger's
 qubit accounting assumes.
+
+Every encoding's post-selected block is read one way, from one run of the
+restricted chain of its support (``chain_blocks``); the dense tree
+``apply`` of ``BlockEncoding.post_selected_block`` is the oracle.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from .registers import (
     Layout,
     Op,
     Register,
+    RestrictedProduct,
+    Support,
     controlled_not_gate,
-    to_matrix,
 )
 from .schur import (
     DENSE_GUARD_BYTES,
@@ -64,12 +69,15 @@ SYSTEM = ("r2", "al", "ka", "qm", "qn")
 def guard_batch(dims: tuple[int, ...], columns: int) -> None:
     """Raise DenseTooLarge, before anything is allocated, when a complex batch
     of ``columns`` states over registers of these dimensions exceeds the
-    dense guard."""
+    dense guard.  It is a size proxy: ``BlockEncoding.verify`` reads its
+    block from the restricted chain, which holds no such batch, but the
+    chain's blocks grow with the layout too."""
     need = prod(dims) * columns * 16
     if need > DENSE_GUARD_BYTES:
         raise DenseTooLarge(
-            f"a batch of {columns} columns over {prod(dims)} amplitudes needs "
-            f"{need / 2**30:.1f} GiB, above the {DENSE_GUARD_BYTES / 2**30:.0f} GiB guard"
+            f"a batch of {columns} columns over {prod(dims)} amplitudes, the size proxy "
+            f"of this encoding, counts {need / 2**30:.1f} GiB, above the "
+            f"{DENSE_GUARD_BYTES / 2**30:.0f} GiB guard"
         )
 
 
@@ -430,6 +438,63 @@ def _marker_collisions(spaces: EncodingSpaces) -> tuple[tuple[int, int], ...]:
 
 
 # ---------------------------------------------------------------------------
+# post-selected blocks, read from a restricted chain
+
+
+def _layout_mask(
+    layout: Layout,
+    pinned: tuple[str, ...],
+    systems: tuple[str, ...] = (),
+    sys_mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """Boolean mask over the flat layout: the contiguous registers ``pinned``
+    at zero, the contiguous registers ``systems`` restricted to ``sys_mask``
+    when one is given, everything else free."""
+    mask = np.ones(layout.dims, bool)
+    layout.block(mask, pinned)[:, 1:] = False
+    if sys_mask is not None:
+        layout.block(mask, systems)[:, ~sys_mask] = False
+    return mask.ravel()
+
+
+def label_rows(support: Support, layout: Layout, ancillas, systems, outcome: str | None = None):
+    """Each S row's outcome, the digit of the register ``outcome`` (0 when
+    None) at every ancilla zero and -1 elsewhere, and its flat index on the
+    registers ``systems``."""
+    row_outcome = support.digits(outcome) if outcome else np.zeros(support.index.size, np.intp)
+    for name in ancillas:
+        row_outcome[support.digits(name) != 0] = -1
+    row_system = np.ravel_multi_index(
+        [support.digits(nm) for nm in systems], [layout.dim(nm) for nm in systems]
+    )
+    return row_outcome, row_system
+
+
+def outcome_blocks(x: np.ndarray, row_outcome, row_system, shape: tuple[int, int]) -> np.ndarray:
+    """The post-selected S rows of ``x`` (|S|, cols), each written at its
+    outcome and its flat system index: a ``shape`` + (cols,) array,
+    ``shape`` being (outcomes, system_dim), 0 where S holds no row."""
+    good = np.flatnonzero(row_outcome >= 0)
+    out = np.zeros(shape + x.shape[1:], dtype=complex)
+    out[row_outcome[good], row_system[good]] = x[good]
+    return out
+
+
+def chain_blocks(
+    support: Support, row_outcome: np.ndarray, row_system: np.ndarray, valid: np.ndarray, shape: tuple[int, int]
+) -> np.ndarray:
+    """The post-selected blocks of one run of ``support``'s restricted chain
+    over the unit columns of the system states ``valid`` at outcome 0: each
+    outcome's ancilla-zero rows (``outcome_blocks``), (outcomes, system_dim,
+    valid).  A row off S is one the chain never reaches, and it is 0."""
+    first = np.flatnonzero(row_outcome == 0)
+    x = np.zeros((row_system.size, valid.size), dtype=complex)
+    x[first] = row_system[first, None] == valid
+    x = RestrictedProduct(support, (support.chain,)).run(x)
+    return outcome_blocks(x, row_outcome, row_system, shape)
+
+
+# ---------------------------------------------------------------------------
 # block-encoding container
 
 
@@ -463,7 +528,9 @@ class BlockEncoding:
 
     def post_selected_block(self) -> np.ndarray:
         """scale * <0_anc| U |0_anc> over the system registers, restricted to
-        the valid mask when one is set."""
+        the valid mask when one is set, from the dense tree ``apply`` of a
+        batch over the whole layout: the oracle ``verify`` is checked
+        against."""
         sys_dim = self.system_dim()
         cols_in = np.flatnonzero(self.system_mask())
         guard_batch(self.layout.dims, len(cols_in))
@@ -474,9 +541,17 @@ class BlockEncoding:
         return self.scale * rows[cols_in, :]
 
     def verify(self) -> float:
-        """Residual ||target - scale * block|| of the dense
-        ``post_selected_block`` (``residual``)."""
-        return self.residual(self.post_selected_block())
+        """Residual ||target - scale * block|| (``residual``), the block read
+        from the restricted chain of the unitary's support from the ancillas
+        at zero and the valid system states (``chain_blocks``).  Raises
+        DenseTooLarge first when ``guard_batch``'s size proxy does."""
+        valid = np.flatnonzero(self.system_mask())
+        guard_batch(self.layout.dims, valid.size)
+        start = _layout_mask(self.layout, self.ancillas, self.systems, self.valid_mask)
+        support = Support(self.unitary, self.layout, start)
+        row_outcome, row_system = label_rows(support, self.layout, self.ancillas, self.systems)
+        block = chain_blocks(support, row_outcome, row_system, valid, (1, self.system_dim()))[0]
+        return self.residual(self.scale * block[valid])
 
     def residual(self, block: np.ndarray) -> float:
         """Residual ||target - block|| of a post-selected block, scale
@@ -744,21 +819,15 @@ def _pair_matrix(
     flattened so it can be stored in (qm, qn, A13); the adjoint sandwich on
     the second copy is applied first."""
     anc, na, ka = spaces.anc_dim, spaces.n_al, spaces.n_ka
-    sub = Layout(
-        [
-            Register("ancl", anc),
-            Register("ancr", anc),
-            Register("acopyl", na),
-            Register("acopyr", na),
-            Register("al", na),
-            Register("ka", ka),
-        ]
+    shape = (anc, na, na, ka) * 2  # (anc, acopy, al, ka), out then in
+    if right is None:
+        right = np.eye(left.shape[0])
+    # out (ancl, ancr, acopyl, acopyr, al, ka), then in; the adjoint of
+    # ``right`` acts first, and (y, m) is (al, ka) between the two
+    mat = np.einsum(
+        "pqxkPQym,RSzjrsym->prqsxkPRQSzj", left.reshape(shape), right.conj().reshape(shape)
     )
-    ops: list[Op] = []
-    if right is not None:
-        ops.append(Gate(("ancr", "acopyr", "al", "ka"), right.conj().T))
-    ops.append(Gate(("ancl", "acopyl", "al", "ka"), left))
-    return to_matrix(Composite(tuple(ops)), sub)
+    return mat.reshape(left.shape[0] * anc * na, -1)
 
 
 def summand_ops(

@@ -813,7 +813,11 @@ class Support:
             blocks = np.zeros((comps.size, k, k), vals.dtype)
             blocks[slot[owner[e]], rank[rows[e]], rank[mat.indices[e]]] = vals
             if certify:
-                residual = np.abs((np.abs(blocks) ** 2).sum(axis=2) - 1).max()
+                # each row's squared norm from the real and imaginary views, no copy
+                norms = np.einsum("cij,cij->ci", blocks.real, blocks.real)
+                if np.iscomplexobj(blocks):
+                    norms += np.einsum("cij,cij->ci", blocks.imag, blocks.imag)
+                residual = np.abs(norms - 1).max()
                 if residual > _unit_tolerance(k):
                     raise ValueError(
                         f"an S row of a folded factor has norm off 1 by {residual:.2e}"

@@ -15,8 +15,8 @@ The amplified engine holds no array of the protocol layout's size.  Its
 start and end masks are over the dilation's registers, the ones S runs on;
 the state lives on the S rows of the amplified product's support from
 ``initial_rows`` to the receiver states, and each encoding's residual
-is read from one pass of V's S x S chain over the start columns; the dense
-``BlockEncoding.verify`` is the oracle it is checked against.  The
+is read from one pass of V's S x S chain over the start columns, through
+the readout ``BlockEncoding.verify`` shares (``blockenc.chain_blocks``).  The
 compressed dilations act on the n physical qudits as one register, so their S
 is the whole (I, danc, q) space; the honest encodings act on Schur-label
 registers, whose pad states the start mask leaves out.
@@ -35,7 +35,10 @@ from .amplify import AmplificationPlan, amplified_V, plan
 from .blockenc import (
     BlockEncoding,
     NaimarkDilation,
+    _layout_mask,
+    chain_blocks,
     encode_kraus,
+    label_rows,
     naimark_Uc,
 )
 from .pbt import pgm_fidelity, pgm_functions, pgm_probabilities
@@ -291,12 +294,7 @@ def build_pipeline(
     )
     v_amp = amplified_V(nai.v_op, pl, layout)
     support = v_amp.support
-    row_outcome = support.digits("I")
-    for name in nai.ancillas:
-        row_outcome[support.digits(name) != 0] = -1
-    row_system = np.ravel_multi_index(
-        [support.digits(nm) for nm in nai.systems], [layout.dim(nm) for nm in nai.systems]
-    )
+    row_outcome, row_system = label_rows(support, layout, nai.ancillas, nai.systems, "I")
     delta = max(_chain_residuals(encs, nai, support, row_outcome, row_system))
     slack = 1.0 / (nai.scale * np.sqrt(n - 1)) - 1.0 / pl.inflated_total
     eps = float(np.sqrt(n - 1) * delta / nai.scale + max(slack, 0.0))
@@ -325,46 +323,16 @@ def _chain_residuals(
     row_system: np.ndarray,
 ) -> list[float]:
     """Each encoding's ``BlockEncoding.residual``, its post-selected block
-    read from one run of V's restricted chain over the valid start columns.
-    V takes |0>_I |0>_anc |s> to sum_i u0[i, 0] |i> U_i |0>_anc |s>, so the
-    ancilla-zero rows of outcome i, over u0[i, 0], are U_i's block; a row
-    off S is one the chain never reaches, and it is 0."""
+    read from one run of V's restricted chain over the valid start columns
+    (``blockenc.chain_blocks``).  V takes |0>_I |0>_anc |s> to
+    sum_i u0[i, 0] |i> U_i |0>_anc |s>, so the ancilla-zero rows of outcome
+    i, over u0[i, 0], are U_i's block."""
     valid = np.flatnonzero(encs[0].system_mask())
-    first = np.flatnonzero(row_outcome == 0)
-    x = np.zeros((row_system.size, valid.size), dtype=complex)
-    x[first] = row_system[first, None] == valid
-    x = RestrictedProduct(support, (support.chain,)).run(x)
-    blocks = outcome_blocks(x, row_outcome, row_system, (len(encs), encs[0].system_dim()))
+    blocks = chain_blocks(support, row_outcome, row_system, valid, (len(encs), encs[0].system_dim()))
     return [
         enc.residual(enc.scale * block[valid] / nai.u0[i, 0])
         for i, (enc, block) in enumerate(zip(encs, blocks))
     ]
-
-
-def outcome_blocks(x: np.ndarray, row_outcome, row_system, shape: tuple[int, int]) -> np.ndarray:
-    """The post-selected S rows of ``x`` (|S|, cols), each written at its
-    outcome and its flat system index: a ``shape`` + (cols,) array,
-    ``shape`` being (outcomes, system_dim), 0 where S holds no row."""
-    good = np.flatnonzero(row_outcome >= 0)
-    out = np.zeros(shape + x.shape[1:], dtype=complex)
-    out[row_outcome[good], row_system[good]] = x[good]
-    return out
-
-
-def _layout_mask(
-    layout: Layout,
-    pinned: tuple[str, ...],
-    systems: tuple[str, ...] = (),
-    sys_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Boolean mask over the flat layout: the contiguous registers ``pinned``
-    at zero, the contiguous registers ``systems`` restricted to ``sys_mask``
-    when one is given, everything else free."""
-    mask = np.ones(layout.dims, bool)
-    layout.block(mask, pinned)[:, 1:] = False
-    if sys_mask is not None:
-        layout.block(mask, systems)[:, ~sys_mask] = False
-    return mask.ravel()
 
 
 def initial_rows(pipe: Pipeline, branch: np.ndarray) -> np.ndarray:

@@ -3,6 +3,8 @@ import pytest
 
 from pbtkit.partitions import Partition, add_box, enumerate_partitions
 from pbtkit.blockenc import (
+    _pair_matrix,
+    _sandwich_gate,
     amplification_weights,
     branch_mixers,
     build_PL_PR,
@@ -19,11 +21,20 @@ from pbtkit.blockenc import (
     weight_range,
 )
 from pbtkit.amplify import plan
-from pbtkit.registers import Branched, Composite, Gate, to_matrix
+from pbtkit.registers import Branched, Composite, Gate, Layout, Register, to_matrix
+from pbtkit.symrep import compose
 from pbtkit.twisted import build_twisted, lambda_eigenvalue, port_cycle
 
 RNG = np.random.default_rng(13)
 SQ2 = float(np.sqrt(2))
+
+
+def chain_residual(enc):
+    """``enc.verify()``, read from the restricted chain, checked against the
+    residual of the tree oracle ``post_selected_block``."""
+    got = enc.verify()
+    assert abs(got - enc.residual(enc.post_selected_block())) < 1e-14
+    return got
 
 
 def test_unitary_complete_examples():
@@ -113,14 +124,14 @@ def test_marker_collisions_flagged_and_harmless():
     cm = build_PL_PR(3, 2, SQ2, "C")
     assert cm.collisions  # copy 2 of the first diagram exists at n=3, d=2
     enc = encode_O(3, 2, 1, 1, SQ2)
-    assert enc.verify() < 1e-10
+    assert chain_residual(enc) < 1e-10
 
 
 @pytest.mark.parametrize("mode", ["tight", "padded"])
 @pytest.mark.parametrize("n,d,k,i", [(3, 2, 1, 1), (3, 2, 2, 1), (4, 2, 2, 1), (4, 2, 3, 2)])
 def test_encode_O_block(mode, n, d, k, i):
     enc = encode_O(n, d, k, i, SQ2, mode)
-    assert enc.verify() < 1e-8
+    assert chain_residual(enc) < 1e-8
     assert enc.scale == SQ2**2
     mat = to_matrix(enc.unitary, enc.layout)
     assert np.abs(mat @ mat.conj().T - np.eye(enc.layout.size)).max() < 1e-10
@@ -135,7 +146,7 @@ def test_encode_O_identity_port_case():
     alpha = Partition((1,))
     csum = sum(coefficients(n, d, alpha, nu)[0] for nu in add_box(alpha, d).children)
     assert abs(tgt[0, 0] - csum) < 1e-12
-    assert enc.verify() < 1e-10
+    assert chain_residual(enc) < 1e-10
 
 
 def test_encode_O_scale_bookkeeping():
@@ -148,7 +159,7 @@ def test_encode_O_scale_bookkeeping():
 def test_encode_Phi():
     for n, d in [(3, 2), (4, 2)]:
         enc = encode_Phi(n, d)
-        assert enc.verify() < 1e-9
+        assert chain_residual(enc) < 1e-9
         assert enc.scale == pytest.approx(np.sqrt(d))
         assert len(enc.ancillas) == 1 and enc.layout.dim(enc.ancillas[0]) == 2
         # Phi Phi+ = d I on the label space
@@ -169,15 +180,34 @@ def test_branch_mixer_normalization():
     assert u_r[0, 1] < 0 < u_l[0, 1]
 
 
-@pytest.mark.parametrize("mode", ["tight", "padded"])
-def test_encode_kraus_n3(mode):
-    n, d = 3, 2
+@pytest.mark.parametrize(
+    "d,mode,ports",
+    [
+        pytest.param(2, "tight", (1, 2), id="tight"),
+        pytest.param(2, "padded", (1, 2), id="padded"),
+        # the tree oracle takes about 2 s a port here
+        pytest.param(3, "tight", (1,), id="3-3-tight"),
+    ],
+)
+def test_encode_kraus_n3(d, mode, ports):
+    n = 3
     tw = build_twisted(n, d)
-    alpha_expected = 4 * 2 * 4 + 2**1.5 * 2 * 2 + 2**-0.5
-    for i in (1, 2):
-        enc = encode_kraus(n, d, tw, i, SQ2, SQ2, mode)
+    # x = x' = sqrt(d) covers every weight sum (test_coefficient_bounds_sweep)
+    x = float(np.sqrt(d))
+    alpha_expected = 4 * d * x**4 + 2**1.5 * d * x**2 + 2**-0.5
+    for i in ports:
+        enc = encode_kraus(n, d, tw, i, x, x, mode)
         assert enc.scale == pytest.approx(alpha_expected)
-        assert enc.verify() < 1e-6
+        assert chain_residual(enc) < 1e-6
+
+
+@pytest.mark.scale
+@pytest.mark.parametrize("mode", ["tight", "padded"])
+def test_encode_kraus_42_chain_matches_tree(mode):
+    # the tree oracle peaks near 1.8 GiB here in tight mode
+    n, d = 4, 2
+    enc = encode_kraus(n, d, build_twisted(n, d), 1, mode=mode)
+    assert chain_residual(enc) < 1e-12
 
 
 def tree_gates(op):
@@ -205,6 +235,22 @@ def test_kraus_encodings_share_each_distinct_gate(mode):
         assert not gate.matrix.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             gate.matrix[0, 0] = 0
+    if mode == "padded":
+        # the pair gate's matrix (one einsum) against the tree product of its
+        # two sandwiches, the right one's adjoint acting first
+        spaces = encoding_spaces(3, 2, mode)
+        x = amplification_weights(3, 2)[0]
+        left, right = (
+            _sandwich_gate(3, 2, mode, 0, x, "C", compose(port_cycle(k, 3), port_cycle(1, 3)), "l").matrix
+            for k in (1, 2)
+        )
+        dims = (spaces.anc_dim,) * 2 + (spaces.n_al,) * 3 + (spaces.n_ka,)
+        sub = Layout([Register(nm, dim) for nm, dim in zip(("ancl", "ancr", "acopyl", "acopyr", "al", "ka"), dims)])
+        lgate = Gate(("ancl", "acopyl", "al", "ka"), left)
+        rgate = Gate(("ancr", "acopyr", "al", "ka"), right.conj().T)
+        for other, ops in ((right, (rgate, lgate)), (None, (lgate,))):
+            want = to_matrix(Composite(ops), sub)
+            assert np.abs(_pair_matrix(spaces, left, other) - want).max() <= 1e-15
 
 
 def test_padding_equivalence():

@@ -171,7 +171,7 @@ def test_layout_mask_restricts_the_system_to_its_mask():
 )
 def test_chain_read_residual_is_the_dense_residual(monkeypatch, variant, n, d):
     # the pipeline reads every encoding's block from one pass of V's
-    # restricted chain; the dense verify pushes each through its own layout
+    # restricted chain; the tree oracle pushes each through its own layout
     tw = build_twisted(n, d)
     name = "compressed_encodings" if variant == "compressed" else "encode_kraus"
     build = getattr(simulate, name)
@@ -190,7 +190,7 @@ def test_chain_read_residual_is_the_dense_residual(monkeypatch, variant, n, d):
 
         monkeypatch.setattr(simulate, name, kept)
         pipe = simulate.build_pipeline(n, d, variant, tw=tw)
-        return pipe.delta, max(enc.verify() for enc in made)
+        return pipe.delta, max(enc.residual(enc.post_selected_block()) for enc in made)
 
     chain, dense = residuals(1.0)
     assert abs(chain - dense) < 1e-14
@@ -262,6 +262,7 @@ def test_compressed_gate_matches_dense_dilation(n, d):
         gate = dense_gate(enc)
         assert np.abs(gate - np.block([[b, c], [c, -b]])).max() < 1e-12
         assert np.abs(gate @ gate.conj().T - np.eye(2 * d**n)).max() < 1e-12
+        assert abs(enc.verify() - enc.residual(enc.post_selected_block())) < 1e-14
 
 
 def test_compressed_encodings_hold_no_padded_gate():
@@ -354,6 +355,8 @@ def test_compressed_gates_are_real(monkeypatch, n, d):
     assert [enc.verify() for enc in encs] == [
         enc.verify() for enc in complex_gates(n, d, build_twisted(n, d))
     ]
+    for enc in encs:  # the restricted chain's read against the tree oracle
+        assert abs(enc.verify() - enc.residual(enc.post_selected_block())) < 1e-14
     other = run(spec)
     for field in fields(ProtocolReport):
         got, want = getattr(real, field.name), getattr(other, field.name)

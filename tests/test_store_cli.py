@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -431,8 +432,44 @@ def test_cli_encode_defaults_to_amplification_weights(capsys):
 
 
 def test_cli_encode_too_large_is_usage_error(capsys):
-    assert cli.main(["encode", "--n", "5", "--d", "2", "--i", "1"]) == 2
-    assert "GiB" in capsys.readouterr().err
+    # refused by the size proxy (28.1 and 270.3 GiB) before the chain's
+    # support, whose groups alone would take 1.76 GiB at (5,2), is built
+    for n, d in ((5, 2), (4, 3)):
+        tracemalloc.start()
+        try:
+            code = cli.main(["encode", "--n", str(n), "--d", str(d), "--i", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "GiB" in capsys.readouterr().err
+        assert peak < 2**26
+
+
+def test_cli_commands_never_enter_the_tree_apply(monkeypatch):
+    # encode, the encode suite and the amplified engine read every block
+    # from a restricted chain; the op tree's apply serves only as an oracle
+    from pbtkit import blockenc, registers
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tree apply was entered")
+
+    for cls in (registers.Gate, registers.Branched, registers.Composite, registers.Sparse, registers.RestrictedProduct):
+        monkeypatch.setattr(cls, "apply", refuse)
+    monkeypatch.setattr(registers.Support, "scatter", refuse)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "pbtkit" and hasattr(mod, "to_matrix"):
+            monkeypatch.setattr(mod, "to_matrix", refuse)
+    blockenc._pair_gate.cache_clear()  # so the padded pair gates are built here
+    base = ["--n", "3", "--d", "2"]
+    for argv in (
+        ["encode", *base, "--i", "1"],
+        ["encode", *base, "--i", "1", "--mode", "padded"],
+        ["verify", "--suite", "encode", *base],
+        ["simulate", *base, "--engine", "amplified-V", "--variant", "compressed"],
+        ["simulate", *base, "--engine", "amplified-V", "--variant", "honest"],
+    ):
+        assert cli.main(argv) == 0, argv
 
 
 def test_cli_export_schur_too_large_is_usage_error(tmp_path, capsys):
